@@ -28,6 +28,7 @@ from .spectra import (
     bloch_label,
     bound_states,
     dos_estimate,
+    _thread_count,
 )
 from .scattering import commuting_deviations, commuting_points, s_matrix
 from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
@@ -62,12 +63,22 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        for name in ("gamma", "q", "beta_min", "beta_max", "beta", "gamma_min", "gamma_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.q > 0.0:
+            raise ValueError(f"q must be positive, got {self.q}")
+        if not self.beta_min > 0.0:
+            raise ValueError(f"beta_min must be positive, got {self.beta_min}")
         if not self.beta_min < self.beta_max:
             raise ValueError("beta_min must be < beta_max")
         if self.steps < 100:
             raise ValueError("steps must be >= 100")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.beta is not None and not self.beta > 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 def parse_word_spec(text: str) -> Word:
@@ -418,6 +429,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        _thread_count()  # a bad DELTACHAIN_THREADS is a configuration error
     except (ChainError, ValueError) as err:
         token = err.token if isinstance(err, ChainError) else "InvalidConfig"
         print(f"{token}: {err}", file=sys.stderr)

@@ -70,10 +70,12 @@ class ChainParams:
     regime: Regime = Regime.BOUND
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.q > 0.0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError(f"q must be positive and finite, got {self.q}")
 
     @property
     def delta(self) -> float:

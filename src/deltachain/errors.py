@@ -41,6 +41,10 @@ class OrderTooLarge(ChainError):
     """Substitution order exceeds the word-length guard."""
 
 
+class TraceMapMismatch(ChainError, ArithmeticError):
+    """The scalar trace map and the matrix recursion disagree beyond tolerance."""
+
+
 class ParseError(ChainError):
     """A word specification failed to parse.
 

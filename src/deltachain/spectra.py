@@ -9,6 +9,14 @@ Root finding follows one policy throughout: a uniform grid scan brackets
 sign changes, bisection refines them to |dbeta| <= 1e-10, and a one-level
 x4 grid refinement re-censuses the sign changes; any disagreement raises
 GridTooCoarse instead of silently returning a partial census.
+
+Each query makes one fine scan, on the x4 grid.  The base grid is every
+4th sample of it (np.linspace(lo, hi, n + 1) equals
+np.linspace(lo, hi, 4n + 1)[::4] bit for bit), so its census is read off
+the same samples.  bound_states takes x and d from one product pass.  In
+the Bound regime the scan multiplies real float64 entries; they equal the
+real parts of the complex-arithmetic entries bit for bit, so every sample,
+bracket and GridTooCoarse decision is the one complex arithmetic gives.
 """
 
 import math
@@ -19,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ChainParams, Regime, cell_matrix, CellKind
+from .core import EXP_LIMIT, ChainParams, Regime, cell_matrix, CellKind
 from .errors import GridTooCoarse, OutOfBand, OverflowRisk
 from .substitution import Word, word_matrix
 
@@ -99,22 +107,35 @@ class DosSamples:
 
 
 def _thread_count() -> int:
+    """Worker threads for grid scans from DELTACHAIN_THREADS (default 1).
+
+    The value must be an integer >= 1; it is clamped to the CPU count.
+    """
+    raw = os.environ.get("DELTACHAIN_THREADS", "1")
     try:
-        n = int(os.environ.get("DELTACHAIN_THREADS", "1"))
+        n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(f"DELTACHAIN_THREADS must be an integer >= 1, got {raw!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float):
-    """Vectorized cell-matrix entries over a beta grid."""
+    """Vectorized cell-matrix entries over a beta grid.
+
+    Bound entries are real float64.  They are written as products with the
+    reciprocal 1/lam because that is how numpy divides by a real lam + 0j,
+    so they equal the real parts of the complex entries bit for bit.
+    """
     de = gamma / betas
     if regime is Regime.BOUND:
         lam = np.exp(betas * ratio)
-        de_eff = de.astype(complex)
-    else:
-        lam = np.exp(-1j * betas * ratio)
-        de_eff = 1j * de
+        inv = 1.0 / lam
+        h = de / 2
+        return (1 + h) * inv, (lam * de) * 0.5, -h * inv, lam * (1 - h)
+    lam = np.exp(-1j * betas * ratio)
+    de_eff = 1j * de
     a = (1 + de_eff / 2) / lam
     b = lam * de_eff / 2
     c = -(de_eff / 2) / lam
@@ -123,59 +144,94 @@ def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float)
 
 
 def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
-    """Entries (a, b, c, d) of the word's transfer matrix over a beta grid."""
+    """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
+
+    Real in the Bound regime, complex in the Scattering regime.  The product
+    starts from the first cell, not from the identity: for finite entries
+    1*a + 0*c == a, so only the sign of an exact zero could differ.
+    """
     cells = {}
     for ch in set(word.letters):
         cells[ch] = _cell_entries(gamma, betas, regime, 1.0 if ch == "S" else q)
-    A = np.ones(betas.shape, dtype=complex)
-    B = np.zeros(betas.shape, dtype=complex)
-    C = np.zeros(betas.shape, dtype=complex)
-    D = np.ones(betas.shape, dtype=complex)
-    for ch in word.letters:
+    A, B, C, D = cells[word.letters[0]]
+    for ch in word.letters[1:]:
         a2, b2, c2, d2 = cells[ch]
         A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
     return A, B, C, D
 
 
-_CHUNK = 1 << 19
+# Points per scan chunk: the per-letter temporaries of one chunk stay in cache.
+_CHUNK = 1 << 13
 
 
 def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) or d(beta) of the word matrix over a grid, chunked.
+    """Real x(beta) and/or d(beta) of the word matrix over a grid, chunked.
 
-    Chunking keeps only O(chunk) complex temporaries alive, so very fine
-    verification grids stay within a few tens of megabytes.
+    ``which`` names the rows of the result, one letter each ("x", "d" or
+    "xd"), so a single product pass can serve both.  Every chunk is written
+    into one preallocated output, and the values do not depend on the
+    chunking or the thread count.
     """
+    out = np.empty((len(which), betas.size))
+
+    def one(start: int) -> None:
+        part = slice(start, start + _CHUNK)
+        A, _, _, D = _word_grid(word, gamma, q, betas[part], regime)
+        for row, name in zip(out, which):
+            row[part] = (0.5 * (A + D)).real if name == "x" else D.real
+
+    starts = range(0, betas.size, _CHUNK)
     n = _thread_count()
-    pieces = max(n, (betas.size + _CHUNK - 1) // _CHUNK)
-    chunks = np.array_split(betas, pieces) if pieces > 1 else [betas]
-
-    def one(chunk: np.ndarray) -> np.ndarray:
-        A, B, C, D = _word_grid(word, gamma, q, chunk, regime)
-        return (0.5 * (A + D)).real if which == "x" else D.real
-
-    if n > 1 and len(chunks) > 1:
+    if n > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(one, chunks))
+            list(pool.map(one, starts))
     else:
-        parts = [one(chunk) for chunk in chunks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for start in starts:
+            one(start)
+    return out
 
 
-def _guard_range(word: Word, q: float, beta_range, regime: Regime):
+def _check_scan_inputs(word: Word, gamma: float, q: float, beta_range, grid_steps: int, regime: Regime):
+    """Validate a scan's inputs; returns the finite range (lo, hi)."""
+    if grid_steps < 100:
+        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
+    if not (math.isfinite(gamma) and math.isfinite(q)):
+        raise ValueError(f"gamma and q must be finite, got gamma = {gamma}, q = {q}")
     lo, hi = beta_range
-    if not (0.0 < lo < hi):
+    if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
-    if regime is Regime.BOUND and hi * word.total_ratio(q) > 300.0:
+    if regime is Regime.BOUND and hi * word.total_ratio(q) > EXP_LIMIT:
         raise OverflowRisk(
             f"beta*length = {hi * word.total_ratio(q):.3g} exceeds the exponent guard"
         )
     return lo, hi
 
 
-def _sign_changes(values: np.ndarray) -> int:
-    s = np.sign(values)
-    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
+def _crossings(values: np.ndarray, target: float) -> np.ndarray:
+    """Indices i where values crosses target strictly between samples i and i+1.
+
+    Samples equal to target or NaN never count, as for a sign product.
+    """
+    above, below = values > target, values < target
+    return np.nonzero((above[1:] & below[:-1]) | (below[1:] & above[:-1]))[0]
+
+
+def _require_same_census(values: np.ndarray, target: float, label: str, grid_steps: int) -> None:
+    """Raise GridTooCoarse unless the base grid and the x4 grid count the
+    same crossings of target.
+
+    ``values`` is the x4 scan; the base grid is every 4th sample of it.
+    """
+    if _crossings(values[::4], target).size != _crossings(values, target).size:
+        raise GridTooCoarse(
+            f"{label} crossings differ between {grid_steps} and "
+            f"{4 * grid_steps} grid steps; increase grid_steps"
+        )
+
+
+def _require_same_x_census(x: np.ndarray, grid_steps: int) -> None:
+    for target in (1.0, -1.0):
+        _require_same_census(x, target, f"x = {target:+g}", grid_steps)
 
 
 def _bisect(fn, lo, hi, flo, tol=ROOT_TOL) -> float:
@@ -212,35 +268,10 @@ def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
     return 0 if abs(x) <= 1.0 else 1
 
 
-def band_germs(
-    word: Word,
-    gamma: float,
-    q: float,
-    beta_range=DEFAULT_BETA_RANGE,
-    grid_steps: int = DEFAULT_GRID_STEPS,
-    regime: Regime = Regime.BOUND,
+def _germs_from_scan(
+    word: Word, gamma: float, q: float, regime: Regime, betas: np.ndarray, x: np.ndarray
 ) -> list[BandGerm]:
-    """Maximal beta intervals with |x| <= 1, edges refined by bisection.
-
-    The x4-refined scan must reproduce the base grid's edge-crossing census
-    for both x = +1 and x = -1, else GridTooCoarse is raised.
-    """
-    if grid_steps < 100:
-        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    lo, hi = _guard_range(word, q, beta_range, regime)
-
-    betas = np.linspace(lo, hi, grid_steps + 1)
-    x = _word_scan(word, gamma, q, betas, regime, "x")
-    fine = np.linspace(lo, hi, 4 * grid_steps + 1)
-    xf = _word_scan(word, gamma, q, fine, regime, "x")
-    for target in (1.0, -1.0):
-        if _sign_changes(x - target) != _sign_changes(xf - target):
-            raise GridTooCoarse(
-                f"x = {target:+g} crossings differ between {grid_steps} and "
-                f"{4 * grid_steps} grid steps; increase grid_steps"
-            )
-
-    betas, x = fine, xf  # assemble germs from the finer, verified grid
+    """Maximal |x| <= 1 intervals from a verified scan x over the grid betas."""
     fx = _scalar_x(word, gamma, q, regime)
 
     # Refine every edge crossing first.  A band narrower than the grid
@@ -249,10 +280,8 @@ def band_germs(
     # assembled from the refined crossings, not from in-band samples.
     edges: list[tuple[float, EdgeKind]] = []
     for target, kind in ((1.0, EdgeKind.X_PLUS_ONE), (-1.0, EdgeKind.X_MINUS_ONE)):
-        g = x - target
-        s = np.sign(g)
-        for i in np.nonzero(s[1:] * s[:-1] < 0)[0]:
-            root = _bisect(lambda b, t=target: fx(b) - t, betas[i], betas[i + 1], g[i])
+        for i in _crossings(x, target):
+            root = _bisect(lambda b, t=target: fx(b) - t, betas[i], betas[i + 1], x[i] - target)
             edges.append((root, kind))
     edges.sort(key=lambda e: e[0])
 
@@ -282,6 +311,26 @@ def band_germs(
     return germs
 
 
+def band_germs(
+    word: Word,
+    gamma: float,
+    q: float,
+    beta_range=DEFAULT_BETA_RANGE,
+    grid_steps: int = DEFAULT_GRID_STEPS,
+    regime: Regime = Regime.BOUND,
+) -> list[BandGerm]:
+    """Maximal beta intervals with |x| <= 1, edges refined by bisection.
+
+    The x4-refined scan must reproduce the base grid's edge-crossing census
+    for both x = +1 and x = -1, else GridTooCoarse is raised.
+    """
+    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
+    fine = np.linspace(lo, hi, 4 * grid_steps + 1)
+    (x,) = _word_scan(word, gamma, q, fine, regime, "x")
+    _require_same_x_census(x, grid_steps)
+    return _germs_from_scan(word, gamma, q, regime, fine, x)
+
+
 def bound_states(
     word: Word,
     gamma: float,
@@ -292,6 +341,8 @@ def bound_states(
     """Sign-change roots of d(beta) in range, bisection-refined.
 
     Bound regime only: d = 0 is the decaying-boundary-condition equation.
+    One product pass gives d and x; the d census is checked first, then
+    the band-germ census of band_germs (same grid, same GridTooCoarse).
 
     The census is only as complete as the grid.  A close pair of roots
     between two samples cancels in the sign count on both the base and the
@@ -302,37 +353,25 @@ def bound_states(
     roots, and W_6 at 32,000 and 128,000 steps returns 6 of its 8.  The
     certified census of ROADMAP item 3 closes this gap.
     """
-    if grid_steps < 100:
-        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    lo, hi = _guard_range(word, q, beta_range, Regime.BOUND)
-
-    betas = np.linspace(lo, hi, grid_steps + 1)
-    d = _word_scan(word, gamma, q, betas, Regime.BOUND, "d")
+    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, Regime.BOUND)
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
-    df = _word_scan(word, gamma, q, fine, Regime.BOUND, "d")
-    if _sign_changes(d) != _sign_changes(df):
-        raise GridTooCoarse(
-            f"d = 0 crossings differ between {grid_steps} and {4 * grid_steps} "
-            "grid steps; increase grid_steps"
-        )
+    x, d = _word_scan(word, gamma, q, fine, Regime.BOUND, "xd")
+    _require_same_census(d, 0.0, "d = 0", grid_steps)
+    _require_same_x_census(x, grid_steps)
 
     def fd(beta: float) -> float:
         return word_matrix(word, ChainParams(beta, gamma, q, Regime.BOUND)).d.real
 
-    roots = []
-    s = np.sign(df)
-    for i in np.nonzero(s[1:] * s[:-1] < 0)[0]:
-        roots.append(_bisect(fd, fine[i], fine[i + 1], df[i]))
+    roots = [_bisect(fd, fine[i], fine[i + 1], d[i]) for i in _crossings(d, 0.0)]
 
     # A narrow band can hide a whole dip of d through zero between adjacent
     # samples of the global grid.  Some bound roots lie inside band germs, so
     # rescan each germ on a local grid and merge the findings.  Roots outside
     # every germ get no such second look (see the docstring).
-    for germ in band_germs(word, gamma, q, beta_range, grid_steps):
+    for germ in _germs_from_scan(word, gamma, q, Regime.BOUND, fine, x):
         local = np.linspace(germ.beta_lo, germ.beta_hi, 65)
         dl = np.array([fd(b) for b in local])
-        sl = np.sign(dl)
-        for i in np.nonzero(sl[1:] * sl[:-1] < 0)[0]:
+        for i in _crossings(dl, 0.0):
             roots.append(_bisect(fd, local[i], local[i + 1], dl[i]))
 
     roots.sort()
@@ -407,18 +446,19 @@ def partial_band_census(
 
     Partial-band beta boundaries come from inverting the single-cell
     dispersion x1(beta) = cos(mu*pi/n) inside the germ; x1 must be monotone
-    there (checked; violation raises ValueError).
+    there (checked; violation raises ValueError).  Without exactly one
+    single-cell germ in range it raises OutOfBand.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     word_s = Word("S")
     germs = band_germs(word_s, gamma, 1.0, beta_range, grid_steps)
     if len(germs) != 1:
-        raise ValueError(f"expected one single-cell germ, found {len(germs)}")
+        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
     germ = germs[0]
 
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 1)
-    x = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
+    (x,) = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
     dx = np.diff(x)
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise ValueError("single-cell dispersion x1 is not monotone inside the germ")
@@ -464,14 +504,15 @@ def dos_estimate(
     prefactor hbar^2/(2 m b^2) is a documented constant, not computed).
     Centered differences on the interior, one-sided at the germ edges;
     the returned density is normalized to unit integral over the band.
+    Without exactly one single-cell germ in range it raises OutOfBand.
     """
     word_s = Word("S")
     germs = band_germs(word_s, gamma, 1.0, beta_range, grid_steps)
     if len(germs) != 1:
-        raise ValueError(f"expected one single-cell germ, found {len(germs)}")
+        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
     germ = germs[0]
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 2)[1:-1]
-    x = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
+    (x,) = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
     kb = np.arccos(np.clip(x, -1.0, 1.0))
     energy = -betas * betas
     density = np.abs(np.gradient(kb, energy))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXP_LIMIT,
     CellKind,
     ChainParams,
     Regime,
@@ -222,7 +223,7 @@ def cell_coefficients(
     Each cell's pair refers to the local basis exp(-+kappa*xi) with xi
     measured from that cell's delta.
     """
-    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > 300.0:
+    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > EXP_LIMIT:
         raise OverflowRisk("beta*length exceeds the exponent guard")
     kappa = _local_kappa(params)
     psi, dpsi = complex(initial[0]), complex(initial[1])

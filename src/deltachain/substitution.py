@@ -9,8 +9,8 @@ deliberately separate so each can serve as the other's oracle.
 
 from dataclasses import dataclass
 
-from .core import CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
-from .errors import OrderTooLarge, OverflowRisk
+from .core import EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
+from .errors import OrderTooLarge, OverflowRisk, TraceMapMismatch
 
 # f_24 = 46368 letters; deeper words are refused rather than built.
 MAX_ORDER = 24
@@ -101,7 +101,7 @@ def fibonacci_word(m: int) -> Word:
 
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
     """Product of cell matrices in word order (leftmost letter leftmost)."""
-    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > 300.0:
+    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > EXP_LIMIT:
         raise OverflowRisk(
             f"beta*length = {params.beta * word.total_ratio(params.q):.3g} exceeds the exponent guard"
         )
@@ -125,7 +125,8 @@ def trace_map_sequence(params: ChainParams, m_max: int) -> list[RecursionRow]:
     Seeds are M_1 = cell S, M_2 = cell L and M_3 = M_1 M_2; subsequent rows
     follow M_{m+1} = tr(M_m) M_{m-1} - adj(M_{m-2}).  The scalar trace map
     x_{m+1} = 2 x_m x_{m-1} - x_{m-2} is run standalone alongside and must
-    agree with the matrix route's half traces; disagreement aborts.
+    agree with the matrix route's half traces; disagreement raises
+    TraceMapMismatch.
     """
     if m_max < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
@@ -151,7 +152,7 @@ def trace_map_sequence(params: ChainParams, m_max: int) -> list[RecursionRow]:
     for k in range(min(m_max, len(mats))):
         scale = max(1.0, abs(mats[k].x))
         if abs(mats[k].x - xs[k]) > 1e-6 * scale:
-            raise ArithmeticError(
+            raise TraceMapMismatch(
                 f"scalar trace map disagrees with the matrix recursion at m = {k + 1}"
             )
     return [_row(k + 1, M) for k, M in enumerate(mats[:m_max])]

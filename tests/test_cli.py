@@ -249,3 +249,59 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.strip() == str(out)
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--word", "fib:m=4", "--gamma", "nan"],
+        ["bound", "--gamma", "inf"],
+        ["bands", "--q=-inf"],
+        ["scatter", "--beta-max", "inf"],
+        ["atlas", "--gamma-min", "nan"],
+    ],
+)
+def test_main_rejects_non_finite_inputs(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig:") and "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_gamma_exits_2_without_traceback(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deltachain", "bands", "--word", "fib:m=4", "--gamma", "nan",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("InvalidConfig:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_run_config_rejects_non_positive_scales():
+    with pytest.raises(ValueError):
+        RunConfig(command="bands", q=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(command="bands", beta_min=0.0)
+    with pytest.raises(ValueError):
+        RunConfig(command="wave", beta=-1.0)
+
+
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_main_rejects_bad_thread_count(raw, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DELTACHAIN_THREADS", raw)
+    code = main(["bands", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidConfig:") and "DELTACHAIN_THREADS" in err
+
+
+def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):
+    code = main(["dos", "--gamma", "-2", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("OutOfBand: expected one single-cell germ, found 0")

@@ -247,3 +247,13 @@ def test_transfer_matrix_helpers():
     adj = M.adjugate()
     assert (adj.a, adj.b, adj.c, adj.d) == (M.d, -M.b, -M.c, M.a)
     assert M.scaled(2.0).max_abs() == pytest.approx(6.0)
+
+
+def test_params_reject_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite|positive"):
+            ChainParams(bad, 1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            ChainParams(1.0, bad)
+        with pytest.raises(ValueError, match="finite|positive"):
+            ChainParams(1.0, 1.0, q=bad)

@@ -1,13 +1,17 @@
 """Band germs, bound-state roots, labels, censuses, and the DOS estimate."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from deltachain.core import TAU, CellKind, ChainParams, cell_matrix
+from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
 from deltachain.errors import GridTooCoarse, OutOfBand
 from deltachain.spectra import (
+    _CHUNK,
+    _thread_count,
+    _word_scan,
     EdgeKind,
     band_germs,
     binding_equation_residual,
@@ -229,3 +233,97 @@ def test_grid_steps_validation():
         band_germs(Word("S"), 4.0, 1.0, grid_steps=10)
     with pytest.raises(ValueError):
         bound_states(Word("S"), 4.0, 1.0, grid_steps=10)
+
+
+def _complex_reference(word, gamma, q, betas):
+    """x and d of the Bound-regime scan in complex arithmetic, as the scan
+    computed them before it switched to real arithmetic."""
+    de = (gamma / betas).astype(complex)
+    cells = {}
+    for ch in set(word.letters):
+        lam = np.exp(betas * (1.0 if ch == "S" else q))
+        cells[ch] = ((1 + de / 2) / lam, lam * de / 2, -(de / 2) / lam, lam * (1 - de / 2))
+    A = np.ones(betas.shape, dtype=complex)
+    B = np.zeros(betas.shape, dtype=complex)
+    C = np.zeros(betas.shape, dtype=complex)
+    D = np.ones(betas.shape, dtype=complex)
+    for ch in word.letters:
+        a2, b2, c2, d2 = cells[ch]
+        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
+    return (0.5 * (A + D)).real, D.real
+
+
+@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3])
+def test_bound_scan_is_bitwise_the_complex_scan(gamma, monkeypatch):
+    # Real arithmetic must reproduce every sample exactly, so brackets,
+    # bisections and GridTooCoarse decisions cannot move.
+    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
+    for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
+        x_ref, d_ref = _complex_reference(word, gamma, TAU, betas)
+        x, d = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "xd")
+        assert np.array_equal(x, x_ref), (str(word), gamma)
+        assert np.array_equal(d, d_ref), (str(word), gamma)
+        assert np.array_equal(_word_scan(word, gamma, TAU, betas, Regime.BOUND, "d")[0], d)
+    monkeypatch.setenv("DELTACHAIN_THREADS", "2")
+    x2, d2 = _word_scan(fibonacci_word(6), gamma, TAU, betas, Regime.BOUND, "xd")
+    assert np.array_equal(x2, x) and np.array_equal(d2, d)
+
+
+@pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
+def test_base_grid_is_every_fourth_fine_sample(steps):
+    # The base census is read off the x4 scan, which relies on this identity
+    # at every step count of the census ladder (2,000 to 2,048,000).
+    for lo, hi in ((0.05, 6.0), (0.05, 2.0), (1.3, 4.7)):
+        fine = np.linspace(lo, hi, 4 * steps + 1)
+        assert np.array_equal(fine[::4], np.linspace(lo, hi, steps + 1)), (lo, hi)
+
+
+def test_base_scan_equals_fine_scan_subsample():
+    word = fibonacci_word(6)
+    base = np.linspace(0.05, 6.0, 2001)
+    fine = np.linspace(0.05, 6.0, 8001)
+    got = _word_scan(word, 10.0, TAU, fine, Regime.BOUND, "xd")[:, ::4]
+    assert np.array_equal(got, _word_scan(word, 10.0, TAU, base, Regime.BOUND, "xd"))
+
+
+def test_bound_states_checks_germ_census_after_d_census():
+    # At 8,000 steps the W_6 d census agrees between the grids and only the
+    # germ census fails; the W_5 d census already fails.
+    with pytest.raises(GridTooCoarse, match=r"^x = \+1 crossings differ between 8000 and 32000"):
+        bound_states(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 8000)
+    with pytest.raises(GridTooCoarse, match=r"^d = 0 crossings differ between 8000 and 32000"):
+        bound_states(fibonacci_word(5), 10.0, TAU, (0.05, 6.0), 8000)
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+def test_thread_count_rejects_bad_values(raw, monkeypatch):
+    monkeypatch.setenv("DELTACHAIN_THREADS", raw)
+    with pytest.raises(ValueError, match="DELTACHAIN_THREADS"):
+        _thread_count()
+
+
+def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("DELTACHAIN_THREADS", str(cpus + 5))
+    assert _thread_count() == cpus
+    monkeypatch.delenv("DELTACHAIN_THREADS")
+    assert _thread_count() == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scans_reject_non_finite_inputs(bad):
+    for scan in (band_germs, bound_states):
+        with pytest.raises(ValueError, match="finite"):
+            scan(Word("S"), bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            scan(Word("SL"), 4.0, bad)
+        with pytest.raises(ValueError, match="beta_range"):
+            scan(Word("S"), 4.0, 1.0, (0.05, bad))
+
+
+def test_single_cell_helpers_raise_out_of_band_without_a_germ():
+    # A repulsive cell (gamma < 0) has no Bound-regime band germ.
+    with pytest.raises(OutOfBand, match="found 0"):
+        dos_estimate(-2.0)
+    with pytest.raises(OutOfBand, match="found 0"):
+        partial_band_census(2, -2.0)

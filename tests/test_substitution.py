@@ -147,3 +147,20 @@ def test_scalar_trace_map_recurrence_holds():
     xs = [row.x for row in trace_map_sequence(p, 12)]
     for k in range(3, 12):
         assert xs[k] == pytest.approx(2 * xs[k - 1] * xs[k - 2] - xs[k - 3], rel=1e-9, abs=1e-9)
+
+
+def test_trace_map_disagreement_raises_typed_error(monkeypatch):
+    # Inject a relative error into every recursion row's a entry so the
+    # matrix route's half traces drift away from the scalar trace map.
+    from deltachain import substitution
+    from deltachain.core import TransferMatrix
+    from deltachain.errors import ChainError, TraceMapMismatch
+
+    def skewed(a, b, c, d):
+        return TransferMatrix(a * (1 + 1e-3), b, c, d)
+
+    monkeypatch.setattr(substitution, "TransferMatrix", skewed)
+    with pytest.raises(TraceMapMismatch, match="m = 4") as err:
+        trace_map_sequence(ChainParams(1.0, 4.0, TAU, Regime.SCATTERING), 8)
+    assert isinstance(err.value, ChainError) and isinstance(err.value, ArithmeticError)
+    assert err.value.token == "TraceMapMismatch"
