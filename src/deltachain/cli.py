@@ -9,6 +9,7 @@ docs/output_schema.json.
 """
 
 import argparse
+import itertools
 import math
 import re
 import sys
@@ -23,6 +24,7 @@ from .errors import ChainError, ParseError
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
+    _CHUNK,
     band_germs,
     binding_equation_residual,
     bloch_label,
@@ -30,12 +32,14 @@ from .spectra import (
     dos_estimate,
     _thread_count,
 )
-from .scattering import commuting_deviations, commuting_points, s_matrix
+from .scattering import S_COLUMNS, commuting_deviations, commuting_points, s_matrix_grid
 from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
 from .substitution import Word, fibonacci_word, word_counts
 from .errors import OutOfBand
 
 COMMANDS = ("bands", "bound", "atlas", "scatter", "wave", "dos", "binding", "fib-info", "commute")
+# The commands that read --regime; the others reject it.
+REGIME_COMMANDS = ("bands", "wave")
 
 
 @dataclass(frozen=True)
@@ -237,25 +241,14 @@ def _cmd_atlas(config: RunConfig):
 
 def _cmd_scatter(config: RunConfig):
     word = parse_word_spec(config.word_spec)
-    columns = [
-        "beta",
-        "s_pp_re", "s_pp_im", "s_pm_re", "s_pm_im",
-        "s_mp_re", "s_mp_im", "s_mm_re", "s_mm_im",
-        "abs_s_pp", "abs_s_mp",
-    ]
-    rows = []
-    for beta in np.linspace(config.beta_min, config.beta_max, config.steps + 1):
-        params = ChainParams(float(beta), config.gamma, config.q, Regime.SCATTERING)
-        S = s_matrix(word, params)
-        rows.append(
-            (
-                float(beta),
-                S.s_pp.real, S.s_pp.imag, S.s_pm.real, S.s_pm.imag,
-                S.s_mp.real, S.s_mp.imag, S.s_mm.real, S.s_mm.imag,
-                abs(S.s_pp), abs(S.s_mp),
-            )
-        )
-    return columns, rows, None
+    betas = np.linspace(config.beta_min, config.beta_max, config.steps + 1)
+    S = s_matrix_grid(word, config.gamma, config.q, betas)
+    table = np.vstack([betas, S]).T  # one row per beta
+    # Rows become Python floats a chunk at a time, never the whole table at once.
+    rows = itertools.chain.from_iterable(
+        table[k : k + _CHUNK].tolist() for k in range(0, len(table), _CHUNK)
+    )
+    return ["beta", *S_COLUMNS], rows, None
 
 
 def _cmd_wave(config: RunConfig):
@@ -381,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta-min", type=float, default=DEFAULT_BETA_RANGE[0])
         p.add_argument("--beta-max", type=float, default=DEFAULT_BETA_RANGE[1])
         p.add_argument("--steps", type=int, default=DEFAULT_GRID_STEPS)
-        p.add_argument("--regime", choices=["bound", "scattering"], default="bound")
+        p.add_argument("--regime", choices=["bound", "scattering"], default=None)
         p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "wave":
@@ -397,13 +390,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extras = {}
+    if args.regime is not None and args.command not in REGIME_COMMANDS:
+        raise ValueError(
+            f"--regime does not apply to {args.command}; only {' and '.join(REGIME_COMMANDS)} read it"
+        )
+    regime = Regime(args.regime or "bound")
     if args.command == "wave":
-        extras = {"beta": args.beta, "initial": args.initial, "regime": Regime(args.regime)}
+        extras = {"beta": args.beta, "initial": args.initial, "regime": regime}
         if extras["beta"] is None:
+            if args.regime == "bound":
+                raise ValueError("wave --regime bound needs --beta; the default energy is scattering")
             extras["regime"] = Regime.SCATTERING  # default tau*pi commuting energy
     else:
-        extras = {"regime": Regime(args.regime)}
+        extras = {"regime": regime}
     if args.command == "commute":
         extras["p_max"] = args.p_max
     if args.command == "atlas":

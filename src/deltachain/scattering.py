@@ -12,9 +12,18 @@ h (in units of b) so that the free string gives S = identity exactly:
 In the scattering regime |d| = |a| = sqrt(1 + |b|^2) >= 1, so the
 ResonancePole guard is defensive; poles live on the Bound-regime axis where
 d(beta) = 0, which is exactly the bound-state condition.
+
+s_matrix_grid evaluates these forms over a whole beta grid, and s_matrix is
+its one-point case.  The grid carries every complex number as a (re, im)
+pair of float64 arrays and applies the formulas CPython's complex type
+uses: the product as ar*br - ai*bi, ar*bi + ai*br, the quotient by Smith's
+method with both branches chosen elementwise, exp(-i t) as (cos t, -sin t)
+and abs as hypot.  numpy's own complex multiply and divide round
+differently in the last bit, so this arithmetic, not complex128 arrays,
+makes every value equal the scalar complex route (word_matrix, then the
+forms above in Python complex numbers) bit for bit.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +40,16 @@ from .core import (
     power_closed,
 )
 from .errors import ResonancePole
-from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _cell_entries, bound_states
+from .spectra import (
+    DEFAULT_BETA_RANGE,
+    DEFAULT_GRID_STEPS,
+    _pair_mul,
+    _pair_quot,
+    _run_chunks,
+    _word_grid,
+    _word_scan,
+    bound_states,
+)
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
 
 
@@ -76,21 +94,58 @@ class BackscatterPoint:
     mu: int | None = None
 
 
+# Rows of s_matrix_grid.  s_mm equals s_pp (both are e^{-i beta h} / d);
+# the output keeps both columns.
+S_COLUMNS = (
+    "s_pp_re", "s_pp_im", "s_pm_re", "s_pm_im",
+    "s_mp_re", "s_mp_im", "s_mm_re", "s_mm_im",
+    "abs_s_pp", "abs_s_mp",
+)
+
+
+def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
+    """Scattering matrix of a string over a beta grid, one row per S_COLUMNS name.
+
+    Evaluated in _CHUNK-point chunks written into one preallocated array, so
+    memory stays bounded at any grid size.  Raises ResonancePole at the
+    first beta with |d| < 1e-12 and OverflowRisk when entries overflow.
+    """
+    betas = np.asarray(betas, dtype=float)
+    if not (betas.ndim == 1 and np.all(betas > 0.0) and np.all(np.isfinite(betas))):
+        raise ValueError("betas must be a 1-d grid of positive, finite values")
+    if not (math.isfinite(gamma) and 0.0 < q < math.inf):
+        raise ValueError(f"gamma must be finite and q positive and finite, got {gamma}, {q}")
+    h = word.total_ratio(q)
+    out = np.empty((len(S_COLUMNS), betas.size))
+
+    def fill(part: slice) -> None:
+        _, b, c, d = _word_grid(word, gamma, q, betas[part], Regime.SCATTERING)
+        abs_d = np.hypot(*d)
+        low = np.flatnonzero(abs_d < 1e-12)
+        if low.size:
+            raise ResonancePole(f"|d| = {abs_d[low[0]]:.3g} below threshold")
+        t = betas[part] * h
+        ph = (np.cos(t), -np.sin(t))  # cmath.exp(-1j * beta * h)
+        s_pp = _pair_quot(ph, d)
+        s_pm = _pair_quot(_pair_mul(_pair_mul(b, ph), ph), d)
+        s_mp = _pair_quot((-c[0], -c[1]), d)
+        out[:, part] = (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
+
+    _run_chunks(betas.size, fill)
+    return out
+
+
 def s_matrix(word: Word, params: ChainParams) -> SMatrix:
-    """Scattering matrix of a string, from the rational transfer-matrix forms."""
+    """Scattering matrix of a string at one energy: s_matrix_grid at one point."""
     if params.regime is not Regime.SCATTERING:
         raise ValueError("s_matrix requires the Scattering regime")
-    M = word_matrix(word, params)
-    if abs(M.d) < 1e-12:
-        raise ResonancePole(f"|d| = {abs(M.d):.3g} below threshold")
-    h = word.total_ratio(params.q)
-    ph = cmath.exp(-1j * params.beta * h)
+    v = s_matrix_grid(word, params.gamma, params.q, [params.beta])[:8, 0].tolist()
     return SMatrix(
-        s_pp=ph / M.d,
-        s_pm=M.b * ph * ph / M.d,
-        s_mp=-M.c / M.d,
-        s_mm=ph / M.d,
-        h_ratio=h,
+        s_pp=complex(v[0], v[1]),
+        s_pm=complex(v[2], v[3]),
+        s_mp=complex(v[4], v[5]),
+        s_mm=complex(v[6], v[7]),
+        h_ratio=word.total_ratio(params.q),
     )
 
 
@@ -115,30 +170,15 @@ def backscatter_scan(
     beta_range=DEFAULT_BETA_RANGE,
     grid_steps: int = DEFAULT_GRID_STEPS,
 ) -> list[BackscatterPoint]:
-    """|s_mp| of S^n over a beta grid, local maxima tagged with mu = round(beta/pi).
-
-    Powers are taken with the Chebyshev forms, which stay valid through the
-    band edges and gaps (|x1| > 1).
-    """
+    """|s_mp| of S^n over a beta grid, local maxima tagged with mu = round(beta/pi)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lo, hi = beta_range
     if not (0.0 < lo < hi):
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
     betas = np.linspace(lo, hi, grid_steps + 1)
-    a1, b1, c1, d1 = _cell_entries(gamma, betas, Regime.SCATTERING, 1.0)
-    x = ((a1 + d1) / 2).real
-    u_prev = np.ones_like(betas, dtype=complex)  # U_0
-    u_cur = 2.0 * x + 0j  # U_1
-    if n == 1:
-        u_nm1, u_nm2 = u_prev, np.zeros_like(u_prev)
-    else:
-        for _ in range(n - 2):
-            u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
-        u_nm1, u_nm2 = u_cur, u_prev
-    cn = u_nm1 * c1
-    dn = u_nm1 * d1 - u_nm2
-    s_mp_abs = np.abs(cn / dn)
+    (x,) = _word_scan(Word("S"), gamma, 1.0, betas, Regime.SCATTERING, "x")
+    s_mp_abs = s_matrix_grid(Word("S" * n), gamma, 1.0, betas)[S_COLUMNS.index("abs_s_mp")]
     kb = np.where(np.abs(x) <= 1.0, np.arccos(np.clip(x, -1.0, 1.0)), np.nan)
     is_max = np.zeros(betas.shape, dtype=bool)
     interior = (s_mp_abs[1:-1] > s_mp_abs[:-2]) & (s_mp_abs[1:-1] >= s_mp_abs[2:])

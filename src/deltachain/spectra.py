@@ -17,9 +17,14 @@ the same samples.  bound_states takes x and d from one product pass.  In
 the Bound regime the scan multiplies real float64 entries; they equal the
 real parts of the complex-arithmetic entries bit for bit, so every sample,
 bracket and GridTooCoarse decision is the one complex arithmetic gives.
+In the Scattering regime it multiplies (re, im) float64 pairs with
+CPython's complex formulas (see _cell_entries), so each sample equals
+word_matrix at that beta bit for bit.  Entries that overflow float64 raise
+OverflowRisk instead of leaving inf or NaN samples behind.
 """
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -121,42 +126,90 @@ def _thread_count() -> int:
     return min(n, os.cpu_count() or 1)
 
 
+def _pair_mul(z, w):
+    """Product of two (re, im) float64 pairs, rounded as CPython's complex product."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _pair_add(z, w):
+    return z[0] + w[0], z[1] + w[1]
+
+
+def _pair_quot(z, w):
+    """Quotient z / w of (re, im) pairs by Smith's method, as CPython divides.
+
+    CPython's complex division scales by w's real part when |re w| >= |im w|
+    and by its imaginary part otherwise; both branches are taken elementwise
+    and chosen with np.where, with the operands in CPython's order.
+    """
+    m = np.abs(w[0]) >= np.abs(w[1])
+    num, den = np.where(m, w[1], w[0]), np.where(m, w[0], w[1])
+    ratio = num / den
+    den = den + num * ratio
+    x, y = np.where(m, z[0], z[1]), np.where(m, z[1], z[0])
+    xr = x * ratio
+    return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
+
+
 def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float):
-    """Vectorized cell-matrix entries over a beta grid.
+    """Vectorized cell-matrix entries over a beta grid, equal to cell_matrix bit for bit.
 
     Bound entries are real float64.  They are written as products with the
     reciprocal 1/lam because that is how numpy divides by a real lam + 0j,
     so they equal the real parts of the complex entries bit for bit.
+
+    Scattering entries are (re, im) pairs of float64 arrays.  numpy's
+    complex multiply and divide round differently from CPython's in the last
+    bit, so each entry is built from the float operations that
+    cell_matrix's complex arithmetic makes: lam = (cos t, -sin t), 1/lam by
+    Smith's method, and delta/2 on the imaginary axis.  The zero terms of
+    the scalar product are kept where they fix the sign of a zero entry
+    (gamma = 0), as 0.0 - v and v + 0.0.
     """
-    de = gamma / betas
     if regime is Regime.BOUND:
+        de = gamma / betas
         lam = np.exp(betas * ratio)
         inv = 1.0 / lam
         h = de / 2
         return (1 + h) * inv, (lam * de) * 0.5, -h * inv, lam * (1 - h)
-    lam = np.exp(-1j * betas * ratio)
-    de_eff = 1j * de
-    a = (1 + de_eff / 2) / lam
-    b = lam * de_eff / 2
-    c = -(de_eff / 2) / lam
-    d = lam * (1 - de_eff / 2)
-    return a, b, c, d
+    t = betas * ratio
+    lc, ls = np.cos(t), -np.sin(t)  # cmath.exp(-1j * t)
+    ir, ii = _pair_quot((1.0, 0.0), (lc, ls))
+    h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
+    mh = 0.0 - h
+    return (
+        (ir - h * ii, ii + h * ir),
+        (0.0 - h * ls, h * lc + 0.0),
+        (0.0 - mh * ii, mh * ir + 0.0),
+        (lc - mh * ls, ls + mh * lc),
+    )
 
 
 def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
     """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
 
-    Real in the Bound regime, complex in the Scattering regime.  The product
-    starts from the first cell, not from the identity: for finite entries
-    1*a + 0*c == a, so only the sign of an exact zero could differ.
+    Real arrays in the Bound regime, (re, im) pairs in the Scattering
+    regime, multiplied in word_matrix's order, so every value equals
+    word_matrix's bit for bit.  The product starts from the first cell, not
+    from the identity: for finite entries 1*a + 0*c == a, so only the sign
+    of an exact zero could differ.
     """
+    if regime is Regime.BOUND:
+        mul, add = operator.mul, operator.add
+    else:
+        mul, add = _pair_mul, _pair_add
     cells = {}
     for ch in set(word.letters):
         cells[ch] = _cell_entries(gamma, betas, regime, 1.0 if ch == "S" else q)
     A, B, C, D = cells[word.letters[0]]
     for ch in word.letters[1:]:
         a2, b2, c2, d2 = cells[ch]
-        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
+        A, B, C, D = (
+            add(mul(A, a2), mul(B, c2)),
+            add(mul(A, b2), mul(B, d2)),
+            add(mul(C, a2), mul(D, c2)),
+            add(mul(C, b2), mul(D, d2)),
+        )
     return A, B, C, D
 
 
@@ -164,23 +217,24 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
 _CHUNK = 1 << 13
 
 
-def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) and/or d(beta) of the word matrix over a grid, chunked.
+def _run_chunks(size: int, fill) -> None:
+    """Call fill(part) for every _CHUNK-point slice of range(size).
 
-    ``which`` names the rows of the result, one letter each ("x", "d" or
-    "xd"), so a single product pass can serve both.  Every chunk is written
-    into one preallocated output, and the values do not depend on the
-    chunking or the thread count.
+    Chunks run on the DELTACHAIN_THREADS pool.  Each writes its own slice of
+    a preallocated output, so the values do not depend on the chunking or
+    the thread count.  An overflow or invalid operation inside fill (the
+    entries of a long word at strong coupling outgrow float64) raises
+    OverflowRisk; numpy's error state is per thread, so it is set here.
     """
-    out = np.empty((len(which), betas.size))
 
     def one(start: int) -> None:
-        part = slice(start, start + _CHUNK)
-        A, _, _, D = _word_grid(word, gamma, q, betas[part], regime)
-        for row, name in zip(out, which):
-            row[part] = (0.5 * (A + D)).real if name == "x" else D.real
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                fill(slice(start, start + _CHUNK))
+        except FloatingPointError as err:
+            raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
 
-    starts = range(0, betas.size, _CHUNK)
+    starts = range(0, size, _CHUNK)
     n = _thread_count()
     if n > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=n) as pool:
@@ -188,6 +242,24 @@ def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
     else:
         for start in starts:
             one(start)
+
+
+def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
+    """Real x(beta) and/or d(beta) of the word matrix over a grid, chunked.
+
+    ``which`` names the rows of the result, one letter each ("x", "d" or
+    "xd"), so a single product pass can serve both.
+    """
+    out = np.empty((len(which), betas.size))
+
+    def fill(part: slice) -> None:
+        A, _, _, D = _word_grid(word, gamma, q, betas[part], regime)
+        if regime is Regime.SCATTERING:
+            A, D = A[0], D[0]
+        for row, name in zip(out, which):
+            row[part] = 0.5 * (A + D) if name == "x" else D
+
+    _run_chunks(betas.size, fill)
     return out
 
 

@@ -6,11 +6,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from deltachain.cli import RunConfig, main, parse_word_spec, run, _fmt, _json_token
-from deltachain.core import TAU, Regime
+from deltachain.core import TAU, ChainParams, Regime
 from deltachain.errors import ParseError
+from deltachain.scattering import S_COLUMNS, s_matrix
+from deltachain.substitution import fibonacci_word
 
 
 def read_csv(path):
@@ -305,3 +308,93 @@ def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):
     code = main(["dos", "--gamma", "-2", "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("OutOfBand: expected one single-cell germ, found 0")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scatter_rows_are_the_scalar_s_matrix(fmt, tmp_path):
+    # The whole-grid evaluation writes, row for row, the tokens of the
+    # one-point s_matrix at each beta.
+    out = tmp_path / f"scatter.{fmt}"
+    cfg = RunConfig(
+        command="scatter", word_spec="fib:m=6", gamma=-2.0,
+        beta_min=0.05, beta_max=9.0, steps=300, out_path=str(out), format=fmt,
+    )
+    assert run(cfg) == 0
+    if fmt == "csv":
+        header, rows = read_csv(out)
+        token = _fmt
+    else:
+        text = out.read_text()
+        header = json.loads(text)["columns"]
+        body = text[text.index('"rows":[[') + len('"rows":[[') : -len("]]}\n")]
+        rows = [row.split(",") for row in body.split("],[")]
+        token = _json_token
+    assert header == ["beta", *S_COLUMNS]
+    word = fibonacci_word(6)
+    betas = np.linspace(0.05, 9.0, 301)
+    assert len(rows) == betas.size
+    for beta, row in zip(betas.tolist(), rows):
+        S = s_matrix(word, ChainParams(beta, -2.0, TAU, Regime.SCATTERING))
+        values = (
+            beta,
+            S.s_pp.real, S.s_pp.imag, S.s_pm.real, S.s_pm.imag,
+            S.s_mp.real, S.s_mp.imag, S.s_mm.real, S.s_mm.imag,
+            abs(S.s_pp), abs(S.s_mp),
+        )
+        assert row == [token(v) for v in values]
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "deltachain", *argv], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--word", "fib:m=15", "--gamma", "30", "--beta-max", "0.3"],
+        ["scatter", "--word", "fib:m=14", "--gamma", "200", "--beta-min", "0.001",
+         "--beta-max", "0.01", "--steps", "100"],
+    ],
+)
+def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
+    # Entries that outgrow float64 used to leave a header-only file (bands)
+    # or rows of empty tokens (scatter) behind an exit status of 0.
+    out = tmp_path / "x.csv"
+    proc = _run_module(*argv, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("OverflowRisk: transfer-matrix entries are not finite")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["bound", "scatter", "atlas", "dos", "binding", "fib-info", "commute"]
+)
+def test_regime_is_rejected_where_it_is_ignored(command, tmp_path):
+    out = tmp_path / "x.csv"
+    proc = _run_module(command, "--regime", "bound", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"InvalidConfig: --regime does not apply to {command}")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_regime_is_read_by_bands_and_wave(tmp_path, capsys):
+    bands = tmp_path / "bands.json"
+    assert main(["bands", "--regime", "scattering", "--format", "json", "--out", str(bands)]) == 0
+    assert json.loads(bands.read_text())["config"]["regime"] == "scattering"
+    wave = tmp_path / "wave.csv"
+    assert main(["wave", "--regime", "bound", "--beta", "1.0", "--out", str(wave)]) == 0
+    # Without --beta, wave runs at tau*pi in the scattering regime, so an
+    # explicit bound regime there would be dropped.
+    assert main(["wave", "--regime", "scattering", "--out", str(wave)]) == 0
+    no_beta = tmp_path / "no_beta.csv"
+    assert main(["wave", "--regime", "bound", "--out", str(no_beta)]) == 2
+    assert "InvalidConfig: wave --regime bound needs --beta" in capsys.readouterr().err
+    assert not no_beta.exists()
+    # Without --regime the envelope keeps the configuration default.
+    scatter = tmp_path / "scatter.json"
+    assert main(["scatter", "--steps", "100", "--format", "json", "--out", str(scatter)]) == 0
+    assert json.loads(scatter.read_text())["config"]["regime"] == "bound"

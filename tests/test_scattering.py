@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from deltachain import scattering
+from deltachain.cli import main
 from deltachain.core import TAU, ChainParams, Regime
+from deltachain.errors import OverflowRisk, ResonancePole
 from deltachain.scattering import (
+    S_COLUMNS,
     backscatter_scan,
     band_edge_limit,
     bound_poles,
@@ -15,8 +19,9 @@ from deltachain.scattering import (
     commuting_points,
     fibonacci_periodic_equivalence,
     s_matrix,
+    s_matrix_grid,
 )
-from deltachain.spectra import bound_states
+from deltachain.spectra import _CHUNK, bound_states
 from deltachain.substitution import Word, fibonacci_word, word_matrix
 
 
@@ -191,3 +196,109 @@ def test_fibonacci_string_is_periodic_at_commuting_energies():
     assert fibonacci_periodic_equivalence(1, 1, 1.0) < 1e-12
     assert fibonacci_periodic_equivalence(3, 1, 1.0) < 1e-10
     assert fibonacci_periodic_equivalence(8, 1, 2.0) < 1e-8
+
+
+def scalar_s_columns(word, gamma, q, beta):
+    """The S_COLUMNS values by the scalar route: word_matrix, then the closed
+    forms in Python complex arithmetic."""
+    M = word_matrix(word, ChainParams(beta, gamma, q, Regime.SCATTERING))
+    ph = cmath.exp(-1j * beta * word.total_ratio(q))
+    s_pp, s_pm, s_mp, s_mm = ph / M.d, M.b * ph * ph / M.d, -M.c / M.d, ph / M.d
+    return [
+        s_pp.real, s_pp.imag, s_pm.real, s_pm.imag,
+        s_mp.real, s_mp.imag, s_mm.real, s_mm.imag,
+        abs(s_pp), abs(s_mp),
+    ]
+
+
+# t = pi/4 + k*pi/2 is where |cos t| = |sin t|, so Smith's quotient switches
+# branch for 1/lam; the grid takes each flip point and both float neighbours,
+# for the S tunnel (t = beta) and the L tunnel (t = q*beta).
+_S_FLIPS = np.pi / 4 + np.arange(12) * np.pi / 2
+_FLIPS = np.concatenate([_S_FLIPS, _S_FLIPS / TAU])
+_NEAR_FLIPS = np.concatenate([np.nextafter(_FLIPS, 0.0), _FLIPS, np.nextafter(_FLIPS, 99.0)])
+
+
+def test_flip_neighbours_take_opposite_smith_branches():
+    def branch(t):
+        return np.abs(np.cos(t)) >= np.abs(np.sin(t))
+
+    assert (branch(np.nextafter(_S_FLIPS, 0.0)) != branch(np.nextafter(_S_FLIPS, 99.0))).all()
+
+
+@pytest.mark.parametrize("gamma", [0.7, 3.0, -2.0, 4.0, 0.0, -0.0])
+def test_s_matrix_grid_is_bitwise_the_scalar_route(gamma):
+    # Pair arithmetic must reproduce Python complex arithmetic exactly: all
+    # four entries and both abs columns, signs of zeros included.
+    for word, points in ((Word("S"), 1500), (Word("SLL"), 1500), (fibonacci_word(6), 800),
+                         (fibonacci_word(12), 200)):
+        betas = np.concatenate([np.linspace(0.05, 12.0, points), _NEAR_FLIPS])
+        got = s_matrix_grid(word, gamma, TAU, betas)
+        want = np.array([scalar_s_columns(word, gamma, TAU, b) for b in betas.tolist()]).T
+        assert got.shape == (len(S_COLUMNS), betas.size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (str(word), gamma)
+
+
+def test_s_matrix_is_the_one_point_grid():
+    word = fibonacci_word(7)
+    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
+    grid = s_matrix_grid(word, 3.0, TAU, betas)
+    for i in range(0, betas.size, 1601):
+        S = s_matrix(word, ChainParams(float(betas[i]), 3.0, TAU, Regime.SCATTERING))
+        one = [S.s_pp.real, S.s_pp.imag, S.s_pm.real, S.s_pm.imag,
+               S.s_mp.real, S.s_mp.imag, S.s_mm.real, S.s_mm.imag]
+        assert one == grid[:8, i].tolist()
+        assert S.h_ratio == word.total_ratio(TAU)
+
+
+def test_s_matrix_grid_is_independent_of_threads(monkeypatch):
+    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
+    one = s_matrix_grid(fibonacci_word(6), -2.0, TAU, betas)
+    monkeypatch.setenv("DELTACHAIN_THREADS", "2")
+    assert np.array_equal(s_matrix_grid(fibonacci_word(6), -2.0, TAU, betas), one)
+
+
+def test_s_matrix_grid_rejects_bad_grids():
+    for betas in ([0.0, 1.0], [1.0, math.nan], [[1.0]]):
+        with pytest.raises(ValueError, match="betas"):
+            s_matrix_grid(Word("S"), 1.0, TAU, betas)
+    with pytest.raises(ValueError, match="finite"):
+        s_matrix_grid(Word("S"), math.inf, TAU, [1.0])
+
+
+def _pole_from(beta0):
+    """A _word_grid stand-in whose d entry has |d| = 5e-13 * k at the k-th
+    grid point from beta0 on (k = 1, 2, ...)."""
+    real = scattering._word_grid
+
+    def word_grid(word, gamma, q, betas, regime):
+        a, b, c, (dr, di) = real(word, gamma, q, betas, regime)
+        k = np.cumsum(betas >= beta0)
+        hit = k > 0
+        dr[hit], di[hit] = 3e-13 * k[hit], 4e-13 * k[hit]
+        return a, b, c, (dr, di)
+
+    return word_grid
+
+
+def test_resonance_pole_still_fires(monkeypatch, tmp_path, capsys):
+    # |d| >= 1 on the real scattering axis, so the guard is reached through
+    # an injected d; it reports the first beta below the threshold.
+    monkeypatch.setattr(scattering, "_word_grid", _pole_from(1.0))
+    with pytest.raises(ResonancePole, match=r"^\|d\| = 5e-13 below threshold$"):
+        s_matrix_grid(Word("SL"), 2.0, TAU, np.linspace(0.5, 3.0, 11))
+    with pytest.raises(ResonancePole, match="below threshold"):
+        s_matrix(Word("SL"), ChainParams(2.0, 2.0, TAU, Regime.SCATTERING))
+    assert s_matrix(Word("SL"), ChainParams(0.9, 2.0, TAU, Regime.SCATTERING)).h_ratio == 1 + TAU
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", "--word", "SL", "--steps", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ResonancePole: |d| = 5e-13 below threshold\n"
+    assert not out.exists()
+
+
+def test_s_matrix_grid_overflow_raises_token(monkeypatch):
+    betas = np.linspace(0.001, 0.01, 2 * _CHUNK + 1)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DELTACHAIN_THREADS", threads)
+        with pytest.raises(OverflowRisk, match="not finite"):
+            s_matrix_grid(fibonacci_word(14), 200.0, TAU, betas)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
-from deltachain.errors import GridTooCoarse, OutOfBand
+from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.spectra import (
     _CHUNK,
+    _cell_entries,
     _thread_count,
+    _word_grid,
     _word_scan,
     EdgeKind,
     band_germs,
@@ -23,7 +25,7 @@ from deltachain.spectra import (
     rational_labels,
     supercell_label,
 )
-from deltachain.substitution import Word, fibonacci_word
+from deltachain.substitution import Word, fibonacci_word, word_matrix
 
 
 def test_single_cell_germ_edges_refined():
@@ -327,3 +329,43 @@ def test_single_cell_helpers_raise_out_of_band_without_a_germ():
         dos_estimate(-2.0)
     with pytest.raises(OutOfBand, match="found 0"):
         partial_band_census(2, -2.0)
+
+
+
+def _parts(M):
+    """Real and imaginary parts of a scalar TransferMatrix, entry by entry."""
+    return [v for z in M.entries() for v in (z.real, z.imag)]
+
+
+@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3, 0.0, -0.0])
+def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
+    # Every scattering-regime grid value equals cell_matrix / word_matrix,
+    # signs of zeros included, so the grid brackets what the scalar
+    # bisection refines.  The grid crosses the Smith-branch flips of 1/lam.
+    betas = np.concatenate([np.linspace(0.05, 12.0, 1201), np.pi / 4 + np.arange(8) * np.pi / 2])
+    points = [ChainParams(b, gamma, TAU, Regime.SCATTERING) for b in betas.tolist()]
+
+    def bits(rows):
+        return np.array(rows, dtype=float).view(np.int64)
+
+    for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
+        want = np.array([_parts(cell_matrix(p, kind)) for p in points]).T
+        got = [part for entry in _cell_entries(gamma, betas, Regime.SCATTERING, ratio) for part in entry]
+        assert np.array_equal(bits(got), bits(want)), (kind, gamma)
+    for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5)):
+        ref = [word_matrix(word, p) for p in points]
+        want = np.array([[*_parts(M), M.x.real] for M in ref]).T
+        (x,) = _word_scan(word, gamma, TAU, betas, Regime.SCATTERING, "x")
+        got = [part for entry in _word_grid(word, gamma, TAU, betas, Regime.SCATTERING) for part in entry]
+        assert np.array_equal(bits([*got, x]), bits(want)), (str(word), gamma)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_scan_raises_token(threads, monkeypatch):
+    # delta = gamma/beta up to 600 overflows the entries of W_15 although
+    # beta*length stays under EXP_LIMIT; each worker thread must see it.
+    monkeypatch.setenv("DELTACHAIN_THREADS", threads)
+    with pytest.raises(OverflowRisk, match="not finite"):
+        band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
+    with pytest.raises(OverflowRisk, match="not finite"):
+        bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
