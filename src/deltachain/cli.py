@@ -26,16 +26,15 @@ from .spectra import (
     DEFAULT_GRID_STEPS,
     _CHUNK,
     band_germs,
-    binding_equation_residual,
-    bloch_label,
     bound_states,
     dos_estimate,
+    _binding_terms,
+    _single_cell_germ,
     _thread_count,
 )
 from .scattering import S_COLUMNS, commuting_deviations, commuting_points, s_matrix_grid
 from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
 from .substitution import Word, fibonacci_word, word_counts
-from .errors import OutOfBand
 
 COMMANDS = ("bands", "bound", "atlas", "scatter", "wave", "dos", "binding", "fib-info", "commute")
 # The commands that read --regime; the others reject it.
@@ -297,17 +296,10 @@ def _cmd_binding(config: RunConfig):
     if n_l:
         raise ParseError("binding needs a pure S^n word", position=str(word).find("L"))
     n = total
-    germs = band_germs(Word("S"), config.gamma, 1.0, (config.beta_min, config.beta_max), config.steps)
-    if len(germs) != 1:
-        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
-    germ = germs[0]
+    germ = _single_cell_germ(config.gamma, (config.beta_min, config.beta_max), config.steps)
+    betas = np.linspace(germ.beta_lo, germ.beta_hi, config.steps + 1)[1:-1]
     columns = ["beta", "kb", "lhs", "rhs"]
-    rows = []
-    for beta in np.linspace(germ.beta_lo, germ.beta_hi, config.steps + 1)[1:-1]:
-        params = ChainParams(float(beta), config.gamma, 1.0, Regime.BOUND)
-        x1 = cell_matrix(params, CellKind.S).x.real
-        lhs, rhs = binding_equation_residual(n, float(beta), config.gamma)
-        rows.append((float(beta), bloch_label(min(1.0, max(-1.0, x1))), lhs, rhs))
+    rows = [(beta, *_binding_terms(n, beta, config.gamma)) for beta in betas.tolist()]
     return columns, rows, None
 
 

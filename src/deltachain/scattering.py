@@ -43,6 +43,7 @@ from .errors import ResonancePole
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
+    _check_scan_inputs,
     _pair_mul,
     _pair_quot,
     _run_chunks,
@@ -173,12 +174,11 @@ def backscatter_scan(
     """|s_mp| of S^n over a beta grid, local maxima tagged with mu = round(beta/pi)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lo, hi = beta_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
+    word = Word("S" * n)
+    lo, hi = _check_scan_inputs(word, gamma, 1.0, beta_range, grid_steps, Regime.SCATTERING)
     betas = np.linspace(lo, hi, grid_steps + 1)
     (x,) = _word_scan(Word("S"), gamma, 1.0, betas, Regime.SCATTERING, "x")
-    s_mp_abs = s_matrix_grid(Word("S" * n), gamma, 1.0, betas)[S_COLUMNS.index("abs_s_mp")]
+    s_mp_abs = s_matrix_grid(word, gamma, 1.0, betas)[S_COLUMNS.index("abs_s_mp")]
     kb = np.where(np.abs(x) <= 1.0, np.arccos(np.clip(x, -1.0, 1.0)), np.nan)
     is_max = np.zeros(betas.shape, dtype=bool)
     interior = (s_mp_abs[1:-1] > s_mp_abs[:-2]) & (s_mp_abs[1:-1] >= s_mp_abs[2:])

@@ -8,7 +8,11 @@ equation, and a density-of-states estimate for the single cell.
 Root finding follows one policy throughout: a uniform grid scan brackets
 sign changes, bisection refines them to |dbeta| <= 1e-10, and a one-level
 x4 grid refinement re-censuses the sign changes; any disagreement raises
-GridTooCoarse instead of silently returning a partial census.
+GridTooCoarse instead of silently returning a partial census.  Scans and
+refinement share one evaluation path, the grid kernel: all brackets of a
+query are bisected in lockstep, one kernel call on the vector of midpoints
+per step (see _bisect).  word_matrix and cell_matrix serve only the
+one-point functions energy_gauge and binding_equation_residual.
 
 Each query makes one fine scan, on the x4 grid.  The base grid is every
 4th sample of it (np.linspace(lo, hi, n + 1) equals
@@ -17,10 +21,12 @@ the same samples.  bound_states takes x and d from one product pass.  In
 the Bound regime the scan multiplies real float64 entries; they equal the
 real parts of the complex-arithmetic entries bit for bit, so every sample,
 bracket and GridTooCoarse decision is the one complex arithmetic gives.
-In the Scattering regime it multiplies (re, im) float64 pairs with
-CPython's complex formulas (see _cell_entries), so each sample equals
-word_matrix at that beta bit for bit.  Entries that overflow float64 raise
-OverflowRisk instead of leaving inf or NaN samples behind.
+Its exponentials come from np.exp, which can differ from math.exp (and so
+from word_matrix) in the last bit; with numpy's AVX-512 exp that happens
+at about 5% of points.  In the Scattering regime it multiplies (re, im)
+float64 pairs with CPython's complex formulas (see _cell_entries), so each
+sample equals word_matrix at that beta bit for bit.  Entries that overflow
+float64 raise OverflowRisk instead of leaving inf or NaN samples behind.
 """
 
 import math
@@ -32,9 +38,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EXP_LIMIT, ChainParams, Regime, cell_matrix, CellKind
+from .core import ChainParams, Regime, cell_matrix, CellKind
 from .errors import GridTooCoarse, OutOfBand, OverflowRisk
-from .substitution import Word, word_matrix
+from .substitution import Word, guard_exponent, word_matrix
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
 DEFAULT_GRID_STEPS = 2000
@@ -123,7 +129,7 @@ def _thread_count() -> int:
         n = 0
     if n < 1:
         raise ValueError(f"DELTACHAIN_THREADS must be an integer >= 1, got {raw!r}")
-    return min(n, os.cpu_count() or 1)
+    return min(n, os.cpu_count() or 1) if n > 1 else 1
 
 
 def _pair_mul(z, w):
@@ -189,8 +195,9 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
     """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
 
     Real arrays in the Bound regime, (re, im) pairs in the Scattering
-    regime, multiplied in word_matrix's order, so every value equals
-    word_matrix's bit for bit.  The product starts from the first cell, not
+    regime, multiplied in word_matrix's order.  Scattering values equal
+    word_matrix's bit for bit; Bound values do up to np.exp's last bit (see
+    the module docstring).  The product starts from the first cell, not
     from the identity: for finite entries 1*a + 0*c == a, so only the sign
     of an exact zero could differ.
     """
@@ -272,10 +279,7 @@ def _check_scan_inputs(word: Word, gamma: float, q: float, beta_range, grid_step
     lo, hi = beta_range
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
-    if regime is Regime.BOUND and hi * word.total_ratio(q) > EXP_LIMIT:
-        raise OverflowRisk(
-            f"beta*length = {hi * word.total_ratio(q):.3g} exceeds the exponent guard"
-        )
+    guard_exponent(word, hi, q, regime)
     return lo, hi
 
 
@@ -306,27 +310,35 @@ def _require_same_x_census(x: np.ndarray, grid_steps: int) -> None:
         _require_same_census(x, target, f"x = {target:+g}", grid_steps)
 
 
-def _bisect(fn, lo, hi, flo, tol=ROOT_TOL) -> float:
-    """Derivative-free sign-change bisection down to a beta bracket of width tol."""
+def _bisect(
+    word: Word, gamma: float, q: float, regime: Regime, which: str, lo, hi, flo, target=0.0
+) -> np.ndarray:
+    """Sign-change bisection of f = x - target or d - target on all brackets at once.
+
+    ``which`` is "x" or "d"; lo, hi and flo = f(lo) are arrays with one
+    entry per bracket, and target is a scalar or one value per bracket.
+    The brackets move in lockstep on the grid kernel: each step evaluates
+    the midpoints 0.5*(lo + hi) of all unconverged brackets in one
+    _word_scan call.  A bracket stops once its width is <= ROOT_TOL, and an
+    exact zero f(mid) == 0 collapses it to lo = hi = mid.  Each bracket
+    thus takes the float operations of a scalar bisection on the same
+    kernel and returns the same root, 0.5*(lo + hi).
+    """
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
     for _ in range(200):
-        if hi - lo <= tol:
+        live = np.nonzero(hi - lo > ROOT_TOL)[0]
+        if live.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        mid = 0.5 * (lo[live] + hi[live])
+        (fm,) = _word_scan(word, gamma, q, mid, regime, which)
+        fm -= target[live]
+        zero = fm == 0.0
+        up = zero | ((fm > 0.0) == (flo[live] > 0.0))
+        down = zero | ~up
+        lo[live[up]], flo[live[up]] = mid[up], fm[up]
+        hi[live[down]] = mid[down]
     return 0.5 * (lo + hi)
-
-
-def _scalar_x(word: Word, gamma: float, q: float, regime: Regime):
-    def fx(beta: float) -> float:
-        return word_matrix(word, ChainParams(beta, gamma, q, regime)).x.real
-
-    return fx
 
 
 def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
@@ -344,43 +356,34 @@ def _germs_from_scan(
     word: Word, gamma: float, q: float, regime: Regime, betas: np.ndarray, x: np.ndarray
 ) -> list[BandGerm]:
     """Maximal |x| <= 1 intervals from a verified scan x over the grid betas."""
-    fx = _scalar_x(word, gamma, q, regime)
-
     # Refine every edge crossing first.  A band narrower than the grid
     # spacing leaves no in-band sample, but it still shows up as one x = +1
     # and one x = -1 crossing inside the same grid interval, so germs are
     # assembled from the refined crossings, not from in-band samples.
-    edges: list[tuple[float, EdgeKind]] = []
-    for target, kind in ((1.0, EdgeKind.X_PLUS_ONE), (-1.0, EdgeKind.X_MINUS_ONE)):
-        for i in _crossings(x, target):
-            root = _bisect(lambda b, t=target: fx(b) - t, betas[i], betas[i + 1], x[i] - target)
-            edges.append((root, kind))
-    edges.sort(key=lambda e: e[0])
+    up, down = _crossings(x, 1.0), _crossings(x, -1.0)
+    i = np.concatenate([up, down])
+    target = np.repeat([1.0, -1.0], [up.size, down.size])
+    roots = _bisect(word, gamma, q, regime, "x", betas[i], betas[i + 1], x[i] - target, target)
+    edge_kinds = [EdgeKind.X_PLUS_ONE] * up.size + [EdgeKind.X_MINUS_ONE] * down.size
+    edges = sorted(zip(roots.tolist(), edge_kinds), key=lambda e: e[0])
 
-    # Between consecutive crossings the in-band predicate is constant;
-    # classify each segment by its midpoint and emit maximal in-band runs.
-    bounds = [betas[0]] + [e[0] for e in edges] + [betas[-1]]
-    germs: list[BandGerm] = []
-    open_lo: tuple[float, EdgeKind, bool] | None = None
-    for k in range(len(bounds) - 1):
-        inside = abs(fx(0.5 * (bounds[k] + bounds[k + 1]))) <= 1.0
-        if inside and open_lo is None:
-            if k == 0:
-                kind = EdgeKind.X_PLUS_ONE if x[0] >= 0.0 else EdgeKind.X_MINUS_ONE
-                open_lo = (float(betas[0]), kind, True)
-            else:
-                open_lo = (bounds[k], edges[k - 1][1], False)
-        elif not inside and open_lo is not None:
-            beta_lo, kind_lo, clipped_lo = open_lo
-            germs.append(
-                BandGerm(beta_lo, bounds[k], kind_lo, edges[k - 1][1], clipped_lo, False)
-            )
-            open_lo = None
-    if open_lo is not None:
-        beta_lo, kind_lo, clipped_lo = open_lo
-        kind_hi = EdgeKind.X_PLUS_ONE if x[-1] >= 0.0 else EdgeKind.X_MINUS_ONE
-        germs.append(BandGerm(beta_lo, float(betas[-1]), kind_lo, kind_hi, clipped_lo, True))
-    return germs
+    # Between consecutive crossings the in-band predicate is constant, so
+    # one kernel call on the segment midpoints classifies every segment.  A
+    # germ spans a maximal in-band run; at the scan ends it is clipped and
+    # takes the nearer edge kind from the sign of x.
+    def clip_kind(value: float) -> EdgeKind:
+        return EdgeKind.X_PLUS_ONE if value >= 0.0 else EdgeKind.X_MINUS_ONE
+
+    bounds = [float(betas[0])] + [b for b, _ in edges] + [float(betas[-1])]
+    kinds = [clip_kind(x[0])] + [k for _, k in edges] + [clip_kind(x[-1])]
+    b = np.array(bounds)
+    (xm,) = _word_scan(word, gamma, q, 0.5 * (b[:-1] + b[1:]), regime, "x")
+    run = np.diff(np.concatenate([[0], np.abs(xm) <= 1.0, [0]]).astype(np.int8))
+    last = len(bounds) - 1
+    return [
+        BandGerm(bounds[k0], bounds[k1], kinds[k0], kinds[k1], k0 == 0, k1 == last)
+        for k0, k1 in zip(np.nonzero(run == 1)[0].tolist(), np.nonzero(run == -1)[0].tolist())
+    ]
 
 
 def band_germs(
@@ -431,10 +434,11 @@ def bound_states(
     _require_same_census(d, 0.0, "d = 0", grid_steps)
     _require_same_x_census(x, grid_steps)
 
-    def fd(beta: float) -> float:
-        return word_matrix(word, ChainParams(beta, gamma, q, Regime.BOUND)).d.real
+    def refine(betas: np.ndarray, d: np.ndarray) -> list[float]:
+        i = _crossings(d, 0.0)
+        return _bisect(word, gamma, q, Regime.BOUND, "d", betas[i], betas[i + 1], d[i]).tolist()
 
-    roots = [_bisect(fd, fine[i], fine[i + 1], d[i]) for i in _crossings(d, 0.0)]
+    roots = refine(fine, d)
 
     # A narrow band can hide a whole dip of d through zero between adjacent
     # samples of the global grid.  Some bound roots lie inside band germs, so
@@ -442,9 +446,7 @@ def bound_states(
     # every germ get no such second look (see the docstring).
     for germ in _germs_from_scan(word, gamma, q, Regime.BOUND, fine, x):
         local = np.linspace(germ.beta_lo, germ.beta_hi, 65)
-        dl = np.array([fd(b) for b in local])
-        for i in _crossings(dl, 0.0):
-            roots.append(_bisect(fd, local[i], local[i + 1], dl[i]))
+        roots += refine(local, _word_scan(word, gamma, q, local, Regime.BOUND, "d")[0])
 
     roots.sort()
     unique = [b for k, b in enumerate(roots) if k == 0 or b - roots[k - 1] > 1e-9]
@@ -481,9 +483,12 @@ def supercell_label(kb: float, n: int) -> tuple[int, float]:
     return mu, kb - mu * math.pi / n
 
 
-def _single_cell_x(gamma: float, beta: float) -> float:
-    params = ChainParams(beta, gamma, 1.0, Regime.BOUND)
-    return cell_matrix(params, CellKind.S).x.real
+def _single_cell_germ(gamma: float, beta_range, grid_steps: int) -> BandGerm:
+    """The single cell's one Bound-regime band germ in range; OutOfBand otherwise."""
+    germs = band_germs(Word("S"), gamma, 1.0, beta_range, grid_steps)
+    if len(germs) != 1:
+        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
+    return germs[0]
 
 
 def binding_equation_residual(n: int, beta: float, gamma: float) -> tuple[float, float]:
@@ -491,6 +496,11 @@ def binding_equation_residual(n: int, beta: float, gamma: float) -> tuple[float,
 
     Bound states of S^n sit where lhs = rhs; rhs diverges at y1 = 0.
     """
+    return _binding_terms(n, beta, gamma)[1:]
+
+
+def _binding_terms(n: int, beta: float, gamma: float) -> tuple[float, float, float]:
+    """(Kb, lhs, rhs) of the binding equation from one single-cell matrix."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     params = ChainParams(beta, gamma, 1.0, Regime.BOUND)
@@ -505,7 +515,7 @@ def binding_equation_residual(n: int, beta: float, gamma: float) -> tuple[float,
         rhs = math.sin(kb) / y1
     except ZeroDivisionError:
         rhs = math.inf
-    return lhs, rhs
+    return kb, lhs, rhs
 
 
 def partial_band_census(
@@ -524,36 +534,24 @@ def partial_band_census(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     word_s = Word("S")
-    germs = band_germs(word_s, gamma, 1.0, beta_range, grid_steps)
-    if len(germs) != 1:
-        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
-    germ = germs[0]
-
+    germ = _single_cell_germ(gamma, beta_range, grid_steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 1)
     (x,) = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
     dx = np.diff(x)
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise ValueError("single-cell dispersion x1 is not monotone inside the germ")
-    increasing = bool(dx[0] > 0)
 
-    def beta_of_x(target: float) -> float:
-        xs = x if increasing else x[::-1]
-        bs = betas if increasing else betas[::-1]
-        if target <= xs[0]:
-            return float(bs[0])
-        if target >= xs[-1]:
-            return float(bs[-1])
-        i = int(np.searchsorted(xs, target)) - 1
-        lo_b, hi_b = sorted((bs[i], bs[i + 1]))
-        return _bisect(
-            lambda b: _single_cell_x(gamma, b) - target,
-            lo_b,
-            hi_b,
-            _single_cell_x(gamma, lo_b) - target,
-        )
-
-    # beta boundary for each rational label Kb = j*pi/n, j = 0..n
-    bounds = [beta_of_x(math.cos(j * math.pi / n)) for j in range(n + 1)]
+    # beta boundary for each rational label Kb = j*pi/n, j = 0..n: targets
+    # beyond the germ's x1 range clip to its ends, the rest are bisected.
+    xs, bs = (x, betas) if dx[0] > 0 else (x[::-1], betas[::-1])
+    targets = np.array([math.cos(j * math.pi / n) for j in range(n + 1)])
+    bounds = np.where(targets <= xs[0], bs[0], bs[-1])
+    inner = np.nonzero((targets > xs[0]) & (targets < xs[-1]))[0]
+    i = np.searchsorted(xs, targets[inner]) - 1
+    a, b = (i, i + 1) if dx[0] > 0 else (i + 1, i)  # sample indices of the lower, upper beta
+    t = targets[inner]
+    bounds[inner] = _bisect(word_s, gamma, 1.0, Regime.BOUND, "x", bs[a], bs[b], xs[a] - t, t)
+    bounds = bounds.tolist()
     roots = bound_states(Word("S" * n), gamma, 1.0, beta_range, grid_steps)
     out = []
     for mu in range(n):
@@ -578,13 +576,9 @@ def dos_estimate(
     the returned density is normalized to unit integral over the band.
     Without exactly one single-cell germ in range it raises OutOfBand.
     """
-    word_s = Word("S")
-    germs = band_germs(word_s, gamma, 1.0, beta_range, grid_steps)
-    if len(germs) != 1:
-        raise OutOfBand(f"expected one single-cell germ, found {len(germs)}")
-    germ = germs[0]
+    germ = _single_cell_germ(gamma, beta_range, grid_steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 2)[1:-1]
-    (x,) = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
+    (x,) = _word_scan(Word("S"), gamma, 1.0, betas, Regime.BOUND, "x")
     kb = np.arccos(np.clip(x, -1.0, 1.0))
     energy = -betas * betas
     density = np.abs(np.gradient(kb, energy))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EXP_LIMIT,
     CellKind,
     ChainParams,
     Regime,
@@ -33,8 +32,8 @@ from .core import (
     TransferMatrix,
     cell_matrix,
 )
-from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand, OverflowRisk
-from .substitution import Word
+from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand
+from .substitution import Word, guard_exponent
 
 
 @dataclass(frozen=True)
@@ -223,8 +222,7 @@ def cell_coefficients(
     Each cell's pair refers to the local basis exp(-+kappa*xi) with xi
     measured from that cell's delta.
     """
-    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > EXP_LIMIT:
-        raise OverflowRisk("beta*length exceeds the exponent guard")
+    guard_exponent(word, params.beta, params.q, params.regime)
     kappa = _local_kappa(params)
     psi, dpsi = complex(initial[0]), complex(initial[1])
     out = []

@@ -99,12 +99,21 @@ def fibonacci_word(m: int) -> Word:
     return Word(cur, order_m=m)
 
 
+def guard_exponent(word: Word, beta: float, q: float, regime: Regime) -> None:
+    """Raise OverflowRisk when beta*length exceeds EXP_LIMIT in the Bound regime.
+
+    Bound-regime entries of the word's matrix grow like exp(beta*length),
+    with length = count(S) + q*count(L) in units of b.
+    """
+    if regime is Regime.BOUND:
+        length = beta * word.total_ratio(q)
+        if length > EXP_LIMIT:
+            raise OverflowRisk(f"beta*length = {length:.3g} exceeds the exponent guard")
+
+
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
     """Product of cell matrices in word order (leftmost letter leftmost)."""
-    if params.regime is Regime.BOUND and params.beta * word.total_ratio(params.q) > EXP_LIMIT:
-        raise OverflowRisk(
-            f"beta*length = {params.beta * word.total_ratio(params.q):.3g} exceeds the exponent guard"
-        )
+    guard_exponent(word, params.beta, params.q, params.regime)
     cell = {
         CellKind.S: cell_matrix(params, CellKind.S),
         CellKind.L: cell_matrix(params, CellKind.L),

@@ -98,6 +98,21 @@ def test_poles_coincide_with_bound_states():
     assert len(poles) > 0
 
 
+@pytest.mark.parametrize(
+    "beta_range, grid_steps, match",
+    [
+        ((0.05, math.inf), 2000, "beta_range"),
+        ((0.0, 6.0), 2000, "beta_range"),
+        ((0.05, 6.0), 0, "grid_steps"),
+    ],
+)
+def test_backscatter_scan_validates_like_the_other_scans(beta_range, grid_steps, match):
+    # An infinite range used to reach np.cos and fail as OverflowRisk, and
+    # grid_steps = 0 used to return a single point.
+    with pytest.raises(ValueError, match=match):
+        backscatter_scan(3, 4.0, beta_range, grid_steps)
+
+
 def test_backscatter_amplitude_at_band_edges():
     # At beta = mu*pi the half trace is exactly (-1)^mu, U_{n-1} = n, and
     # |c_n| = n*delta/2.

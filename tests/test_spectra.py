@@ -1,5 +1,6 @@
 """Band germs, bound-state roots, labels, censuses, and the DOS estimate."""
 
+import hashlib
 import math
 import os
 
@@ -10,6 +11,8 @@ from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.spectra import (
     _CHUNK,
+    ROOT_TOL,
+    _bisect,
     _cell_entries,
     _thread_count,
     _word_grid,
@@ -369,3 +372,120 @@ def test_overflowing_scan_raises_token(threads, monkeypatch):
         band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
     with pytest.raises(OverflowRisk, match="not finite"):
         bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
+
+
+def _scalar_bisect(fn, lo, hi, flo, tol=ROOT_TOL):
+    """The one-bracket bisection loop that lockstep _bisect replaced, kept as its oracle."""
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("regime", [Regime.BOUND, Regime.SCATTERING])
+def test_lockstep_bisect_is_bitwise_the_scalar_loop(regime):
+    word, gamma = Word("SL"), 4.0
+
+    def value(beta, which):
+        return _word_scan(word, gamma, TAU, np.array([beta]), regime, which)[0][0]
+
+    betas = np.linspace(0.05, 6.0, 801)
+    (x,) = _word_scan(word, gamma, TAU, betas, regime, "x")
+    brackets = []  # (lo, hi, target)
+    for target in (1.0, -1.0):
+        for i in np.nonzero(np.diff(np.sign(x - target)))[0]:
+            brackets.append((betas[i], betas[i + 1], target))  # one grid spacing wide
+            brackets.append((betas[max(i - 40, 0)], betas[i + 1], target))  # 41 spacings wide
+    assert {t for _, _, t in brackets} == {1.0, -1.0}
+    lo, hi = 1.3, 1.9
+    brackets.append((lo, hi, value(0.5 * (lo + hi), "x")))  # f(mid) == 0 at the first step
+    brackets.append((lo, lo + 0.5 * ROOT_TOL, 0.0))  # already converged
+    lo, hi, target = (np.array(v) for v in zip(*brackets))
+    flo = np.array([value(b, "x") for b in lo]) - target
+
+    got = _bisect(word, gamma, TAU, regime, "x", lo, hi, flo, target)
+    want = [
+        _scalar_bisect(lambda b, t=t: value(b, "x") - t, a, b, f)
+        for a, b, f, t in zip(lo.tolist(), hi.tolist(), flo.tolist(), target.tolist())
+    ]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert got[-2] == 0.5 * (1.3 + 1.9)
+    assert _bisect(word, gamma, TAU, regime, "x", [], [], []).shape == (0,)
+
+
+def test_lockstep_bisect_refines_d_roots_as_the_scalar_loop():
+    word = fibonacci_word(5)
+    betas = np.linspace(0.05, 6.0, 2001)
+    (d,) = _word_scan(word, 10.0, TAU, betas, Regime.BOUND, "d")
+    i = np.nonzero(np.diff(np.sign(d)))[0]
+    got = _bisect(word, 10.0, TAU, Regime.BOUND, "d", betas[i], betas[i + 1], d[i])
+
+    def fd(beta):
+        return _word_scan(word, 10.0, TAU, np.array([beta]), Regime.BOUND, "d")[0][0]
+
+    want = [_scalar_bisect(fd, betas[k], betas[k + 1], d[k]) for k in i]
+    assert i.size > 0
+    assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+
+
+def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
+    # Scans and refinement run on the grid kernel only; word_matrix and
+    # cell_matrix serve the one-point energy_gauge and binding residual.
+    def scalar_route(*args, **kwargs):
+        raise AssertionError("scalar transfer-matrix route called")
+
+    monkeypatch.setattr("deltachain.spectra.word_matrix", scalar_route)
+    monkeypatch.setattr("deltachain.spectra.cell_matrix", scalar_route)
+    assert len(band_germs(Word("SL"), 4.0, TAU)) == 2
+    assert band_germs(Word("SL"), 4.0, TAU, regime=Regime.SCATTERING)
+    assert len(bound_states(fibonacci_word(4), 10.0, TAU)) == 3
+    assert [c.count for c in partial_band_census(3, 4.0)] == [1, 1, 1]
+    assert dos_estimate(6.0).density.size == 2000
+
+
+# sha256 (first 16 hex digits) of partial_band_census(n, 4.0) for n = 1..10,
+# every float as float.hex, recorded with the scalar word_matrix bisection
+# that the lockstep grid-kernel bisection replaced.
+_CENSUS_DIGESTS = {
+    1: "c6f788308ec99354",
+    2: "005dd2f029dd4309",
+    3: "21286b668a766fb2",
+    4: "adcf65282f19d126",
+    5: "a18a26c9fba615e6",
+    6: "150e14774179fa51",
+    7: "0c7f62c2934c2202",
+    8: "cb1c6b68fd31b608",
+    9: "ebb4873c689ee6a2",
+    10: "016ca7f708475eb5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CENSUS_DIGESTS))
+def test_partial_band_census_values_are_unchanged(n):
+    rows = [
+        (c.mu, *(float(v).hex() for v in (c.kb_lo, c.kb_hi, c.beta_lo, c.beta_hi)), c.count)
+        for c in partial_band_census(n, 4.0)
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == _CENSUS_DIGESTS[n]
+
+
+def test_thread_count_reads_cpu_count_only_for_several_threads(monkeypatch):
+    def no_cpu_count():
+        raise AssertionError("os.cpu_count called")
+
+    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+    monkeypatch.delenv("DELTACHAIN_THREADS", raising=False)
+    assert _thread_count() == 1
+    monkeypatch.setenv("DELTACHAIN_THREADS", "1")
+    assert _thread_count() == 1
+    monkeypatch.setenv("DELTACHAIN_THREADS", "0")
+    with pytest.raises(ValueError, match="DELTACHAIN_THREADS"):
+        _thread_count()

@@ -20,6 +20,8 @@ from deltachain.substitution import (
     word_counts,
     word_matrix,
 )
+from deltachain.spectra import band_germs
+from deltachain.states import cell_coefficients
 
 
 def test_fibonacci_numbers():
@@ -164,3 +166,17 @@ def test_trace_map_disagreement_raises_typed_error(monkeypatch):
         trace_map_sequence(ChainParams(1.0, 4.0, TAU, Regime.SCATTERING), 8)
     assert isinstance(err.value, ChainError) and isinstance(err.value, ArithmeticError)
     assert err.value.token == "TraceMapMismatch"
+
+
+def test_one_exponent_guard_for_products_scans_and_coefficients():
+    # W_10 spans 21 + 34*tau = 76.0 b, so beta = 20 puts beta*length at 1520.
+    word, params = fibonacci_word(10), ChainParams(20.0, 1.0)
+    message = r"^beta\*length = 1\.52e\+03 exceeds the exponent guard$"
+    with pytest.raises(OverflowRisk, match=message):
+        word_matrix(word, params)
+    with pytest.raises(OverflowRisk, match=message):
+        cell_coefficients(word, params, (1.0, -20.0))
+    with pytest.raises(OverflowRisk, match=message):
+        band_germs(word, 1.0, TAU, (0.05, 20.0))
+    # The Scattering regime has no exponential growth and no guard.
+    word_matrix(word, ChainParams(20.0, 1.0, TAU, Regime.SCATTERING))
