@@ -5,11 +5,18 @@ every float is rendered with 17 significant digits.  CSV files are UTF-8
 with LF line endings and a single header line naming the columns (the atlas
 adds one leading comment line documenting its sign convention); JSON files
 share one envelope shape {command, config, columns, rows} described by
-docs/output_schema.json.
+docs/output_schema.json.  Non-finite values and missing ones are written as
+"" in CSV and null in JSON.
+
+Files are streamed a chunk of rows at a time.  ``wave`` and ``scatter`` hand
+the writer their numeric table as a 2-D float64 block, and each all-finite
+chunk of it is rendered with one %-format of a repeated row template; the
+small mixed-type commands hand it a list of row tuples, written token by
+token.  A command runs to completion before its file is opened, so a failed
+command leaves no file.
 """
 
 import argparse
-import itertools
 import math
 import re
 import sys
@@ -113,10 +120,13 @@ def parse_word_spec(text: str) -> Word:
     return Word(text)
 
 
-def _fmt(value) -> str:
-    """One deterministic token per cell value."""
+def _token(value, fmt: str) -> str:
+    """One deterministic token per cell value in the given format ("csv" or "json").
+
+    Non-finite floats and None are written as "" in CSV and null in JSON.
+    """
     if value is None:
-        return ""
+        return "null" if fmt == "json" else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -124,37 +134,49 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):
-            return ""
+            return "null" if fmt == "json" else ""
         return format(v, ".17g")
-    return str(value)
-
-
-def _json_token(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "null"
-        return format(v, ".17g")
-    s = str(value)
-    s = s.replace("\\", "\\\\").replace('"', '\\"')
+    if fmt == "csv":
+        return str(value)
+    s = str(value).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{s}"'
 
 
-def _write_output(config: RunConfig, columns, rows, comment: str | None = None):
-    if config.format == "csv":
-        lines = []
-        if comment:
-            lines.append(f"# {comment}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+def _row_text(rows, fmt: str) -> str:
+    """Rows rendered token by token: CSV lines, or JSON arrays joined by ","."""
+    if fmt == "csv":
+        return "".join(",".join(_token(v, fmt) for v in row) + "\n" for row in rows)
+    return ",".join("[" + ",".join(_token(v, fmt) for v in row) + "]" for row in rows)
+
+
+def _chunk_texts(table, fmt: str):
+    """The body of the file, one formatted slice of at most _CHUNK rows at a time.
+
+    A float64 table renders each all-finite slice with one %-format of the
+    row template repeated over the slice; a slice holding a non-finite value,
+    and any table given as a list of rows, goes token by token.
+    """
+    if not isinstance(table, np.ndarray):
+        for k in range(0, len(table), _CHUNK):
+            yield _row_text(table[k : k + _CHUNK], fmt)
+        return
+    cells = ",".join(["%.17g"] * table.shape[1])
+    template = cells + "\n" if fmt == "csv" else f"[{cells}]"
+    sep = "" if fmt == "csv" else ","
+    for k in range(0, len(table), _CHUNK):
+        part = table[k : k + _CHUNK]
+        if np.isfinite(part).all():
+            yield sep.join([template] * len(part)) % tuple(part.ravel().tolist())
+        else:
+            yield _row_text(part.tolist(), fmt)
+
+
+def _write_output(config: RunConfig, columns, table, comment: str | None = None):
+    """Stream one output file; table is a 2-D float64 array or a list of row tuples."""
+    fmt = config.format
+    if fmt == "csv":
+        head = (f"# {comment}\n" if comment else "") + ",".join(columns) + "\n"
+        sep, tail = "", ""
     else:
         cfg_items = [
             ("command", config.command),
@@ -168,18 +190,20 @@ def _write_output(config: RunConfig, columns, rows, comment: str | None = None):
         ]
         if comment:
             cfg_items.append(("note", comment))
-        cfg = ",".join(f'"{k}":{_json_token(v)}' for k, v in cfg_items)
-        cols = ",".join(_json_token(c) for c in columns)
-        row_texts = []
-        for row in rows:
-            row_texts.append("[" + ",".join(_json_token(v) for v in row) + "]")
-        body = ",".join(row_texts)
-        text = (
-            f'{{"command":{_json_token(config.command)},"config":{{{cfg}}},'
-            f'"columns":[{cols}],"rows":[{body}]}}\n'
+        cfg = ",".join(f'"{k}":{_token(v, fmt)}' for k, v in cfg_items)
+        cols = ",".join(_token(c, fmt) for c in columns)
+        head = (
+            f'{{"command":{_token(config.command, fmt)},"config":{{{cfg}}},'
+            f'"columns":[{cols}],"rows":['
         )
+        sep, tail = ",", "]}\n"
     with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(head)
+        for i, text in enumerate(_chunk_texts(table, fmt)):
+            if i:
+                fh.write(sep)
+            fh.write(text)
+        fh.write(tail)
 
 
 def _cmd_bands(config: RunConfig):
@@ -242,12 +266,7 @@ def _cmd_scatter(config: RunConfig):
     word = parse_word_spec(config.word_spec)
     betas = np.linspace(config.beta_min, config.beta_max, config.steps + 1)
     S = s_matrix_grid(word, config.gamma, config.q, betas)
-    table = np.vstack([betas, S]).T  # one row per beta
-    # Rows become Python floats a chunk at a time, never the whole table at once.
-    rows = itertools.chain.from_iterable(
-        table[k : k + _CHUNK].tolist() for k in range(0, len(table), _CHUNK)
-    )
-    return ["beta", *S_COLUMNS], rows, None
+    return ["beta", *S_COLUMNS], np.vstack([betas, S]).T, None  # one row per beta
 
 
 def _cmd_wave(config: RunConfig):
@@ -270,11 +289,12 @@ def _cmd_wave(config: RunConfig):
         psi0, dpsi0 = 1.0 + 0j, -kappa  # first-slot plane wave exp(-kappa xi)
     samples = sample_wavefunction(word, params, (psi0, dpsi0))
     columns = ["position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi"]
-    rows = [
-        (float(x), v.real, v.imag, dv.real, dv.imag, abs(v))
-        for x, v, dv in zip(samples.positions, samples.values, samples.derivative_values)
-    ]
-    return columns, rows, None
+    v, dv = samples.values, samples.derivative_values
+    # np.hypot rounds like Python's abs(complex); np.abs can differ in the last bit
+    table = np.column_stack(
+        [samples.positions, v.real, v.imag, dv.real, dv.imag, np.hypot(v.real, v.imag)]
+    )
+    return columns, table, None
 
 
 def _cmd_dos(config: RunConfig):

@@ -159,8 +159,10 @@ def bound_poles(
 ):
     """Poles of the analytically continued S-matrix: the roots of d(kappa) = 0.
 
-    Identical machinery to the Bound-regime bound-state scan, exposed here to
-    document the pole/bound-state correspondence.
+    An alias of ``spectra.bound_states``, kept on purpose: it is the public
+    name for the pole/bound-state correspondence (continuing k -> i*kappa
+    turns the S-matrix poles into the decaying-boundary roots of d), and
+    ``tests/test_scattering.py`` pins that the two return the same roots.
     """
     return bound_states(word, gamma, q, kappa_range, grid_steps)
 

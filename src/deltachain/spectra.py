@@ -418,6 +418,8 @@ def bound_states(
     Bound regime only: d = 0 is the decaying-boundary-condition equation.
     One product pass gives d and x; the d census is checked first, then
     the band-germ census of band_germs (same grid, same GridTooCoarse).
+    The same roots are the S-matrix poles; ``scattering.bound_poles`` is
+    that public alias.
 
     The census is only as complete as the grid.  A close pair of roots
     between two samples cancels in the sign count on both the base and the

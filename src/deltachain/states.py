@@ -19,6 +19,7 @@ are independent of the left/right choice.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -254,22 +255,27 @@ def sample_wavefunction(
     """
     if grid_per_cell < 2:
         raise ValueError(f"grid_per_cell must be >= 2, got {grid_per_cell}")
-    coeffs = cell_coefficients(word, params, initial)
+    coeffs = np.array(cell_coefficients(word, params, initial), dtype=complex)
     kappa = _local_kappa(params)
-    positions = [np.array([0.0])]
-    values = [np.array([complex(initial[0])])]
-    derivs = [np.array([complex(initial[1])])]
-    offset = 0.0
-    for kind, (cm, cp) in zip(word.kinds(), coeffs):
-        ratio = kind.ratio(params.q)
-        xi = np.linspace(0.0, ratio, grid_per_cell)
-        v, dv = _tunnel_samples(cm, cp, kappa, xi)
-        positions.append(offset + xi)
-        values.append(v)
-        derivs.append(dv)
-        offset += ratio
+    letters = np.array(list(str(word)))
+    ratios = [kind.ratio(params.q) for kind in word.kinds()]
+    # each cell starts where the running left-to-right sum of ratios ends
+    offsets = np.array(list(itertools.accumulate(ratios[:-1], initial=0.0)))
+    shape = (len(ratios), grid_per_cell)
+    positions = np.empty(shape)
+    values = np.empty(shape, dtype=complex)
+    derivs = np.empty(shape, dtype=complex)
+    for kind in CellKind:
+        cells = letters == kind.value
+        if not cells.any():
+            continue
+        # one exp(-+kappa*xi) pair per cell kind, broadcast over its cells
+        xi = np.linspace(0.0, kind.ratio(params.q), grid_per_cell)
+        cm, cp = coeffs[cells, 0, None], coeffs[cells, 1, None]
+        values[cells], derivs[cells] = _tunnel_samples(cm, cp, kappa, xi)
+        positions[cells] = offsets[cells, None] + xi
     return WaveSamples(
-        positions=np.concatenate(positions),
-        values=np.concatenate(values),
-        derivative_values=np.concatenate(derivs),
+        positions=np.concatenate(([0.0], positions.ravel())),
+        values=np.concatenate(([complex(initial[0])], values.ravel())),
+        derivative_values=np.concatenate(([complex(initial[1])], derivs.ravel())),
     )

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from deltachain.cli import RunConfig, main, parse_word_spec, run, _fmt, _json_token
+from deltachain.cli import RunConfig, _CHUNK, _token, _write_output, main, parse_word_spec, run
 from deltachain.core import TAU, ChainParams, Regime
 from deltachain.errors import ParseError
 from deltachain.scattering import S_COLUMNS, s_matrix
@@ -61,15 +61,56 @@ def test_run_config_validation():
 
 
 def test_value_formatting():
-    assert _fmt(None) == ""
-    assert _fmt(True) == "true"
-    assert _fmt(False) == "false"
-    assert _fmt(3) == "3"
-    assert _fmt(1.5) == "1.5"
-    assert _fmt(float("nan")) == ""
-    assert _json_token(float("inf")) == "null"
-    assert _json_token('a"b') == '"a\\"b"'
-    assert _json_token(None) == "null"
+    assert _token(None, "csv") == ""
+    assert _token(True, "csv") == "true"
+    assert _token(False, "csv") == "false"
+    assert _token(3, "csv") == "3"
+    assert _token(1.5, "csv") == "1.5"
+    assert _token(float("nan"), "csv") == ""
+    assert _token(float("inf"), "json") == "null"
+    assert _token('a"b', "json") == '"a\\"b"'
+    assert _token(None, "json") == "null"
+
+
+SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_writer_matches_the_token_function(fmt, tmp_path):
+    # Three _CHUNK slices: the first all finite (one row-template format),
+    # the second finite but for one nan, the last short and full of specials.
+    rng = np.random.default_rng(5)
+    shape = (2 * _CHUNK + 7, 4)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    table[0] = (-0.0, 5e-324, 1.7976931348623157e308, -5e-324)
+    table[_CHUNK + 3, 2] = math.nan
+    table[-len(SPECIALS) :, 1] = SPECIALS
+    table[-1] = (math.inf, -math.inf, math.nan, -0.0)
+    columns = ["a", "b", "c", "d"]
+    out = tmp_path / f"block.{fmt}"
+    _write_output(RunConfig(command="scatter", out_path=str(out), format=fmt), columns, table)
+    tokens = [[_token(v, fmt) for v in row] for row in table.tolist()]
+    null = "" if fmt == "csv" else "null"
+    assert tokens[0] == [
+        "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-4.9406564584124654e-324"
+    ]
+    assert tokens[-1] == [null, null, null, "-0"]
+    text = out.read_text()
+    if fmt == "csv":
+        want = "a,b,c,d\n" + "".join(",".join(row) + "\n" for row in tokens)
+    else:
+        body = ",".join("[" + ",".join(row) + "]" for row in tokens)
+        want = text[: text.index('"rows":[')] + '"rows":[' + body + "]}\n"
+        assert want.startswith('{"command":"scatter","config":{"command":"scatter",')
+    # Compare through the first differing character: a failure then shows a
+    # short excerpt instead of pytest's diff of two 1 MB strings.
+    at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), None)
+    if at is None and len(text) != len(want):
+        at = min(len(text), len(want))
+    assert at is None, (at, text[max(at - 40, 0) : at + 40], want[max(at - 40, 0) : at + 40])
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+        assert rows[_CHUNK + 3][2] is None and rows[-1] == [None, None, None, -0.0]
 
 
 def test_bound_command_csv(tmp_path):
@@ -117,6 +158,22 @@ def test_wave_command_plane_initial_free_string(tmp_path):
     assert header == ["position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi"]
     for row in rows:
         assert float(row[5]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "regime_args", [[], ["--regime", "bound", "--beta", "1.0"]], ids=["scattering", "bound"]
+)
+def test_wave_abs_psi_is_python_abs(regime_args, tmp_path):
+    # np.abs(complex) differs from Python's abs in the last bit on about a
+    # third of these rows; the written column must be abs(complex(re, im)).
+    out = tmp_path / "wave.csv"
+    argv = ["wave", "--word", "fib:m=10", "--gamma", "2", *regime_args, "--out", str(out)]
+    assert main(argv) == 0
+    header, rows = read_csv(out)
+    assert header[1:3] == ["psi_re", "psi_im"] and header[5] == "abs_psi"
+    assert len(rows) == 1 + 64 * 55
+    for row in rows:
+        assert float(row[5]) == abs(complex(float(row[1]), float(row[2])))
 
 
 def test_wave_command_default_energy_is_commuting(tmp_path):
@@ -322,13 +379,13 @@ def test_scatter_rows_are_the_scalar_s_matrix(fmt, tmp_path):
     assert run(cfg) == 0
     if fmt == "csv":
         header, rows = read_csv(out)
-        token = _fmt
+        token = lambda v: _token(v, "csv")  # noqa: E731
     else:
         text = out.read_text()
         header = json.loads(text)["columns"]
         body = text[text.index('"rows":[[') + len('"rows":[[') : -len("]]}\n")]
         rows = [row.split(",") for row in body.split("],[")]
-        token = _json_token
+        token = lambda v: _token(v, "json")  # noqa: E731
     assert header == ["beta", *S_COLUMNS]
     word = fibonacci_word(6)
     betas = np.linspace(0.05, 9.0, 301)

@@ -1,9 +1,10 @@
 """Golden sha256 digests of every command's default output file.
 
-Each command runs with no options besides --out (and --format json for the
-atlas), and its file must hash to the digest recorded here.  The digests
-were recorded on x86-64 with numpy 2.4 (AVX-512 exp); a host whose numpy
-rounds exp, cos or sin differently in the last bit can print other floats.
+Each command runs with no options besides --format and --out, once as CSV
+and once as JSON, and its file must hash to the digest recorded here.  The
+digests were recorded on x86-64 with numpy 2.4 (AVX-512 exp); a host whose
+numpy rounds exp, cos or sin differently in the last bit can print other
+floats.
 A deliberate output change updates the digest and says why in CHANGES.md.
 """
 
@@ -15,20 +16,28 @@ from deltachain.cli import COMMANDS, main
 
 GOLDEN = {
     ("bands", "csv"): "34183ebb07e6d0d70028ef09da208438b409d8b2a694f59802023e8e72685fb7",
+    ("bands", "json"): "5e5a59201f977156a5016990fe8f8e011977e3c60a150ed783110e0fa3987a43",
     ("bound", "csv"): "caefeee7a08ebbcfd3be7fd34fe0aef77607b68e867c172cdfb8617e421d83c4",
+    ("bound", "json"): "990ed2618f40721f5cd5a6338a7a1829f26d693f8d7ba74e69a0de0ec9047e09",
     ("atlas", "csv"): "bdd6f087eccd9b1e624367c826fb56e3cf8f6246f211936654156537b2c91c4e",
     ("atlas", "json"): "3edaa26a3d913ee6cd40380bcecbb1fe38e7383bc6de69c70d8e968c93c73287",
     ("scatter", "csv"): "78c322daa34ec24a2ac61d29fee41fd03ca2e7582ea60482d210166e18f5e962",
+    ("scatter", "json"): "47adea11a3b4752df8e018716d6d81b184c288205a32eb7eabd205452e3dfa5e",
     ("wave", "csv"): "c9138960c899767acbb0145bc54acb28c3722f7da3cac8bd4aa7515f0dba3d02",
+    ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
     ("dos", "csv"): "3dd9e961cdb8c19839cb42684ca44369eeca104bf5b036f67f5093ccda7a0002",
+    ("dos", "json"): "104c37020aff04e500662ba05c192222a78f498d93bc600cf2d9a80ae73227f5",
     ("binding", "csv"): "7659fe6143b298893cc28880669bda2736171f6451879aa6a220d197ce2e8c43",
+    ("binding", "json"): "3ef90cd9014669d3f948b72cb8ec79d29a4aeace7c522497478e249ed5b0f74a",
     ("fib-info", "csv"): "7bcb068aac3dc4faf4b6de7b019eaeecf5e23d793b96713e0dbf249a903a7c8d",
+    ("fib-info", "json"): "237c1d58c04de923215bcf31dd3312e9cf9777d07e9fdc9dc0101566453cd9d7",
     ("commute", "csv"): "60a2d7270521b80a0a04a748a5c9f740ba3513e7d686adf7c7db657b01dc5801",
+    ("commute", "json"): "8724ee887d09da31129b3d0cc268c3bbe4b9c31a7f2b4aea90b8ca36156f4c1a",
 }
 
 
 def test_every_command_has_a_default_digest():
-    assert sorted({command for command, _ in GOLDEN}) == sorted(COMMANDS)
+    assert sorted(GOLDEN) == sorted((c, fmt) for c in COMMANDS for fmt in ("csv", "json"))
 
 
 @pytest.mark.parametrize("command, fmt", sorted(GOLDEN), ids=lambda v: v)
