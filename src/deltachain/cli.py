@@ -37,7 +37,6 @@ from .spectra import (
     dos_estimate,
     _binding_terms,
     _single_cell_germ,
-    _thread_count,
 )
 from .scattering import S_COLUMNS, commuting_deviations, commuting_points, s_matrix_grid
 from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
@@ -440,7 +439,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        _thread_count()  # a bad DELTACHAIN_THREADS is a configuration error
     except (ChainError, ValueError) as err:
         token = err.token if isinstance(err, ChainError) else "InvalidConfig"
         print(f"{token}: {err}", file=sys.stderr)

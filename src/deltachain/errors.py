@@ -18,7 +18,8 @@ class OverflowRisk(ChainError):
 
 
 class GridTooCoarse(ChainError):
-    """A refined scan found sign changes the base grid missed; increase the grid."""
+    """The x4-refined scan found band edges the base grid missed, or bound
+    roots could not be isolated; increase the grid."""
 
 
 class OutOfBand(ChainError):

@@ -179,7 +179,7 @@ def backscatter_scan(
     word = Word("S" * n)
     lo, hi = _check_scan_inputs(word, gamma, 1.0, beta_range, grid_steps, Regime.SCATTERING)
     betas = np.linspace(lo, hi, grid_steps + 1)
-    (x,) = _word_scan(Word("S"), gamma, 1.0, betas, Regime.SCATTERING, "x")
+    x = _word_scan(Word("S"), gamma, 1.0, betas, Regime.SCATTERING, "x")
     s_mp_abs = s_matrix_grid(word, gamma, 1.0, betas)[S_COLUMNS.index("abs_s_mp")]
     kb = np.where(np.abs(x) <= 1.0, np.arccos(np.clip(x, -1.0, 1.0)), np.nan)
     is_max = np.zeros(betas.shape, dtype=bool)

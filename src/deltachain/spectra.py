@@ -5,25 +5,25 @@ Everything here scans the dimensionless energy variable beta at fixed
 roots of d(beta) = 0, rational Bloch labels and partial bands, the binding
 equation, and a density-of-states estimate for the single cell.
 
-Root finding follows one policy throughout: a uniform grid scan brackets
-sign changes, bisection refines them to |dbeta| <= 1e-10, and a one-level
-x4 grid refinement re-censuses the sign changes; any disagreement raises
-GridTooCoarse instead of silently returning a partial census.  Scans and
-refinement share one evaluation path, the grid kernel: all brackets of a
-query are bisected in lockstep, one kernel call on the vector of midpoints
-per step (see _bisect).  word_matrix and cell_matrix serve only the
-one-point functions energy_gauge and binding_equation_residual.
+Bound roots are counted: by the Sturm oscillation theorem N(lo) - N(hi) of
+them lie in range, however the grid falls (see _node_count), and
+bound_states bisects on N until each sits alone.  Band germs keep the grid
+census: a uniform scan brackets the x = +1 and x = -1 crossings, and a
+one-level x4 refinement re-censuses them; a disagreement raises
+GridTooCoarse instead of returning a partial census.  Roots and edges are
+refined to |dbeta| <= 1e-10 on the grid kernel, all brackets of a query in
+lockstep, one kernel call on the vector of midpoints per step (see
+_bisect).  cell_matrix serves only the one-point binding_equation_residual.
 
-Each query makes one fine scan, on the x4 grid.  The base grid is every
-4th sample of it (np.linspace(lo, hi, n + 1) equals
-np.linspace(lo, hi, 4n + 1)[::4] bit for bit), so its census is read off
-the same samples.  bound_states takes x and d from one product pass.  In
-the Bound regime the scan multiplies real float64 entries; they equal the
-real parts of the complex-arithmetic entries bit for bit, so every sample,
-bracket and GridTooCoarse decision is the one complex arithmetic gives.
-Its exponentials come from np.exp, which can differ from math.exp (and so
-from word_matrix) in the last bit; with numpy's AVX-512 exp that happens
-at about 5% of points.  In the Scattering regime it multiplies (re, im)
+Each query makes one fine scan, on the x4 grid; the base grid of the germ
+census is every 4th sample of it (np.linspace(lo, hi, n + 1) equals
+np.linspace(lo, hi, 4n + 1)[::4] bit for bit).  In the Bound regime the
+scan multiplies real float64 entries; they equal the real parts of the
+complex-arithmetic entries bit for bit, so every sample, bracket and
+GridTooCoarse decision is the one complex arithmetic gives.  Its
+exponentials come from np.exp, which can differ from math.exp (and so from
+word_matrix) in the last bit; with numpy's AVX-512 exp that happens at
+about 5% of points.  In the Scattering regime it multiplies (re, im)
 float64 pairs with CPython's complex formulas (see _cell_entries), so each
 sample equals word_matrix at that beta bit for bit.  Entries that overflow
 float64 raise OverflowRisk instead of leaving inf or NaN samples behind.
@@ -31,8 +31,6 @@ float64 raise OverflowRisk instead of leaving inf or NaN samples behind.
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +38,7 @@ import numpy as np
 
 from .core import ChainParams, Regime, cell_matrix, CellKind
 from .errors import GridTooCoarse, OutOfBand, OverflowRisk
-from .substitution import Word, guard_exponent, word_matrix
+from .substitution import Word, guard_exponent
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
 DEFAULT_GRID_STEPS = 2000
@@ -115,21 +113,6 @@ class DosSamples:
     energy: np.ndarray
     kb: np.ndarray
     density: np.ndarray
-
-
-def _thread_count() -> int:
-    """Worker threads for grid scans from DELTACHAIN_THREADS (default 1).
-
-    The value must be an integer >= 1; it is clamped to the CPU count.
-    """
-    raw = os.environ.get("DELTACHAIN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"DELTACHAIN_THREADS must be an integer >= 1, got {raw!r}")
-    return min(n, os.cpu_count() or 1) if n > 1 else 1
 
 
 def _pair_mul(z, w):
@@ -227,44 +210,67 @@ _CHUNK = 1 << 13
 def _run_chunks(size: int, fill) -> None:
     """Call fill(part) for every _CHUNK-point slice of range(size).
 
-    Chunks run on the DELTACHAIN_THREADS pool.  Each writes its own slice of
-    a preallocated output, so the values do not depend on the chunking or
-    the thread count.  An overflow or invalid operation inside fill (the
-    entries of a long word at strong coupling outgrow float64) raises
-    OverflowRisk; numpy's error state is per thread, so it is set here.
+    Each call writes its own slice of a preallocated output.  An overflow
+    or invalid operation inside fill (the entries of a long word at strong
+    coupling outgrow float64) raises OverflowRisk.
     """
-
-    def one(start: int) -> None:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, size, _CHUNK):
                 fill(slice(start, start + _CHUNK))
-        except FloatingPointError as err:
-            raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
-
-    starts = range(0, size, _CHUNK)
-    n = _thread_count()
-    if n > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(one, starts))
-    else:
-        for start in starts:
-            one(start)
+    except FloatingPointError as err:
+        raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
 
 
 def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) and/or d(beta) of the word matrix over a grid, chunked.
-
-    ``which`` names the rows of the result, one letter each ("x", "d" or
-    "xd"), so a single product pass can serve both.
-    """
-    out = np.empty((len(which), betas.size))
+    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix over a grid."""
+    out = np.empty(betas.size)
 
     def fill(part: slice) -> None:
         A, _, _, D = _word_grid(word, gamma, q, betas[part], regime)
         if regime is Regime.SCATTERING:
             A, D = A[0], D[0]
-        for row, name in zip(out, which):
-            row[part] = 0.5 * (A + D) if name == "x" else D
+        out[part] = 0.5 * (A + D) if which == "x" else D
+
+    _run_chunks(betas.size, fill)
+    return out
+
+
+def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.ndarray:
+    """Number of bound states with beta* > beta, at every beta of the grid.
+
+    By the Sturm oscillation theorem it is the number of zeros of the
+    solution that decays on the left (psi = 1, psi' = beta before the first
+    delta).  The solution is carried in the exponential basis, psi =
+    cm*exp(-beta*xi) + cp*exp(beta*xi), so psi = cm + cp at a cell boundary.
+    A delta jump adds no zero and a tunnel at most one, where psi changes
+    sign across it.  The free tail adds one when psi*psi' < 0 and
+    |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.  Each cell divides
+    (cm, cp) by |cm| + |cp|, so the carry never overflows.
+    """
+    out = np.empty(betas.size, dtype=np.int64)
+
+    def fill(part: slice) -> None:
+        beta = betas[part]
+        # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
+        # the delta jump first, then the tunnel.
+        cells = {}
+        for ch in set(word.letters):
+            a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
+            cells[ch] = a, -c, -b, d
+        cm, cp = np.zeros(beta.size), np.ones(beta.size)
+        positive = np.ones(beta.size, dtype=bool)
+        n = np.zeros(beta.size, dtype=np.int64)
+        for ch in word.letters:
+            a, b, c, d = cells[ch]
+            cm, cp = a * cm + b * cp, c * cm + d * cp
+            norm = np.abs(cm) + np.abs(cp)
+            cm, cp = cm / norm, cp / norm
+            now = cm + cp > 0.0
+            n += now != positive
+            positive = now
+        n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
+        out[part] = n
 
     _run_chunks(betas.size, fill)
     return out
@@ -292,24 +298,6 @@ def _crossings(values: np.ndarray, target: float) -> np.ndarray:
     return np.nonzero((above[1:] & below[:-1]) | (below[1:] & above[:-1]))[0]
 
 
-def _require_same_census(values: np.ndarray, target: float, label: str, grid_steps: int) -> None:
-    """Raise GridTooCoarse unless the base grid and the x4 grid count the
-    same crossings of target.
-
-    ``values`` is the x4 scan; the base grid is every 4th sample of it.
-    """
-    if _crossings(values[::4], target).size != _crossings(values, target).size:
-        raise GridTooCoarse(
-            f"{label} crossings differ between {grid_steps} and "
-            f"{4 * grid_steps} grid steps; increase grid_steps"
-        )
-
-
-def _require_same_x_census(x: np.ndarray, grid_steps: int) -> None:
-    for target in (1.0, -1.0):
-        _require_same_census(x, target, f"x = {target:+g}", grid_steps)
-
-
 def _bisect(
     word: Word, gamma: float, q: float, regime: Regime, which: str, lo, hi, flo, target=0.0
 ) -> np.ndarray:
@@ -331,7 +319,7 @@ def _bisect(
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        (fm,) = _word_scan(word, gamma, q, mid, regime, which)
+        fm = _word_scan(word, gamma, q, mid, regime, which)
         fm -= target[live]
         zero = fm == 0.0
         up = zero | ((fm > 0.0) == (flo[live] > 0.0))
@@ -344,18 +332,40 @@ def _bisect(
 def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
     """0 if |x(beta)| <= 1 for the word's transfer matrix, else 1.
 
-    Repetition-invariant: S^n has the same gauge as S, because |x| <= 1 holds
-    for a power exactly when it holds for the base matrix.
+    x is the grid kernel's value at the one point beta, so at a germ edge
+    the gauge reads the same side as band_germs' scan.  Repetition-invariant:
+    S^n has the same gauge as S, because |x| <= 1 holds for a power exactly
+    when it holds for the base matrix.
     """
-    params = ChainParams(beta, gamma, q, Regime.BOUND)
-    x = word_matrix(word, params).x.real
+    ChainParams(beta, gamma, q, Regime.BOUND)  # validates beta, gamma and q
+    guard_exponent(word, beta, q, Regime.BOUND)
+    x = _word_scan(word, gamma, q, np.array([beta], dtype=float), Regime.BOUND, "x")[0]
     return 0 if abs(x) <= 1.0 else 1
 
 
-def _germs_from_scan(
-    word: Word, gamma: float, q: float, regime: Regime, betas: np.ndarray, x: np.ndarray
+def band_germs(
+    word: Word,
+    gamma: float,
+    q: float,
+    beta_range=DEFAULT_BETA_RANGE,
+    grid_steps: int = DEFAULT_GRID_STEPS,
+    regime: Regime = Regime.BOUND,
 ) -> list[BandGerm]:
-    """Maximal |x| <= 1 intervals from a verified scan x over the grid betas."""
+    """Maximal beta intervals with |x| <= 1, edges refined by bisection.
+
+    The x4-refined scan must reproduce the base grid's edge-crossing census
+    for both x = +1 and x = -1, else GridTooCoarse is raised.
+    """
+    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
+    betas = np.linspace(lo, hi, 4 * grid_steps + 1)
+    x = _word_scan(word, gamma, q, betas, regime, "x")
+    for target in (1.0, -1.0):
+        if _crossings(x[::4], target).size != _crossings(x, target).size:
+            raise GridTooCoarse(
+                f"x = {target:+g} crossings differ between {grid_steps} and "
+                f"{4 * grid_steps} grid steps; increase grid_steps"
+            )
+
     # Refine every edge crossing first.  A band narrower than the grid
     # spacing leaves no in-band sample, but it still shows up as one x = +1
     # and one x = -1 crossing inside the same grid interval, so germs are
@@ -377,7 +387,7 @@ def _germs_from_scan(
     bounds = [float(betas[0])] + [b for b, _ in edges] + [float(betas[-1])]
     kinds = [clip_kind(x[0])] + [k for _, k in edges] + [clip_kind(x[-1])]
     b = np.array(bounds)
-    (xm,) = _word_scan(word, gamma, q, 0.5 * (b[:-1] + b[1:]), regime, "x")
+    xm = _word_scan(word, gamma, q, 0.5 * (b[:-1] + b[1:]), regime, "x")
     run = np.diff(np.concatenate([[0], np.abs(xm) <= 1.0, [0]]).astype(np.int8))
     last = len(bounds) - 1
     return [
@@ -386,24 +396,11 @@ def _germs_from_scan(
     ]
 
 
-def band_germs(
-    word: Word,
-    gamma: float,
-    q: float,
-    beta_range=DEFAULT_BETA_RANGE,
-    grid_steps: int = DEFAULT_GRID_STEPS,
-    regime: Regime = Regime.BOUND,
-) -> list[BandGerm]:
-    """Maximal beta intervals with |x| <= 1, edges refined by bisection.
-
-    The x4-refined scan must reproduce the base grid's edge-crossing census
-    for both x = +1 and x = -1, else GridTooCoarse is raised.
-    """
-    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
-    fine = np.linspace(lo, hi, 4 * grid_steps + 1)
-    (x,) = _word_scan(word, gamma, q, fine, regime, "x")
-    _require_same_x_census(x, grid_steps)
-    return _germs_from_scan(word, gamma, q, regime, fine, x)
+def _refuse(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+    """Raise GridTooCoarse naming the first interval [lo, hi] where mask holds."""
+    if np.any(mask):
+        k = np.argmax(mask)
+        raise GridTooCoarse(f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
 def bound_states(
@@ -413,46 +410,44 @@ def bound_states(
     beta_range=DEFAULT_BETA_RANGE,
     grid_steps: int = DEFAULT_GRID_STEPS,
 ) -> list[BoundState]:
-    """Sign-change roots of d(beta) in range, bisection-refined.
+    """Roots of d(beta) in range, counted by _node_count and bisection-refined.
 
     Bound regime only: d = 0 is the decaying-boundary-condition equation.
-    One product pass gives d and x; the d census is checked first, then
-    the band-germ census of band_germs (same grid, same GridTooCoarse).
+    The count on the x4 grid puts N(lo) - N(hi) roots in range.  Intervals
+    whose count drops by 2 or more are split by lockstep bisection on the
+    count until each holds one root, which _bisect refines on d (from the
+    grid ends for a grid interval).  GridTooCoarse names the first interval
+    where the count rises, two roots stay within ROOT_TOL, or d does not
+    change sign across one root, so a list always holds N(lo) - N(hi) roots.
     The same roots are the S-matrix poles; ``scattering.bound_poles`` is
     that public alias.
-
-    The census is only as complete as the grid.  A close pair of roots
-    between two samples cancels in the sign count on both the base and the
-    x4 grid, so it can be missed without GridTooCoarse.  Roots of the open
-    chain need not lie inside band germs of the closed one, so the
-    germ-local rescan below adds roots but guarantees none.  At gamma = 10,
-    q = tau, beta in (0.05, 6], W_5 at 2,000 steps returns 1 of its 5
-    roots, and W_6 at 32,000 and 128,000 steps returns 6 of its 8.  The
-    certified census of ROADMAP item 3 closes this gap.
     """
     lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, Regime.BOUND)
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
-    x, d = _word_scan(word, gamma, q, fine, Regime.BOUND, "xd")
-    _require_same_census(d, 0.0, "d = 0", grid_steps)
-    _require_same_x_census(x, grid_steps)
+    n = _node_count(word, gamma, q, fine)
+    a, b, na, nb = fine[:-1], fine[1:], n[:-1], n[1:]
+    one_lo, one_hi = [], []
+    while a.size:
+        drop = na - nb
+        _refuse(drop < 0, a, b, "the bound-state count rises with beta")
+        one_lo.append(a[drop == 1])
+        one_hi.append(b[drop == 1])
+        split = drop >= 2
+        a, b, na, nb = a[split], b[split], na[split], nb[split]
+        _refuse(b - a <= ROOT_TOL, a, b, f"bound roots closer than {ROOT_TOL:g}")
+        mid = 0.5 * (a + b)
+        nm = _node_count(word, gamma, q, mid)
+        a, b, na, nb = (np.concatenate(pair) for pair in ((a, mid), (mid, b), (na, nm), (nm, nb)))
 
-    def refine(betas: np.ndarray, d: np.ndarray) -> list[float]:
-        i = _crossings(d, 0.0)
-        return _bisect(word, gamma, q, Regime.BOUND, "d", betas[i], betas[i + 1], d[i]).tolist()
-
-    roots = refine(fine, d)
-
-    # A narrow band can hide a whole dip of d through zero between adjacent
-    # samples of the global grid.  Some bound roots lie inside band germs, so
-    # rescan each germ on a local grid and merge the findings.  Roots outside
-    # every germ get no such second look (see the docstring).
-    for germ in _germs_from_scan(word, gamma, q, Regime.BOUND, fine, x):
-        local = np.linspace(germ.beta_lo, germ.beta_hi, 65)
-        roots += refine(local, _word_scan(word, gamma, q, local, Regime.BOUND, "d")[0])
-
-    roots.sort()
-    unique = [b for k, b in enumerate(roots) if k == 0 or b - roots[k - 1] > 1e-9]
-    return [BoundState(b, k) for k, b in enumerate(unique)]
+    r_lo, r_hi = np.concatenate(one_lo), np.concatenate(one_hi)
+    order = np.argsort(r_lo)
+    r_lo, r_hi = r_lo[order], r_hi[order]
+    d = _word_scan(word, gamma, q, np.concatenate([r_lo, r_hi]), Regime.BOUND, "d")
+    d_lo, d_hi = d[: r_lo.size], d[r_lo.size :]
+    flips = np.sign(d_lo) * np.sign(d_hi) == -1.0
+    _refuse(~flips, r_lo, r_hi, "no sign change of d at one bound root")
+    roots = _bisect(word, gamma, q, Regime.BOUND, "d", r_lo, r_hi, d_lo)
+    return [BoundState(r, k) for k, r in enumerate(roots.tolist())]
 
 
 def bloch_label(x: float) -> float:
@@ -538,7 +533,7 @@ def partial_band_census(
     word_s = Word("S")
     germ = _single_cell_germ(gamma, beta_range, grid_steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 1)
-    (x,) = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
+    x = _word_scan(word_s, gamma, 1.0, betas, Regime.BOUND, "x")
     dx = np.diff(x)
     if not (np.all(dx > 0) or np.all(dx < 0)):
         raise ValueError("single-cell dispersion x1 is not monotone inside the germ")
@@ -580,7 +575,7 @@ def dos_estimate(
     """
     germ = _single_cell_germ(gamma, beta_range, grid_steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, grid_steps + 2)[1:-1]
-    (x,) = _word_scan(Word("S"), gamma, 1.0, betas, Regime.BOUND, "x")
+    x = _word_scan(Word("S"), gamma, 1.0, betas, Regime.BOUND, "x")
     kb = np.arccos(np.clip(x, -1.0, 1.0))
     energy = -betas * betas
     density = np.abs(np.gradient(kb, energy))

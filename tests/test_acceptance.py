@@ -129,7 +129,9 @@ def test_criterion_04_commutator_invariant_formula():
 @functools.lru_cache(maxsize=None)
 def _counts_with_escalation(m: int):
     """Germs and roots of W_m at gamma = 10, escalating the grid until the
-    counts reach f_m or the step cap; GridTooCoarse at the cap propagates."""
+    counts reach f_m or the step cap; GridTooCoarse at the cap propagates.
+    The roots are counted exactly at any grid, so only the germ census
+    escalates."""
     word = fibonacci_word(m)
     f_m = fibonacci_number(m)
     steps = 2000

@@ -202,7 +202,7 @@ def test_binding_command_rejects_long_cells(tmp_path, capsys):
 
 def test_grid_error_surfaces_token(tmp_path, capsys):
     cfg = RunConfig(
-        command="bound", word_spec="fib:m=6", gamma=10.0, out_path=str(tmp_path / "x.csv")
+        command="bands", word_spec="fib:m=6", gamma=10.0, out_path=str(tmp_path / "x.csv")
     )
     assert run(cfg) == 1
     assert capsys.readouterr().err.startswith("GridTooCoarse:")
@@ -350,15 +350,6 @@ def test_run_config_rejects_non_positive_scales():
         RunConfig(command="bands", beta_min=0.0)
     with pytest.raises(ValueError):
         RunConfig(command="wave", beta=-1.0)
-
-
-@pytest.mark.parametrize("raw", ["0", "abc"])
-def test_main_rejects_bad_thread_count(raw, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DELTACHAIN_THREADS", raw)
-    code = main(["bands", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("InvalidConfig:") and "DELTACHAIN_THREADS" in err
 
 
 def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):

@@ -266,13 +266,6 @@ def test_s_matrix_is_the_one_point_grid():
         assert S.h_ratio == word.total_ratio(TAU)
 
 
-def test_s_matrix_grid_is_independent_of_threads(monkeypatch):
-    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
-    one = s_matrix_grid(fibonacci_word(6), -2.0, TAU, betas)
-    monkeypatch.setenv("DELTACHAIN_THREADS", "2")
-    assert np.array_equal(s_matrix_grid(fibonacci_word(6), -2.0, TAU, betas), one)
-
-
 def test_s_matrix_grid_rejects_bad_grids():
     for betas in ([0.0, 1.0], [1.0, math.nan], [[1.0]]):
         with pytest.raises(ValueError, match="betas"):
@@ -311,9 +304,7 @@ def test_resonance_pole_still_fires(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_s_matrix_grid_overflow_raises_token(monkeypatch):
+def test_s_matrix_grid_overflow_raises_token():
     betas = np.linspace(0.001, 0.01, 2 * _CHUNK + 1)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("DELTACHAIN_THREADS", threads)
-        with pytest.raises(OverflowRisk, match="not finite"):
-            s_matrix_grid(fibonacci_word(14), 200.0, TAU, betas)
+    with pytest.raises(OverflowRisk, match="not finite"):
+        s_matrix_grid(fibonacci_word(14), 200.0, TAU, betas)

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deltachain import spectra
 from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.spectra import (
@@ -14,7 +15,7 @@ from deltachain.spectra import (
     ROOT_TOL,
     _bisect,
     _cell_entries,
-    _thread_count,
+    _node_count,
     _word_grid,
     _word_scan,
     EdgeKind,
@@ -100,9 +101,32 @@ def test_bound_roots_are_d_roots():
         assert abs(word_matrix(Word("SS"), d).d.real) < 1e-8
 
 
+# The converged root census of the grid search that the node count
+# replaced: W_5 at 128,000 grid steps and W_6 at 2,048,000, at gamma = 10,
+# q = tau, beta in (0.05, 6].  Below those steps the grid search returned 1
+# of W_5's roots at 2,000 steps and raised GridTooCoarse at 8,000; for W_6
+# it raised at 2,000 and 8,000.
+_CONVERGED_ROOTS = {
+    5: [4.965037542581932, 4.965113963029905, 4.999998128415273, 5.032608662078157,
+        5.032672601766512],
+    6: [4.964237163851124, 4.965075653194262, 4.965892622947321, 4.9999953966531905,
+        5.000001790152119, 5.031935242743886, 5.032640713624284, 5.033360061185348],
+}
+
+
+def _assert_converged_census(m, steps):
+    roots = [s.beta_star for s in bound_states(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), steps)]
+    assert len(roots) == len(_CONVERGED_ROOTS[m]), (m, steps, roots)
+    for got, want in zip(roots, _CONVERGED_ROOTS[m]):
+        assert abs(got - want) <= 1e-10, (m, steps, got, want)
+
+
 def test_grid_too_coarse_raises():
+    # The germ census still needs a fine enough grid; the root count does not.
     with pytest.raises(GridTooCoarse, match="grid_steps"):
-        bound_states(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 2000)
+        band_germs(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 2000)
+    for m in (5, 6):
+        _assert_converged_census(m, 2000)
 
 
 def test_gauge_is_repetition_invariant():
@@ -221,18 +245,6 @@ def test_dos_normalized_with_band_edge_peaks():
     assert np.allclose(d.energy, -d.beta**2)
 
 
-def test_threaded_scan_matches_serial(monkeypatch):
-    serial = band_germs(Word("SL"), 4.0, TAU)
-    monkeypatch.setenv("DELTACHAIN_THREADS", "3")
-    threaded = band_germs(Word("SL"), 4.0, TAU)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
-        assert a.beta_lo == pytest.approx(b.beta_lo, abs=1e-12)
-        assert a.beta_hi == pytest.approx(b.beta_hi, abs=1e-12)
-        assert a.edge_kind_lo is b.edge_kind_lo
-        assert a.edge_kind_hi is b.edge_kind_hi
-
-
 def test_grid_steps_validation():
     with pytest.raises(ValueError):
         band_germs(Word("S"), 4.0, 1.0, grid_steps=10)
@@ -259,19 +271,16 @@ def _complex_reference(word, gamma, q, betas):
 
 
 @pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3])
-def test_bound_scan_is_bitwise_the_complex_scan(gamma, monkeypatch):
+def test_bound_scan_is_bitwise_the_complex_scan(gamma):
     # Real arithmetic must reproduce every sample exactly, so brackets,
     # bisections and GridTooCoarse decisions cannot move.
     betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
     for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
         x_ref, d_ref = _complex_reference(word, gamma, TAU, betas)
-        x, d = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "xd")
+        x = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "x")
+        d = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "d")
         assert np.array_equal(x, x_ref), (str(word), gamma)
         assert np.array_equal(d, d_ref), (str(word), gamma)
-        assert np.array_equal(_word_scan(word, gamma, TAU, betas, Regime.BOUND, "d")[0], d)
-    monkeypatch.setenv("DELTACHAIN_THREADS", "2")
-    x2, d2 = _word_scan(fibonacci_word(6), gamma, TAU, betas, Regime.BOUND, "xd")
-    assert np.array_equal(x2, x) and np.array_equal(d2, d)
 
 
 @pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
@@ -287,32 +296,19 @@ def test_base_scan_equals_fine_scan_subsample():
     word = fibonacci_word(6)
     base = np.linspace(0.05, 6.0, 2001)
     fine = np.linspace(0.05, 6.0, 8001)
-    got = _word_scan(word, 10.0, TAU, fine, Regime.BOUND, "xd")[:, ::4]
-    assert np.array_equal(got, _word_scan(word, 10.0, TAU, base, Regime.BOUND, "xd"))
+    for which in ("x", "d"):
+        got = _word_scan(word, 10.0, TAU, fine, Regime.BOUND, which)[::4]
+        assert np.array_equal(got, _word_scan(word, 10.0, TAU, base, Regime.BOUND, which))
 
 
 def test_bound_states_checks_germ_census_after_d_census():
-    # At 8,000 steps the W_6 d census agrees between the grids and only the
-    # germ census fails; the W_5 d census already fails.
+    # At 8,000 steps the W_6 germ census still differs between the grids,
+    # while bound_states, which reads neither census, returns the converged
+    # roots of W_5 and W_6.
     with pytest.raises(GridTooCoarse, match=r"^x = \+1 crossings differ between 8000 and 32000"):
-        bound_states(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 8000)
-    with pytest.raises(GridTooCoarse, match=r"^d = 0 crossings differ between 8000 and 32000"):
-        bound_states(fibonacci_word(5), 10.0, TAU, (0.05, 6.0), 8000)
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
-def test_thread_count_rejects_bad_values(raw, monkeypatch):
-    monkeypatch.setenv("DELTACHAIN_THREADS", raw)
-    with pytest.raises(ValueError, match="DELTACHAIN_THREADS"):
-        _thread_count()
-
-
-def test_thread_count_is_clamped_to_cpu_count(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.setenv("DELTACHAIN_THREADS", str(cpus + 5))
-    assert _thread_count() == cpus
-    monkeypatch.delenv("DELTACHAIN_THREADS")
-    assert _thread_count() == 1
+        band_germs(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 8000)
+    for m in (5, 6):
+        _assert_converged_census(m, 8000)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -358,20 +354,20 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
     for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5)):
         ref = [word_matrix(word, p) for p in points]
         want = np.array([[*_parts(M), M.x.real] for M in ref]).T
-        (x,) = _word_scan(word, gamma, TAU, betas, Regime.SCATTERING, "x")
+        x = _word_scan(word, gamma, TAU, betas, Regime.SCATTERING, "x")
         got = [part for entry in _word_grid(word, gamma, TAU, betas, Regime.SCATTERING) for part in entry]
         assert np.array_equal(bits([*got, x]), bits(want)), (str(word), gamma)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_overflowing_scan_raises_token(threads, monkeypatch):
+def test_overflowing_scan_raises_token():
     # delta = gamma/beta up to 600 overflows the entries of W_15 although
-    # beta*length stays under EXP_LIMIT; each worker thread must see it.
-    monkeypatch.setenv("DELTACHAIN_THREADS", threads)
+    # beta*length stays under EXP_LIMIT.  The node count renormalizes its
+    # carry after every cell, so it stays finite there: all 610 roots of
+    # W_15 lie near gamma/2, above the range, and bound_states finds none.
     with pytest.raises(OverflowRisk, match="not finite"):
         band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
-    with pytest.raises(OverflowRisk, match="not finite"):
-        bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
+    assert _node_count(fibonacci_word(15), 30.0, TAU, np.array([0.05, 0.3])).tolist() == [610, 610]
+    assert bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK) == []
 
 
 def _scalar_bisect(fn, lo, hi, flo, tol=ROOT_TOL):
@@ -395,10 +391,10 @@ def test_lockstep_bisect_is_bitwise_the_scalar_loop(regime):
     word, gamma = Word("SL"), 4.0
 
     def value(beta, which):
-        return _word_scan(word, gamma, TAU, np.array([beta]), regime, which)[0][0]
+        return _word_scan(word, gamma, TAU, np.array([beta]), regime, which)[0]
 
     betas = np.linspace(0.05, 6.0, 801)
-    (x,) = _word_scan(word, gamma, TAU, betas, regime, "x")
+    x = _word_scan(word, gamma, TAU, betas, regime, "x")
     brackets = []  # (lo, hi, target)
     for target in (1.0, -1.0):
         for i in np.nonzero(np.diff(np.sign(x - target)))[0]:
@@ -424,12 +420,12 @@ def test_lockstep_bisect_is_bitwise_the_scalar_loop(regime):
 def test_lockstep_bisect_refines_d_roots_as_the_scalar_loop():
     word = fibonacci_word(5)
     betas = np.linspace(0.05, 6.0, 2001)
-    (d,) = _word_scan(word, 10.0, TAU, betas, Regime.BOUND, "d")
+    d = _word_scan(word, 10.0, TAU, betas, Regime.BOUND, "d")
     i = np.nonzero(np.diff(np.sign(d)))[0]
     got = _bisect(word, 10.0, TAU, Regime.BOUND, "d", betas[i], betas[i + 1], d[i])
 
     def fd(beta):
-        return _word_scan(word, 10.0, TAU, np.array([beta]), Regime.BOUND, "d")[0][0]
+        return _word_scan(word, 10.0, TAU, np.array([beta]), Regime.BOUND, "d")[0]
 
     want = [_scalar_bisect(fd, betas[k], betas[k + 1], d[k]) for k in i]
     assert i.size > 0
@@ -437,13 +433,14 @@ def test_lockstep_bisect_refines_d_roots_as_the_scalar_loop():
 
 
 def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
-    # Scans and refinement run on the grid kernel only; word_matrix and
-    # cell_matrix serve the one-point energy_gauge and binding residual.
+    # Scans, refinement and the energy gauge run on the grid kernel only;
+    # cell_matrix serves the one-point binding residual.
     def scalar_route(*args, **kwargs):
         raise AssertionError("scalar transfer-matrix route called")
 
-    monkeypatch.setattr("deltachain.spectra.word_matrix", scalar_route)
+    assert not hasattr(spectra, "word_matrix")
     monkeypatch.setattr("deltachain.spectra.cell_matrix", scalar_route)
+    assert energy_gauge(Word("S"), 4.0, 1.0, 1.5) == 0
     assert len(band_germs(Word("SL"), 4.0, TAU)) == 2
     assert band_germs(Word("SL"), 4.0, TAU, regime=Regime.SCATTERING)
     assert len(bound_states(fibonacci_word(4), 10.0, TAU)) == 3
@@ -477,15 +474,75 @@ def test_partial_band_census_values_are_unchanged(n):
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == _CENSUS_DIGESTS[n]
 
 
-def test_thread_count_reads_cpu_count_only_for_several_threads(monkeypatch):
-    def no_cpu_count():
-        raise AssertionError("os.cpu_count called")
+def test_node_count_of_the_single_well():
+    # One bound state at beta* = gamma/2: one node below it, none above.
+    counts = _node_count(Word("S"), 4.0, 1.0, np.array([0.05, 1.9, 2.1, 6.0]))
+    assert counts.tolist() == [1, 1, 0, 0]
+    assert _node_count(Word("SL"), -3.0, TAU, np.linspace(0.05, 6.0, 101)).tolist() == [0] * 101
 
-    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
-    monkeypatch.delenv("DELTACHAIN_THREADS", raising=False)
-    assert _thread_count() == 1
-    monkeypatch.setenv("DELTACHAIN_THREADS", "1")
-    assert _thread_count() == 1
-    monkeypatch.setenv("DELTACHAIN_THREADS", "0")
-    with pytest.raises(ValueError, match="DELTACHAIN_THREADS"):
-        _thread_count()
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    letters=st.text(alphabet="SL", min_size=1, max_size=8),
+    gamma=st.floats(-6.0, 12.0),
+    q=st.floats(0.3, 2.5),
+)
+def test_bound_states_return_every_counted_root(letters, gamma, q):
+    word = Word(letters)
+    fine = np.linspace(0.05, 6.0, 4 * 2000 + 1)
+    n = _node_count(word, gamma, q, fine)
+    d = _word_scan(word, gamma, q, fine, Regime.BOUND, "d")
+    # Each zero of d moves one node through the right end of the chain.
+    assert set((np.sign(d) * (-1.0) ** n).tolist()) == {1.0}
+    roots = [s.beta_star for s in bound_states(word, gamma, q)]
+    assert len(roots) == n[0] - n[-1]
+    for k, r in enumerate(roots):
+        # Tunnel-split pairs can sit closer than 2e-9 (SLLLLSL at gamma 7.55,
+        # q 2.34 has one 2.7e-10 wide), so the bracket shrinks to half the gap.
+        eps = min([1e-9] + [abs(r - o) / 2 for j, o in enumerate(roots) if j != k])
+        lo, hi = (word_matrix(word, ChainParams(r + e, gamma, q)).d.real for e in (-eps, eps))
+        assert lo * hi < 0, (letters, gamma, q, r)
+
+
+@pytest.mark.parametrize("steps", [2000, 32000])
+@pytest.mark.parametrize(
+    "letters, gamma, q, count",
+    [
+        ("SLSL", 11.243170348895887, 2.337067751909144, 4),
+        ("LLSSLLS", 11.896144572099836, 2.413873334693298, 7),
+    ],
+)
+def test_close_root_pairs_are_all_returned(letters, gamma, q, count, steps):
+    # The grid search returned 0 of SLSL's 4 roots and 3 of LLSSLLS's 7 at
+    # 32,000 steps without raising GridTooCoarse.
+    assert len(bound_states(Word(letters), gamma, q, grid_steps=steps)) == count
+
+
+def test_energy_gauge_reads_the_scan_at_germ_edges():
+    # At a refined edge |x| = 1 up to rounding, so the gauge must read x as
+    # the scan does; math.exp and np.exp can differ in the last bit.
+    word = fibonacci_word(5)
+    edges = [b for g in band_germs(word, 10.0, TAU) for b in (g.beta_lo, g.beta_hi)]
+    points = [p for b in edges for p in (np.nextafter(b, 0.0), b, np.nextafter(b, 7.0))]
+    x = _word_scan(word, 10.0, TAU, np.array(points), Regime.BOUND, "x")
+    assert len(edges) == 10
+    assert [energy_gauge(word, 10.0, TAU, float(p)) for p in points] == [
+        0 if abs(v) <= 1.0 else 1 for v in x.tolist()
+    ]
+
+
+def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
+    # Each refusal names the interval; a count is injected for each case.
+    # The fine grid of 100 steps on (0.05, 6] brackets 1.0 by [0.987125, 1.002].
+    cases = [
+        (2, 0, r"^bound roots closer than 1e-10 on \[0\.99999999"),
+        (0, 1, r"^the bound-state count rises with beta on \[0\.987125"),
+        (1, 0, r"^no sign change of d at one bound root on \[0\.987125"),
+    ]
+    for below, above, message in cases:
+        def count(word, gamma, q, betas, below=below, above=above):
+            return np.where(betas < 1.0, below, above).astype(np.int64)
+
+        monkeypatch.setattr(spectra, "_node_count", count)
+        with pytest.raises(GridTooCoarse, match=message):
+            bound_states(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
