@@ -359,15 +359,17 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
         assert np.array_equal(bits([*got, x]), bits(want)), (str(word), gamma)
 
 
-def test_overflowing_scan_raises_token():
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_overflowing_scan_raises_token(chunks):
     # delta = gamma/beta up to 600 overflows the entries of W_15 although
-    # beta*length stays under EXP_LIMIT.  The node count renormalizes its
-    # carry after every cell, so it stays finite there: all 610 roots of
-    # W_15 lie near gamma/2, above the range, and bound_states finds none.
+    # beta*length stays under EXP_LIMIT, whether the grid is one chunk or
+    # several.  The node count renormalizes its carry after every cell, so
+    # it stays finite there: all 610 roots of W_15 lie near gamma/2, above
+    # the range, and bound_states finds none.
     with pytest.raises(OverflowRisk, match="not finite"):
-        band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK)
+        band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), chunks * _CHUNK)
     assert _node_count(fibonacci_word(15), 30.0, TAU, np.array([0.05, 0.3])).tolist() == [610, 610]
-    assert bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), 2 * _CHUNK) == []
+    assert bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), chunks * _CHUNK) == []
 
 
 def _scalar_bisect(fn, lo, hi, flo, tol=ROOT_TOL):
