@@ -18,8 +18,8 @@ class OverflowRisk(ChainError):
 
 
 class GridTooCoarse(ChainError):
-    """The x4-refined scan found band edges the base grid missed, or bound
-    roots could not be isolated; increase the grid."""
+    """Counted band edges or bound roots could not be isolated; the message
+    names the interval and the reason."""
 
 
 class OutOfBand(ChainError):

@@ -5,22 +5,20 @@ Everything here scans the dimensionless energy variable beta at fixed
 roots of d(beta) = 0, rational Bloch labels and partial bands, the binding
 equation, and a density-of-states estimate for the single cell.
 
-Bound roots are counted: by the Sturm oscillation theorem N(lo) - N(hi) of
-them lie in range, however the grid falls (see _node_count), and
-bound_states bisects on N until each sits alone.  Band germs keep the grid
-census: a uniform scan brackets the x = +1 and x = -1 crossings, and a
-one-level x4 refinement re-censuses them; a disagreement raises
-GridTooCoarse instead of returning a partial census.  Roots and edges are
-refined to |dbeta| <= 1e-10 on the grid kernel, all brackets of a query in
-lockstep, one kernel call on the vector of midpoints per step (see
-_bisect).  cell_matrix serves only the one-point binding_equation_residual.
+Roots and band edges are counted, so how many lie in range does not
+depend on how the grid falls: by the Sturm oscillation theorem N(lo) -
+N(hi) bound roots (see _node_count), and from the Dirichlet count and x the
+number of band edges below each energy, twice the rotation number (see
+_edge_count).  One isolation rule serves both: the exact count says how
+many an interval holds, _isolate bisects on it until each sits alone, and
+_bisect refines each one to |dbeta| <= 1e-10 on the grid kernel, all
+brackets of a query in lockstep, one kernel call on the vector of midpoints
+per step.  cell_matrix serves only the one-point binding_equation_residual.
 
-Each query makes one fine scan, on the x4 grid; the base grid of the germ
-census is every 4th sample of it (np.linspace(lo, hi, n + 1) equals
-np.linspace(lo, hi, 4n + 1)[::4] bit for bit).  In the Bound regime the
-scan multiplies real float64 entries; they equal the real parts of the
-complex-arithmetic entries bit for bit, so every sample, bracket and
-GridTooCoarse decision is the one complex arithmetic gives.  Its
+Each query makes one scan, on the x4 grid of grid_steps.  In the Bound
+regime the scan multiplies real float64 entries; they equal the real parts
+of the complex-arithmetic entries bit for bit, so every sample and bracket
+is the one complex arithmetic gives.  Its
 exponentials come from np.exp, which can differ from math.exp (and so from
 word_matrix) in the last bit; with numpy's AVX-512 exp that happens at
 about 5% of points.  In the Scattering regime it multiplies (re, im)
@@ -43,6 +41,8 @@ from .substitution import Word, guard_exponent
 DEFAULT_BETA_RANGE = (0.05, 6.0)
 DEFAULT_GRID_STEPS = 2000
 ROOT_TOL = 1e-10
+# |x| <= 1 + BAND_TOL is in band; it absorbs rounding where x only touches +-1.
+BAND_TOL = 1e-12
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -236,7 +236,9 @@ def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
     return out
 
 
-def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.ndarray:
+def _node_count(
+    word: Word, gamma: float, q: float, betas: np.ndarray, regime=Regime.BOUND, dirichlet=False
+) -> np.ndarray:
     """Number of bound states with beta* > beta, at every beta of the grid.
 
     By the Sturm oscillation theorem it is the number of zeros of the
@@ -247,33 +249,71 @@ def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.nda
     sign across it.  The free tail adds one when psi*psi' < 0 and
     |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.  Each cell divides
     (cm, cp) by |cm| + |cp|, so the carry never overflows.
+
+    dirichlet=True (implied in the Scattering regime) starts from psi = 0,
+    psi' > 0 and drops the tail: the zeros then count the Dirichlet
+    eigenvalues of one period below the energy, in the Bound regime from
+    (cm, cp) = (-1, 1), in the Scattering regime by the Pruefer angle u
+    (psi = R sin u, psi' = beta R cos u), which a delta maps to
+    atan2(sin u, cos u - (gamma/beta) sin u) and a tunnel advances by
+    beta*ratio, one zero per multiple of pi passed.
     """
     out = np.empty(betas.size, dtype=np.int64)
 
     def fill(part: slice) -> None:
         beta = betas[part]
-        # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
-        # the delta jump first, then the tunnel.
-        cells = {}
-        for ch in set(word.letters):
-            a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
-            cells[ch] = a, -c, -b, d
-        cm, cp = np.zeros(beta.size), np.ones(beta.size)
-        positive = np.ones(beta.size, dtype=bool)
         n = np.zeros(beta.size, dtype=np.int64)
-        for ch in word.letters:
-            a, b, c, d = cells[ch]
-            cm, cp = a * cm + b * cp, c * cm + d * cp
-            norm = np.abs(cm) + np.abs(cp)
-            cm, cp = cm / norm, cp / norm
-            now = cm + cp > 0.0
-            n += now != positive
-            positive = now
-        n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
+        if regime is Regime.SCATTERING:
+            de = gamma / beta
+            u = np.zeros(beta.size)
+            for ch in word.letters:
+                s = np.sin(u)
+                u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
+                turns = np.floor(u / np.pi)
+                n += turns.astype(np.int64)
+                u -= turns * np.pi
+        else:
+            # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
+            # the delta jump first, then the tunnel.
+            cells = {}
+            for ch in set(word.letters):
+                a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
+                cells[ch] = a, -c, -b, d
+            cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
+            positive = np.ones(beta.size, dtype=bool)
+            for ch in word.letters:
+                a, b, c, d = cells[ch]
+                cm, cp = a * cm + b * cp, c * cm + d * cp
+                norm = np.abs(cm) + np.abs(cp)
+                cm, cp = cm / norm, cp / norm
+                now = cm + cp > 0.0
+                n += now != positive
+                positive = now
+            if not dirichlet:
+                n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
         out[part] = n
 
     _run_chunks(betas.size, fill)
     return out
+
+
+def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
+    """Band edges below the energy at each beta: twice the rotation number.
+
+    One Dirichlet eigenvalue of a period lies in each gap, open or closed,
+    so with N below the energy a band (|x| <= 1 + BAND_TOL) has 2N + 1 edges
+    below it and a gap 2k, k being N or N + 1, even where x > 1 and odd where
+    x < -1; negated in the Scattering regime, it never increases with beta.
+    A power W^n (at q = 1 every word is S^n) has the bands of W, so x is
+    read from W and the closed gaps of W^n do not hang on rounding.
+    """
+    n = _node_count(word, gamma, q, betas, regime, dirichlet=True)
+    letters = word.letters.replace("L", "S") if q == 1.0 else word.letters
+    size = next(m for m in range(1, len(letters) + 1) if letters == letters[:m] * (len(letters) // m))
+    x = _word_scan(Word(letters[:size]), gamma, q, betas, regime, "x")
+    k = n + ((n % 2 == 1) != ((x < 0.0) & (len(letters) // size % 2 == 1)))
+    c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
+    return c if regime is Regime.BOUND else -c
 
 
 def _check_scan_inputs(word: Word, gamma: float, q: float, beta_range, grid_steps: int, regime: Regime):
@@ -343,6 +383,36 @@ def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
     return 0 if abs(x) <= 1.0 else 1
 
 
+def _refuse(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+    """Raise GridTooCoarse naming the first interval [lo, hi] where mask holds."""
+    if np.any(mask):
+        k = np.argmax(mask)
+        raise GridTooCoarse(f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
+
+
+def _isolate(count, a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray, what: str):
+    """Bisect intervals [a, b] on a count(betas) that never increases with beta.
+
+    [a, b] holds na - nb roots or edges; those holding more are halved in
+    lockstep, one count call per step, until one is left or they are ROOT_TOL
+    wide.  Returns (lo, hi, n_lo, n_hi) of those holding any, or GridTooCoarse.
+    """
+    done = []
+    while a.size:
+        drop = na - nb
+        _refuse(drop < 0, a, b, f"the {what} count rises with beta")
+        split = (drop >= 2) & (b - a > ROOT_TOL)
+        hold = (drop >= 1) & ~split
+        done.append((a[hold], b[hold], na[hold], nb[hold]))
+        if not split.any():
+            break
+        a, b, na, nb = a[split], b[split], na[split], nb[split]
+        mid = 0.5 * (a + b)
+        nm = count(mid)
+        a, b, na, nb = (np.concatenate(pair) for pair in ((a, mid), (mid, b), (na, nm), (nm, nb)))
+    return tuple(np.concatenate(v) for v in zip(*done)) if done else (a, b, na, nb)
+
+
 def band_germs(
     word: Word,
     gamma: float,
@@ -351,56 +421,62 @@ def band_germs(
     grid_steps: int = DEFAULT_GRID_STEPS,
     regime: Regime = Regime.BOUND,
 ) -> list[BandGerm]:
-    """Maximal beta intervals with |x| <= 1, edges refined by bisection.
+    """Maximal beta intervals with |x| <= 1, edges counted and bisection-refined.
 
-    The x4-refined scan must reproduce the base grid's edge-crossing census
-    for both x = +1 and x = -1, else GridTooCoarse is raised.
+    The edge count (_edge_count) at the window ends and at both ends of every
+    x = +-1 crossing interval of the x4 grid confirms a piece whose count
+    drops by as many edges as it shows crossings; it keeps its grid brackets.
+    _isolate splits every other piece, each edge's kind taken from the count.
+    GridTooCoarse names where the count rises or x misses a counted edge.
     """
     lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
     x = _word_scan(word, gamma, q, betas, regime, "x")
-    for target in (1.0, -1.0):
-        if _crossings(x[::4], target).size != _crossings(x, target).size:
-            raise GridTooCoarse(
-                f"x = {target:+g} crossings differ between {grid_steps} and "
-                f"{4 * grid_steps} grid steps; increase grid_steps"
-            )
-
-    # Refine every edge crossing first.  A band narrower than the grid
-    # spacing leaves no in-band sample, but it still shows up as one x = +1
-    # and one x = -1 crossing inside the same grid interval, so germs are
-    # assembled from the refined crossings, not from in-band samples.
     up, down = _crossings(x, 1.0), _crossings(x, -1.0)
-    i = np.concatenate([up, down])
-    target = np.repeat([1.0, -1.0], [up.size, down.size])
-    roots = _bisect(word, gamma, q, regime, "x", betas[i], betas[i + 1], x[i] - target, target)
-    edge_kinds = [EdgeKind.X_PLUS_ONE] * up.size + [EdgeKind.X_MINUS_ONE] * down.size
-    edges = sorted(zip(roots.tolist(), edge_kinds), key=lambda e: e[0])
+    cross = np.concatenate([up, down])
+    p = np.array(sorted({0, betas.size - 1, *cross.tolist(), *(cross + 1).tolist()}))
+    c = _edge_count(word, gamma, q, betas[p], regime)
+    piece = np.searchsorted(p, cross)
+    odd = c[:-1] - c[1:] != np.bincount(piece, minlength=p.size - 1)
 
-    # Between consecutive crossings the in-band predicate is constant, so
-    # one kernel call on the segment midpoints classifies every segment.  A
-    # germ spans a maximal in-band run; at the scan ends it is clipped and
-    # takes the nearer edge kind from the sign of x.
-    def clip_kind(value: float) -> EdgeKind:
+    # Confirmed grid crossings keep their brackets.  A band narrower than the
+    # grid spacing shows up as one x = +1 and one x = -1 crossing there.
+    i = cross[~odd[piece]]
+    target = np.repeat([1.0, -1.0], [up.size, down.size])[~odd[piece]]
+    brackets = [(betas[i], betas[i + 1], x[i] - target, target)]
+    if odd.any():
+        # An isolated interval keeps its first edge if its low end is in a gap
+        # (even count) and its last if its high end is; edges within ROOT_TOL
+        # close every gap among them.  x crosses each edge's kind t (from the
+        # count), or at least t*(1 + BAND_TOL), unless the two disagree.
+        pieces = (betas[p[:-1]][odd], betas[p[1:]][odd], c[:-1][odd], c[1:][odd])
+        left, right, ca, cb = _isolate(
+            lambda mid: _edge_count(word, gamma, q, mid, regime), *pieces, "band-edge"
+        )
+        gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
+        left, right, one = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1))
+        t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
+        x_lo, x_hi = _word_scan(word, gamma, q, np.append(left, right), regime, "x").reshape(2, -1)
+        t = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
+        missed = one & ((x_lo - t) * (x_hi - t) >= 0.0)
+        _refuse(missed, left, right, "x does not cross +-1 at a counted edge")
+        brackets.append((left, right, x_lo - t, t))
+    a, b, f_lo, target = (np.concatenate(v) for v in zip(*brackets))
+    roots = _bisect(word, gamma, q, regime, "x", a, b, f_lo, target)
+    edges = sorted(zip(roots.tolist(), target.tolist()), key=lambda e: e[0])  # stable
+
+    # Bands and gaps alternate from the window start, in band if its count
+    # is odd.  A clipped germ takes the nearer edge kind from the sign of x.
+    def kind(value: float) -> EdgeKind:
         return EdgeKind.X_PLUS_ONE if value >= 0.0 else EdgeKind.X_MINUS_ONE
 
     bounds = [float(betas[0])] + [b for b, _ in edges] + [float(betas[-1])]
-    kinds = [clip_kind(x[0])] + [k for _, k in edges] + [clip_kind(x[-1])]
-    b = np.array(bounds)
-    xm = _word_scan(word, gamma, q, 0.5 * (b[:-1] + b[1:]), regime, "x")
-    run = np.diff(np.concatenate([[0], np.abs(xm) <= 1.0, [0]]).astype(np.int8))
+    kinds = [kind(x[0])] + [kind(v) for _, v in edges] + [kind(x[-1])]
     last = len(bounds) - 1
     return [
-        BandGerm(bounds[k0], bounds[k1], kinds[k0], kinds[k1], k0 == 0, k1 == last)
-        for k0, k1 in zip(np.nonzero(run == 1)[0].tolist(), np.nonzero(run == -1)[0].tolist())
+        BandGerm(bounds[k], bounds[k + 1], kinds[k], kinds[k + 1], k == 0, k + 1 == last)
+        for k in range(int(c[0] % 2 == 0), last, 2)
     ]
-
-
-def _refuse(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str) -> None:
-    """Raise GridTooCoarse naming the first interval [lo, hi] where mask holds."""
-    if np.any(mask):
-        k = np.argmax(mask)
-        raise GridTooCoarse(f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
 def bound_states(
@@ -413,46 +489,32 @@ def bound_states(
     """Roots of d(beta) in range, counted by _node_count and bisection-refined.
 
     Bound regime only: d = 0 is the decaying-boundary-condition equation.
-    The count on the x4 grid puts N(lo) - N(hi) roots in range.  Intervals
-    whose count drops by 2 or more are split by lockstep bisection on the
-    count until each holds one root, which _bisect refines on d (from the
-    grid ends for a grid interval).  GridTooCoarse names the first interval
-    where the count rises, two roots stay within ROOT_TOL, or d does not
-    change sign across one root, so a list always holds N(lo) - N(hi) roots.
-    The same roots are the S-matrix poles; ``scattering.bound_poles`` is
-    that public alias.
+    The count on the x4 grid puts N(lo) - N(hi) roots in range; _isolate
+    splits the grid intervals until each holds one root, which _bisect
+    refines on d (from the grid ends for a grid interval).  GridTooCoarse
+    names the first interval where the count rises, two roots stay within
+    ROOT_TOL, or d does not change sign across one root, so a list always
+    holds N(lo) - N(hi) roots.  The same roots are the S-matrix poles;
+    ``scattering.bound_poles`` is that public alias.
     """
     lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, Regime.BOUND)
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
     n = _node_count(word, gamma, q, fine)
-    a, b, na, nb = fine[:-1], fine[1:], n[:-1], n[1:]
-    one_lo, one_hi = [], []
-    while a.size:
-        drop = na - nb
-        _refuse(drop < 0, a, b, "the bound-state count rises with beta")
-        one_lo.append(a[drop == 1])
-        one_hi.append(b[drop == 1])
-        split = drop >= 2
-        a, b, na, nb = a[split], b[split], na[split], nb[split]
-        _refuse(b - a <= ROOT_TOL, a, b, f"bound roots closer than {ROOT_TOL:g}")
-        mid = 0.5 * (a + b)
-        nm = _node_count(word, gamma, q, mid)
-        a, b, na, nb = (np.concatenate(pair) for pair in ((a, mid), (mid, b), (na, nm), (nm, nb)))
 
-    r_lo, r_hi = np.concatenate(one_lo), np.concatenate(one_hi)
-    order = np.argsort(r_lo)
-    r_lo, r_hi = r_lo[order], r_hi[order]
-    d = _word_scan(word, gamma, q, np.concatenate([r_lo, r_hi]), Regime.BOUND, "d")
-    d_lo, d_hi = d[: r_lo.size], d[r_lo.size :]
-    flips = np.sign(d_lo) * np.sign(d_hi) == -1.0
-    _refuse(~flips, r_lo, r_hi, "no sign change of d at one bound root")
-    roots = _bisect(word, gamma, q, Regime.BOUND, "d", r_lo, r_hi, d_lo)
+    def count(mid):
+        return _node_count(word, gamma, q, mid)
+
+    r_lo, r_hi, n_lo, n_hi = _isolate(count, fine[:-1], fine[1:], n[:-1], n[1:], "bound-state")
+    _refuse(n_lo - n_hi > 1, r_lo, r_hi, f"bound roots closer than {ROOT_TOL:g}")
+    d_lo, d_hi = _word_scan(word, gamma, q, np.append(r_lo, r_hi), Regime.BOUND, "d").reshape(2, -1)
+    _refuse(np.sign(d_lo) * np.sign(d_hi) != -1.0, r_lo, r_hi, "no sign change of d at one bound root")
+    roots = np.sort(_bisect(word, gamma, q, Regime.BOUND, "d", r_lo, r_hi, d_lo))
     return [BoundState(r, k) for k, r in enumerate(roots.tolist())]
 
 
 def bloch_label(x: float) -> float:
     """Kb = arccos(x) on the principal branch [0, pi]."""
-    if abs(x) > 1.0 + 1e-12:
+    if abs(x) > 1.0 + BAND_TOL:
         raise OutOfBand(f"|x| = {abs(x):.6g} > 1")
     return math.acos(min(1.0, max(-1.0, x)))
 
@@ -503,7 +565,7 @@ def _binding_terms(n: int, beta: float, gamma: float) -> tuple[float, float, flo
     params = ChainParams(beta, gamma, 1.0, Regime.BOUND)
     M = cell_matrix(params, CellKind.S)
     x1 = M.x.real
-    if abs(x1) > 1.0 + 1e-12:
+    if abs(x1) > 1.0 + BAND_TOL:
         raise OutOfBand(f"beta = {beta:.6g} lies outside the single-cell germ")
     kb = bloch_label(x1)
     y1 = M.y.real
@@ -548,15 +610,13 @@ def partial_band_census(
     a, b = (i, i + 1) if dx[0] > 0 else (i + 1, i)  # sample indices of the lower, upper beta
     t = targets[inner]
     bounds[inner] = _bisect(word_s, gamma, 1.0, Regime.BOUND, "x", bs[a], bs[b], xs[a] - t, t)
+    above = _node_count(Word("S" * n), gamma, 1.0, bounds).tolist()  # roots of S^n above each bound
     bounds = bounds.tolist()
-    roots = bound_states(Word("S" * n), gamma, 1.0, beta_range, grid_steps)
     out = []
     for mu in range(n):
         kb_lo, kb_hi = mu * math.pi / n, (mu + 1) * math.pi / n
-        b_lo, b_hi = sorted((bounds[mu], bounds[mu + 1]))
-        pad = 1e-12 * max(1.0, abs(b_lo))
-        count = sum(1 for r in roots if b_lo - pad < r.beta_star <= b_hi + pad)
-        out.append(PartialBandCount(mu, kb_lo, kb_hi, b_lo, b_hi, count))
+        (b_lo, n_lo), (b_hi, n_hi) = sorted(((bounds[mu], above[mu]), (bounds[mu + 1], above[mu + 1])))
+        out.append(PartialBandCount(mu, kb_lo, kb_hi, b_lo, b_hi, n_lo - n_hi))
     return out
 
 

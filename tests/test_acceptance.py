@@ -20,7 +20,6 @@ of W_2 and W_3, and each cluster holds as many roots as germs.  A separate
 """
 
 import cmath
-import functools
 import math
 import subprocess
 import sys
@@ -39,7 +38,6 @@ from deltachain.core import (
     compose,
     power_closed,
 )
-from deltachain.errors import GridTooCoarse
 from deltachain.scattering import (
     backscatter_scan,
     band_edge_limit,
@@ -56,8 +54,6 @@ from deltachain.substitution import (
     trace_map_sequence,
     word_matrix,
 )
-
-GRID_CAP = 2048000
 
 
 def test_criterion_01_single_well_bound_state():
@@ -126,27 +122,6 @@ def test_criterion_04_commutator_invariant_formula():
     assert worst <= 1e-10, f"worst commutator deviation {worst:.3e}"
 
 
-@functools.lru_cache(maxsize=None)
-def _counts_with_escalation(m: int):
-    """Germs and roots of W_m at gamma = 10, escalating the grid until the
-    counts reach f_m or the step cap; GridTooCoarse at the cap propagates.
-    The roots are counted exactly at any grid, so only the germ census
-    escalates."""
-    word = fibonacci_word(m)
-    f_m = fibonacci_number(m)
-    steps = 2000
-    while True:
-        try:
-            germs = band_germs(word, 10.0, TAU, (0.05, 6.0), steps)
-            roots = bound_states(word, 10.0, TAU, (0.05, 6.0), steps)
-            if (len(germs) == f_m and len(roots) == f_m) or steps >= GRID_CAP:
-                return germs, roots
-        except GridTooCoarse:
-            if steps >= GRID_CAP:
-                raise
-        steps *= 4
-
-
 def _cluster_mismatches(germs, roots, clusters) -> list[str]:
     """Encapsulation failures of a W_m census in the coarse clusters: germs or
     roots outside every cluster, and clusters whose germ and root counts differ."""
@@ -172,11 +147,11 @@ def _cluster_mismatches(germs, roots, clusters) -> list[str]:
 
 
 def test_criterion_05_germ_and_bound_counts_with_encapsulation():
-    # q = tau, gamma = 10, beta in (0.05, 6]: exactly f_m band germs and f_m
-    # bound roots for m = 3..6, encapsulated by the three clusters into which
-    # the W_m spectra trifurcate (the germs of W_2 = L and W_3 = SL): every
-    # germ and root of W_m lies in a cluster, and each cluster holds as many
-    # roots as germs.
+    # q = tau, gamma = 10, beta in (0.05, 6], 2,000 grid steps: exactly f_m
+    # band germs and f_m bound roots for m = 3..6, encapsulated by the three
+    # clusters into which the W_m spectra trifurcate (the germs of W_2 = L
+    # and W_3 = SL): every germ and root of W_m lies in a cluster, and each
+    # cluster holds as many roots as germs.
     clusters = sorted(
         (g for k in (2, 3) for g in band_germs(fibonacci_word(k), 10.0, TAU, (0.05, 6.0))),
         key=lambda g: g.beta_lo,
@@ -190,7 +165,8 @@ def test_criterion_05_germ_and_bound_counts_with_encapsulation():
     failures = []
     for m in (3, 4, 5, 6):
         f_m = fibonacci_number(m)
-        germs, roots = _counts_with_escalation(m)
+        germs = band_germs(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)
+        roots = bound_states(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)
         assert len(germs) == f_m, f"m={m}: {len(germs)} germs, expected {f_m}"
         assert len(roots) == f_m, f"m={m}: {len(roots)} roots, expected {f_m}"
         failures += [f"m={m}: {p}" for p in _cluster_mismatches(germs, roots, clusters)]
@@ -221,7 +197,8 @@ def test_criterion_05_census_certified_in_50_digits():
 
     for m in (5, 6):
         word = fibonacci_word(m)
-        germs, roots = _counts_with_escalation(m)
+        germs = band_germs(word, 10.0, TAU, (0.05, 6.0), 2000)
+        roots = bound_states(word, 10.0, TAU, (0.05, 6.0), 2000)
         for s in roots:
             b = s.beta_star
             _, d_lo = exact(word.letters, b - 1e-9)

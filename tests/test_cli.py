@@ -200,12 +200,18 @@ def test_binding_command_rejects_long_cells(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
-def test_grid_error_surfaces_token(tmp_path, capsys):
-    cfg = RunConfig(
-        command="bands", word_spec="fib:m=6", gamma=10.0, out_path=str(tmp_path / "x.csv")
-    )
+def test_grid_error_surfaces_token(tmp_path, capsys, monkeypatch):
+    # Band edges are counted exactly, so a refusal needs an injected count
+    # that rises with beta.
+    def rising(word, gamma, q, betas, *args, **kwargs):
+        return (betas > 3.0).astype(np.int64)
+
+    monkeypatch.setattr("deltachain.spectra._node_count", rising)
+    out = tmp_path / "x.csv"
+    cfg = RunConfig(command="bands", word_spec="fib:m=6", gamma=10.0, out_path=str(out))
     assert run(cfg) == 1
     assert capsys.readouterr().err.startswith("GridTooCoarse:")
+    assert not out.exists()
 
 
 def test_fib_info_command(tmp_path):

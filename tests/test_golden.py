@@ -6,6 +6,10 @@ digests were recorded on x86-64 with numpy 2.4 (AVX-512 exp); a host whose
 numpy rounds exp, cos or sin differently in the last bit can print other
 floats.
 A deliberate output change updates the digest and says why in CHANGES.md.
+
+BANDS_GOLDEN pins ``bands`` runs whose bytes depend on how band edges are
+bracketed: converged Fibonacci censuses, the Scattering regime, a
+five-letter word, and a power word whose gaps close at q = 1.
 """
 
 import hashlib
@@ -35,6 +39,14 @@ GOLDEN = {
     ("commute", "json"): "8724ee887d09da31129b3d0cc268c3bbe4b9c31a7f2b4aea90b8ca36156f4c1a",
 }
 
+BANDS_GOLDEN = {
+    "--word fib:m=5 --gamma 10 --steps 32000": "78c97c36e03a0a614fead257d35573a13a8a67d9cee951c7b4ae0fd29af783b7",
+    "--regime scattering --word fib:m=5": "0bd64d130c6b2e650c10065a821415c5b80dabc24b59df03fa5c7fda291f074f",
+    "--word SLLSL --gamma 3": "90391007a759837fda207cba8bca3c0294b9a3dfefad2378a75a2c91b356248e",
+    "--word S^3 --q 1": "3ed29ba5270ce314d77a980c989f85c21fa3fb925b9788574e45f8e36bdf96dc",
+    "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
+}
+
 
 def test_every_command_has_a_default_digest():
     assert sorted(GOLDEN) == sorted((c, fmt) for c in COMMANDS for fmt in ("csv", "json"))
@@ -46,3 +58,11 @@ def test_default_output_digest(command, fmt, tmp_path):
     assert main([command, "--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN[command, fmt], f"{command} --format {fmt} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(BANDS_GOLDEN))
+def test_bands_output_digest(args, tmp_path):
+    out = tmp_path / "bands.csv"
+    assert main(["bands", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == BANDS_GOLDEN[args], f"bands {args} output changed"

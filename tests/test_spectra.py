@@ -12,6 +12,7 @@ from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.spectra import (
     _CHUNK,
+    BAND_TOL,
     ROOT_TOL,
     _bisect,
     _cell_entries,
@@ -29,7 +30,7 @@ from deltachain.spectra import (
     rational_labels,
     supercell_label,
 )
-from deltachain.substitution import Word, fibonacci_word, word_matrix
+from deltachain.substitution import Word, fibonacci_number, fibonacci_word, word_matrix
 
 
 def test_single_cell_germ_edges_refined():
@@ -121,11 +122,44 @@ def _assert_converged_census(m, steps):
         assert abs(got - want) <= 1e-10, (m, steps, got, want)
 
 
+# Band germs of the grid census that the edge count replaced, where it had
+# converged: W_5 at 32,000 grid steps and W_6 at 128,000, at gamma = 10,
+# q = tau, beta in (0.05, 6].  For W_6 it raised GridTooCoarse at 2,000 and
+# 8,000 steps.
+_CONVERGED_GERMS = {
+    5: [
+        (4.964201422565804, 4.964274584156648, "XMinusOne", "XPlusOne"),
+        (4.965851810274646, 4.965931591540947, "XPlusOne", "XMinusOne"),
+        (4.999991806200519, 5.000004442827775, "XMinusOne", "XPlusOne"),
+        (5.031902488857135, 5.031969491459803, "XPlusOne", "XMinusOne"),
+        (5.033328883158044, 5.0333898696955295, "XMinusOne", "XPlusOne"),
+    ],
+    6: [
+        (4.964234587705507, 4.9642379513610155, "XPlusOne", "XMinusOne"),
+        (4.965033853005245, 4.965040857650713, "XMinusOne", "XPlusOne"),
+        (4.9658916358742875, 4.965895302753523, "XPlusOne", "XMinusOne"),
+        (4.999925515996292, 4.999931835994497, "XMinusOne", "XPlusOne"),
+        (5.000064400798454, 5.000070717693495, "XPlusOne", "XMinusOne"),
+        (5.031933050262555, 5.031936046414451, "XMinusOne", "XPlusOne"),
+        (5.032669481842591, 5.032675179700181, "XPlusOne", "XMinusOne"),
+        (5.033359421156719, 5.033362145737186, "XMinusOne", "XPlusOne"),
+    ],
+}
+
+
+def _assert_converged_germs(m, steps):
+    germs = band_germs(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), steps)
+    assert len(germs) == len(_CONVERGED_GERMS[m]), (m, steps, germs)
+    for g, (lo, hi, kind_lo, kind_hi) in zip(germs, _CONVERGED_GERMS[m]):
+        assert abs(g.beta_lo - lo) <= 1e-10 and abs(g.beta_hi - hi) <= 1e-10, (m, steps, g)
+        assert (g.edge_kind_lo.value, g.edge_kind_hi.value) == (kind_lo, kind_hi), (m, steps, g)
+
+
 def test_grid_too_coarse_raises():
-    # The germ census still needs a fine enough grid; the root count does not.
-    with pytest.raises(GridTooCoarse, match="grid_steps"):
-        band_germs(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 2000)
+    # Germs and roots are both counted exactly, so neither needs a finer
+    # grid: W_5 and W_6 return their converged census at 2,000 steps.
     for m in (5, 6):
+        _assert_converged_germs(m, 2000)
         _assert_converged_census(m, 2000)
 
 
@@ -285,8 +319,9 @@ def test_bound_scan_is_bitwise_the_complex_scan(gamma):
 
 @pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
 def test_base_grid_is_every_fourth_fine_sample(steps):
-    # The base census is read off the x4 scan, which relies on this identity
-    # at every step count of the census ladder (2,000 to 2,048,000).
+    # A scan of n steps samples the x4 grid, which holds the n-step grid
+    # sample for sample, so raising grid_steps x4 only splits brackets
+    # (2,000 to 2,048,000 steps).
     for lo, hi in ((0.05, 6.0), (0.05, 2.0), (1.3, 4.7)):
         fine = np.linspace(lo, hi, 4 * steps + 1)
         assert np.array_equal(fine[::4], np.linspace(lo, hi, steps + 1)), (lo, hi)
@@ -302,12 +337,10 @@ def test_base_scan_equals_fine_scan_subsample():
 
 
 def test_bound_states_checks_germ_census_after_d_census():
-    # At 8,000 steps the W_6 germ census still differs between the grids,
-    # while bound_states, which reads neither census, returns the converged
-    # roots of W_5 and W_6.
-    with pytest.raises(GridTooCoarse, match=r"^x = \+1 crossings differ between 8000 and 32000"):
-        band_germs(fibonacci_word(6), 10.0, TAU, (0.05, 6.0), 8000)
+    # At 8,000 steps, where the x4 census of W_6 still differed, band_germs
+    # and bound_states return the converged census of W_5 and W_6.
     for m in (5, 6):
+        _assert_converged_germs(m, 8000)
         _assert_converged_census(m, 8000)
 
 
@@ -548,3 +581,195 @@ def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
         monkeypatch.setattr(spectra, "_node_count", count)
         with pytest.raises(GridTooCoarse, match=message):
             bound_states(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
+
+
+def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND):
+    """Half trace of the word matrix in 50-digit arithmetic, in either regime."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        beta = mp.mpf(beta)
+        h = mp.mpf(gamma) / beta / 2
+        cells = {}
+        for ch, ratio in (("S", mp.mpf(1)), ("L", mp.mpf(q))):
+            if regime is Regime.BOUND:
+                lam = mp.exp(beta * ratio)
+                cells[ch] = ((1 + h) / lam, lam * h, -h / lam, lam * (1 - h))
+            else:
+                lam = mp.exp(-1j * beta * ratio)
+                cells[ch] = ((1 + 1j * h) / lam, 1j * h * lam, -1j * h / lam, lam * (1 - 1j * h))
+        A, B, C, D = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for ch in letters:
+            a, b, c, d = cells[ch]
+            A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+        return mp.re((A + D) / 2)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_fibonacci_germ_census_at_the_default_grid(m):
+    germs = band_germs(fibonacci_word(m), 10.0, TAU)
+    assert len(germs) == fibonacci_number(m)
+
+
+@pytest.mark.parametrize(
+    "letters, gamma, q, count, missed",
+    [
+        # two germs 3.8e-5 wide near beta = 5.7272
+        ("LSSSSL", 11.454531141720185, 2.0084750786014807, 6, ("germ", 5.7272, 3.8e-5, 2)),
+        # one gap 1.4e-6 wide at beta = 2.35766
+        ("LLSLLSSS", 4.7946949053827765, 1.0299004685779556, 8, ("gap", 2.35766, 1.4e-6, 1)),
+    ],
+)
+def test_germs_between_grid_samples_are_counted(letters, gamma, q, count, missed):
+    # The x4 grid census returned 4 of LSSSSL's 6 germs at 2,000 steps and
+    # 7 of LLSLLSSS's 8 at every grid up to 512,000 steps, without raising.
+    # In 50 digits every edge is a crossing of |x| = 1, |x| < 1 at each
+    # germ's midpoint and |x| > 1 at each gap's.
+    germs = band_germs(Word(letters), gamma, q)
+    assert len(germs) == count
+    gaps = [(a.beta_hi, b.beta_lo) for a, b in zip(germs, germs[1:])]
+    for g in germs:
+        assert abs(_exact_x(letters, gamma, q, 0.5 * (g.beta_lo + g.beta_hi))) < 1
+        for edge, inward in ((g.beta_lo, 1e-9), (g.beta_hi, -1e-9)):
+            x_in, x_out = (_exact_x(letters, gamma, q, edge + d) for d in (inward, -inward))
+            assert abs(x_in) < 1 < abs(x_out), (g, edge)
+    for lo, hi in gaps:
+        assert abs(_exact_x(letters, gamma, q, 0.5 * (lo + hi))) > 1
+    what, beta, width, n = missed
+    spans = [(g.beta_lo, g.beta_hi) for g in germs] if what == "germ" else gaps
+    near = [hi - lo for lo, hi in spans if abs(lo - beta) < 1e-4]
+    assert near == [pytest.approx(width, rel=0.05)] * n
+
+
+@pytest.mark.parametrize("regime", [Regime.BOUND, Regime.SCATTERING])
+def test_closed_gaps_of_power_words_are_dropped(regime):
+    # At q = 1 the n subbands of S^n touch inside each band of S (x only
+    # reaches +-1), so S^n has the germs of S.
+    base = band_germs(Word("S"), 4.0, 1.0, regime=regime)
+    for n in (2, 3, 4):
+        germs = band_germs(Word("S" * n), 4.0, 1.0, regime=regime)
+        assert len(germs) == len(base), (n, germs)
+        for g, b in zip(germs, base):
+            assert abs(g.beta_lo - b.beta_lo) <= 1e-8 and abs(g.beta_hi - b.beta_hi) <= 1e-8, (n, g, b)
+            assert (g.clipped_lo, g.clipped_hi) == (b.clipped_lo, b.clipped_hi)
+
+
+@pytest.mark.parametrize(
+    "letters, root, gamma, q, regime, steps",
+    [
+        ("LLSLLLSL", "LLSL", 9.770767457418392, 0.36063773930456977, Regime.BOUND, 2000),
+        ("LLLSLLLS", "LLLS", 2.822721361256601, 1.794663209949286, Regime.BOUND, 2000),
+        ("SSLSSSS", "S", 3.810915729808718, 1.0, Regime.BOUND, 8000),
+        ("SSLLSSLL", "SSLL", 9.284440438295995, 2.468824874779751, Regime.SCATTERING, 2000),
+        ("LSSLLSSL", "LSSL", 10.251467030632565, 2.3676343170071457, Regime.SCATTERING, 2000),
+        ("SSSLSSSL", "SSSL", -4.50456071948785, 2.333006796848891, Regime.SCATTERING, 2000),
+    ],
+)
+def test_power_words_have_the_germs_of_their_root(letters, root, gamma, q, regime, steps):
+    # W^n describes the chain of W, so it has W's germs; its extra gaps are
+    # closed.  In these chains rounding pushes the product's x past +-1 by
+    # more than BAND_TOL at the closed gaps, and reading x there made
+    # spurious gaps 1e-9 to 2e-8 wide.  At q = 1 every word is a power of S.
+    base = band_germs(Word(root), gamma, q, (0.05, 6.0), steps, regime=regime)
+    germs = band_germs(Word(letters), gamma, q, (0.05, 6.0), steps, regime=regime)
+    assert len(germs) == len(base)
+    for g, b in zip(germs, base):
+        assert abs(g.beta_lo - b.beta_lo) <= 1e-8 and abs(g.beta_hi - b.beta_hi) <= 1e-8, (g, b)
+
+
+def test_an_edge_within_band_tol_of_one_is_refined_at_the_threshold():
+    # This gap of SLSLLLLL rises only 1.8e-12 above x = 1.  Its isolated
+    # edge brackets have x within BAND_TOL above 1 at their in-band ends, so
+    # x - 1 does not change sign there; the edges are refined where x
+    # crosses 1 + BAND_TOL, where the count changes, instead of refused.
+    letters, gamma, q = "SLSLLLLL", 0.21999441194023017, 2.144316637606977
+    germs = band_germs(Word(letters), gamma, q, (0.05, 6.0), 8000, regime=Regime.SCATTERING)
+    [(lo, hi)] = [(a.beta_hi, b.beta_lo) for a, b in zip(germs, germs[1:]) if abs(a.beta_hi - 5.4836) < 1e-3]
+    assert 1e-7 < hi - lo < 1e-6
+    assert 1 < _exact_x(letters, gamma, q, 0.5 * (lo + hi), Regime.SCATTERING) < 1 + 2 * BAND_TOL
+
+
+def test_free_cells_have_one_germ():
+    # At gamma = 0 the Scattering-regime x = cos(beta*ratio) touches +-1
+    # without leaving the band: one germ, clipped at both ends.
+    for letters in ("S", "L"):
+        [g] = band_germs(Word(letters), 0.0, TAU, regime=Regime.SCATTERING)
+        assert (g.beta_lo, g.beta_hi, g.clipped_lo, g.clipped_hi) == (0.05, 6.0, True, True)
+
+
+def test_band_germs_refuse_what_they_cannot_isolate(monkeypatch):
+    # A repulsive cell has x > 1 throughout, so the scan shows no crossing
+    # and the window (0.05, 6] is one piece; counts are injected around 1.0.
+    cases = [
+        (0, 1, r"^the band-edge count rises with beta on \[0\.05, 6\.0\]"),
+        (1, 0, r"^x does not cross \+-1 at a counted edge on \[0\.05, 6\.0\]"),
+    ]
+    for below, above, message in cases:
+        def count(word, gamma, q, betas, regime, below=below, above=above):
+            return np.where(betas < 1.0, below, above).astype(np.int64)
+
+        monkeypatch.setattr(spectra, "_edge_count", count)
+        with pytest.raises(GridTooCoarse, match=message):
+            band_germs(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
+
+
+def test_edges_within_root_tol_close_the_gaps_among_them(monkeypatch):
+    # Edges that stay within ROOT_TOL of 1.0: every gap among them counts as
+    # closed, so the interval keeps an edge only where it meets a gap (an
+    # even count).  16 -> 12 holds two bands and the gap between them, one
+    # germ of zero width; 15 -> 13 a gap between two bands, so the window
+    # is one germ; 16 -> 13 a band, a gap and the start of the next band.
+    cases = [
+        (16, 12, (False, False, EdgeKind.X_PLUS_ONE, EdgeKind.X_PLUS_ONE)),
+        (15, 13, (True, True, EdgeKind.X_PLUS_ONE, EdgeKind.X_PLUS_ONE)),
+        (16, 13, (False, True, EdgeKind.X_PLUS_ONE, EdgeKind.X_PLUS_ONE)),
+    ]
+    for below, above, (clipped_lo, clipped_hi, kind_lo, kind_hi) in cases:
+        def count(word, gamma, q, betas, regime, below=below, above=above):
+            return np.where(betas < 1.0, below, above).astype(np.int64)
+
+        monkeypatch.setattr(spectra, "_edge_count", count)
+        [g] = band_germs(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
+        assert (g.clipped_lo, g.clipped_hi) == (clipped_lo, clipped_hi)
+        assert (g.edge_kind_lo, g.edge_kind_hi) == (kind_lo, kind_hi)
+        assert g.beta_lo == 0.05 if clipped_lo else abs(g.beta_lo - 1.0) <= ROOT_TOL
+        assert g.beta_hi == 6.0 if clipped_hi else abs(g.beta_hi - 1.0) <= ROOT_TOL
+
+
+_words = st.one_of(
+    st.text(alphabet="SL", min_size=1, max_size=8),
+    st.tuples(st.text(alphabet="SL", min_size=1, max_size=4), st.integers(2, 8))
+    .map(lambda power: power[0] * power[1])
+    .filter(lambda letters: len(letters) <= 8),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    letters=_words,
+    gamma=st.one_of(st.just(0.0), st.floats(-6.0, 12.0)),
+    q=st.one_of(st.just(1.0), st.floats(0.3, 2.5)),
+    regime=st.sampled_from(Regime),
+)
+def test_band_germs_alternate_with_gaps(letters, gamma, q, regime):
+    # Germs are sorted and disjoint, and in 50 digits |x| <= 1 at the
+    # midpoint of every germ and |x| > 1 at the midpoint of every gap (the
+    # window's ends included) wider than 2e-9.
+    germs = band_germs(Word(letters), gamma, q, regime=regime)
+    bounds = [b for g in germs for b in (g.beta_lo, g.beta_hi)]
+    assert bounds == sorted(bounds)
+    assert all(a.beta_hi < b.beta_lo for a, b in zip(germs, germs[1:]))
+    gaps = [(a.beta_hi, b.beta_lo) for a, b in zip(germs, germs[1:])]
+    if not germs:
+        gaps.append((0.05, 6.0))
+    else:
+        if not germs[0].clipped_lo:
+            gaps.append((0.05, germs[0].beta_lo))
+        if not germs[-1].clipped_hi:
+            gaps.append((germs[-1].beta_hi, 6.0))
+    for g in germs:
+        if g.beta_hi - g.beta_lo > 2e-9:
+            mid = 0.5 * (g.beta_lo + g.beta_hi)
+            assert abs(_exact_x(letters, gamma, q, mid, regime)) <= 1, (g, mid)
+    for lo, hi in gaps:
+        if hi - lo > 2e-9:
+            assert abs(_exact_x(letters, gamma, q, 0.5 * (lo + hi), regime)) > 1, (lo, hi)
