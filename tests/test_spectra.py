@@ -640,19 +640,6 @@ def test_germs_between_grid_samples_are_counted(letters, gamma, q, count, missed
     assert near == [pytest.approx(width, rel=0.05)] * n
 
 
-@pytest.mark.parametrize("regime", [Regime.BOUND, Regime.SCATTERING])
-def test_closed_gaps_of_power_words_are_dropped(regime):
-    # At q = 1 the n subbands of S^n touch inside each band of S (x only
-    # reaches +-1), so S^n has the germs of S.
-    base = band_germs(Word("S"), 4.0, 1.0, regime=regime)
-    for n in (2, 3, 4):
-        germs = band_germs(Word("S" * n), 4.0, 1.0, regime=regime)
-        assert len(germs) == len(base), (n, germs)
-        for g, b in zip(germs, base):
-            assert abs(g.beta_lo - b.beta_lo) <= 1e-8 and abs(g.beta_hi - b.beta_hi) <= 1e-8, (n, g, b)
-            assert (g.clipped_lo, g.clipped_hi) == (b.clipped_lo, b.clipped_hi)
-
-
 @pytest.mark.parametrize(
     "letters, root, gamma, q, regime, steps",
     [
@@ -662,18 +649,21 @@ def test_closed_gaps_of_power_words_are_dropped(regime):
         ("SSLLSSLL", "SSLL", 9.284440438295995, 2.468824874779751, Regime.SCATTERING, 2000),
         ("LSSLLSSL", "LSSL", 10.251467030632565, 2.3676343170071457, Regime.SCATTERING, 2000),
         ("SSSLSSSL", "SSSL", -4.50456071948785, 2.333006796848891, Regime.SCATTERING, 2000),
-    ],
+    ]
+    + [("S" * n, "S", 4.0, 1.0, regime, 2000) for n in (2, 3, 4) for regime in Regime],
 )
 def test_power_words_have_the_germs_of_their_root(letters, root, gamma, q, regime, steps):
     # W^n describes the chain of W, so it has W's germs; its extra gaps are
-    # closed.  In these chains rounding pushes the product's x past +-1 by
-    # more than BAND_TOL at the closed gaps, and reading x there made
-    # spurious gaps 1e-9 to 2e-8 wide.  At q = 1 every word is a power of S.
+    # closed (its n subbands touch inside each band of W).  In the first six
+    # chains rounding pushes the product's x past +-1 by more than BAND_TOL
+    # at the closed gaps, and reading x there made spurious gaps 1e-9 to 2e-8
+    # wide.  At q = 1 every word is a power of S.
     base = band_germs(Word(root), gamma, q, (0.05, 6.0), steps, regime=regime)
     germs = band_germs(Word(letters), gamma, q, (0.05, 6.0), steps, regime=regime)
     assert len(germs) == len(base)
     for g, b in zip(germs, base):
         assert abs(g.beta_lo - b.beta_lo) <= 1e-8 and abs(g.beta_hi - b.beta_hi) <= 1e-8, (g, b)
+        assert (g.clipped_lo, g.clipped_hi) == (b.clipped_lo, b.clipped_hi)
 
 
 def test_an_edge_within_band_tol_of_one_is_refined_at_the_threshold():
