@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from . import __version__
 from .core import CellKind, ChainParams, Regime, TAU, cell_matrix
 from .errors import ChainError, ParseError
+from .kernel import _CHUNK
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
-    _CHUNK,
     band_germs,
     bound_states,
     dos_estimate,

@@ -40,17 +40,8 @@ from .core import (
     power_closed,
 )
 from .errors import ResonancePole
-from .spectra import (
-    DEFAULT_BETA_RANGE,
-    DEFAULT_GRID_STEPS,
-    _check_scan_inputs,
-    _pair_mul,
-    _pair_quot,
-    _run_chunks,
-    _word_grid,
-    _word_scan,
-    bound_states,
-)
+from .kernel import _pair_mul, _pair_quot, _run_chunks, _word_grid, _word_scan
+from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _check_scan_inputs, bound_states
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
 
 
@@ -117,23 +108,21 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
     if not (math.isfinite(gamma) and 0.0 < q < math.inf):
         raise ValueError(f"gamma must be finite and q positive and finite, got {gamma}, {q}")
     h = word.total_ratio(q)
-    out = np.empty((len(S_COLUMNS), betas.size))
 
-    def fill(part: slice) -> None:
-        _, b, c, d = _word_grid(word, gamma, q, betas[part], Regime.SCATTERING)
+    def fill(beta: np.ndarray) -> tuple:
+        _, b, c, d = _word_grid(word, gamma, q, beta, Regime.SCATTERING)
         abs_d = np.hypot(*d)
         low = np.flatnonzero(abs_d < 1e-12)
         if low.size:
             raise ResonancePole(f"|d| = {abs_d[low[0]]:.3g} below threshold")
-        t = betas[part] * h
+        t = beta * h
         ph = (np.cos(t), -np.sin(t))  # cmath.exp(-1j * beta * h)
         s_pp = _pair_quot(ph, d)
         s_pm = _pair_quot(_pair_mul(_pair_mul(b, ph), ph), d)
         s_mp = _pair_quot((-c[0], -c[1]), d)
-        out[:, part] = (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
+        return (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
 
-    _run_chunks(betas.size, fill)
-    return out
+    return _run_chunks(betas, fill, rows=(len(S_COLUMNS),))
 
 
 def s_matrix(word: Word, params: ChainParams) -> SMatrix:

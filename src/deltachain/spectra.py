@@ -15,27 +15,20 @@ _bisect refines each one to |dbeta| <= 1e-10 on the grid kernel, all
 brackets of a query in lockstep, one kernel call on the vector of midpoints
 per step.  cell_matrix serves only the one-point binding_equation_residual.
 
-Each query makes one scan, on the x4 grid of grid_steps.  In the Bound
-regime the scan multiplies real float64 entries; they equal the real parts
-of the complex-arithmetic entries bit for bit, so every sample and bracket
-is the one complex arithmetic gives.  Its
-exponentials come from np.exp, which can differ from math.exp (and so from
-word_matrix) in the last bit; with numpy's AVX-512 exp that happens at
-about 5% of points.  In the Scattering regime it multiplies (re, im)
-float64 pairs with CPython's complex formulas (see _cell_entries), so each
-sample equals word_matrix at that beta bit for bit.  Entries that overflow
-float64 raise OverflowRisk instead of leaving inf or NaN samples behind.
+Each query makes one scan, on the x4 grid of grid_steps, with the
+vectorized kernel of kernel.py (see there for how its samples match the
+complex arithmetic of cell_matrix and word_matrix bit for bit).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import ChainParams, Regime, cell_matrix, CellKind
-from .errors import GridTooCoarse, OutOfBand, OverflowRisk
+from .errors import GridTooCoarse, OutOfBand
+from .kernel import _cell_entries, _run_chunks, _word_scan
 from .substitution import Word, guard_exponent
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
@@ -115,130 +108,7 @@ class DosSamples:
     density: np.ndarray
 
 
-def _pair_mul(z, w):
-    """Product of two (re, im) float64 pairs, rounded as CPython's complex product."""
-    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-
-def _pair_add(z, w):
-    return z[0] + w[0], z[1] + w[1]
-
-
-def _pair_quot(z, w):
-    """Quotient z / w of (re, im) pairs by Smith's method, as CPython divides.
-
-    CPython's complex division scales by w's real part when |re w| >= |im w|
-    and by its imaginary part otherwise; both branches are taken elementwise
-    and chosen with np.where, with the operands in CPython's order.
-    """
-    m = np.abs(w[0]) >= np.abs(w[1])
-    num, den = np.where(m, w[1], w[0]), np.where(m, w[0], w[1])
-    ratio = num / den
-    den = den + num * ratio
-    x, y = np.where(m, z[0], z[1]), np.where(m, z[1], z[0])
-    xr = x * ratio
-    return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
-
-
-def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float):
-    """Vectorized cell-matrix entries over a beta grid, equal to cell_matrix bit for bit.
-
-    Bound entries are real float64.  They are written as products with the
-    reciprocal 1/lam because that is how numpy divides by a real lam + 0j,
-    so they equal the real parts of the complex entries bit for bit.
-
-    Scattering entries are (re, im) pairs of float64 arrays.  numpy's
-    complex multiply and divide round differently from CPython's in the last
-    bit, so each entry is built from the float operations that
-    cell_matrix's complex arithmetic makes: lam = (cos t, -sin t), 1/lam by
-    Smith's method, and delta/2 on the imaginary axis.  The zero terms of
-    the scalar product are kept where they fix the sign of a zero entry
-    (gamma = 0), as 0.0 - v and v + 0.0.
-    """
-    if regime is Regime.BOUND:
-        de = gamma / betas
-        lam = np.exp(betas * ratio)
-        inv = 1.0 / lam
-        h = de / 2
-        return (1 + h) * inv, (lam * de) * 0.5, -h * inv, lam * (1 - h)
-    t = betas * ratio
-    lc, ls = np.cos(t), -np.sin(t)  # cmath.exp(-1j * t)
-    ir, ii = _pair_quot((1.0, 0.0), (lc, ls))
-    h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
-    mh = 0.0 - h
-    return (
-        (ir - h * ii, ii + h * ir),
-        (0.0 - h * ls, h * lc + 0.0),
-        (0.0 - mh * ii, mh * ir + 0.0),
-        (lc - mh * ls, ls + mh * lc),
-    )
-
-
-def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
-    """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
-
-    Real arrays in the Bound regime, (re, im) pairs in the Scattering
-    regime, multiplied in word_matrix's order.  Scattering values equal
-    word_matrix's bit for bit; Bound values do up to np.exp's last bit (see
-    the module docstring).  The product starts from the first cell, not
-    from the identity: for finite entries 1*a + 0*c == a, so only the sign
-    of an exact zero could differ.
-    """
-    if regime is Regime.BOUND:
-        mul, add = operator.mul, operator.add
-    else:
-        mul, add = _pair_mul, _pair_add
-    cells = {}
-    for ch in set(word.letters):
-        cells[ch] = _cell_entries(gamma, betas, regime, 1.0 if ch == "S" else q)
-    A, B, C, D = cells[word.letters[0]]
-    for ch in word.letters[1:]:
-        a2, b2, c2, d2 = cells[ch]
-        A, B, C, D = (
-            add(mul(A, a2), mul(B, c2)),
-            add(mul(A, b2), mul(B, d2)),
-            add(mul(C, a2), mul(D, c2)),
-            add(mul(C, b2), mul(D, d2)),
-        )
-    return A, B, C, D
-
-
-# Points per scan chunk: the per-letter temporaries of one chunk stay in cache.
-_CHUNK = 1 << 13
-
-
-def _run_chunks(size: int, fill) -> None:
-    """Call fill(part) for every _CHUNK-point slice of range(size).
-
-    Each call writes its own slice of a preallocated output.  An overflow
-    or invalid operation inside fill (the entries of a long word at strong
-    coupling outgrow float64) raises OverflowRisk.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, size, _CHUNK):
-                fill(slice(start, start + _CHUNK))
-    except FloatingPointError as err:
-        raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
-
-
-def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix over a grid."""
-    out = np.empty(betas.size)
-
-    def fill(part: slice) -> None:
-        A, _, _, D = _word_grid(word, gamma, q, betas[part], regime)
-        if regime is Regime.SCATTERING:
-            A, D = A[0], D[0]
-        out[part] = 0.5 * (A + D) if which == "x" else D
-
-    _run_chunks(betas.size, fill)
-    return out
-
-
-def _node_count(
-    word: Word, gamma: float, q: float, betas: np.ndarray, regime=Regime.BOUND, dirichlet=False
-) -> np.ndarray:
+def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray, dirichlet=False) -> np.ndarray:
     """Number of bound states with beta* > beta, at every beta of the grid.
 
     By the Sturm oscillation theorem it is the number of zeros of the
@@ -250,51 +120,58 @@ def _node_count(
     |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.  Each cell divides
     (cm, cp) by |cm| + |cp|, so the carry never overflows.
 
-    dirichlet=True (implied in the Scattering regime) starts from psi = 0,
-    psi' > 0 and drops the tail: the zeros then count the Dirichlet
-    eigenvalues of one period below the energy, in the Bound regime from
-    (cm, cp) = (-1, 1), in the Scattering regime by the Pruefer angle u
-    (psi = R sin u, psi' = beta R cos u), which a delta maps to
-    atan2(sin u, cos u - (gamma/beta) sin u) and a tunnel advances by
-    beta*ratio, one zero per multiple of pi passed.
+    dirichlet=True starts from psi = 0, psi' > 0, i.e. (cm, cp) = (-1, 1),
+    and drops the tail: the zeros then count the Dirichlet eigenvalues of
+    one period below the energy.
     """
-    out = np.empty(betas.size, dtype=np.int64)
 
-    def fill(part: slice) -> None:
-        beta = betas[part]
+    def fill(beta: np.ndarray) -> np.ndarray:
+        # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
+        # the delta jump first, then the tunnel.
+        cells = {}
+        for ch in set(word.letters):
+            a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
+            cells[ch] = a, -c, -b, d
+        cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
+        positive = np.ones(beta.size, dtype=bool)
         n = np.zeros(beta.size, dtype=np.int64)
-        if regime is Regime.SCATTERING:
-            de = gamma / beta
-            u = np.zeros(beta.size)
-            for ch in word.letters:
-                s = np.sin(u)
-                u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
-                turns = np.floor(u / np.pi)
-                n += turns.astype(np.int64)
-                u -= turns * np.pi
-        else:
-            # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
-            # the delta jump first, then the tunnel.
-            cells = {}
-            for ch in set(word.letters):
-                a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
-                cells[ch] = a, -c, -b, d
-            cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
-            positive = np.ones(beta.size, dtype=bool)
-            for ch in word.letters:
-                a, b, c, d = cells[ch]
-                cm, cp = a * cm + b * cp, c * cm + d * cp
-                norm = np.abs(cm) + np.abs(cp)
-                cm, cp = cm / norm, cp / norm
-                now = cm + cp > 0.0
-                n += now != positive
-                positive = now
-            if not dirichlet:
-                n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
-        out[part] = n
+        for ch in word.letters:
+            a, b, c, d = cells[ch]
+            cm, cp = a * cm + b * cp, c * cm + d * cp
+            norm = np.abs(cm) + np.abs(cp)
+            cm, cp = cm / norm, cp / norm
+            now = cm + cp > 0.0
+            n += now != positive
+            positive = now
+        if not dirichlet:
+            n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
+        return n
 
-    _run_chunks(betas.size, fill)
-    return out
+    return _run_chunks(betas, fill, dtype=np.int64)
+
+
+def _pruefer_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.ndarray:
+    """Scattering-regime Dirichlet eigenvalues of one period below beta**2.
+
+    The zeros of psi from psi = 0, psi' > 0, counted by the Pruefer angle u
+    (psi = R sin u, psi' = beta R cos u): a delta maps u to atan2(sin u,
+    cos u - (gamma/beta) sin u), a tunnel advances it by beta*ratio, and
+    each multiple of pi passed is a zero.
+    """
+
+    def fill(beta: np.ndarray) -> np.ndarray:
+        de = gamma / beta
+        u = np.zeros(beta.size)
+        n = np.zeros(beta.size, dtype=np.int64)
+        for ch in word.letters:
+            s = np.sin(u)
+            u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
+            turns = np.floor(u / np.pi)
+            n += turns.astype(np.int64)
+            u -= turns * np.pi
+        return n
+
+    return _run_chunks(betas, fill, dtype=np.int64)
 
 
 def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
@@ -307,13 +184,14 @@ def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: R
     A power W^n (at q = 1 every word is S^n) has the bands of W, so x is
     read from W and the closed gaps of W^n do not hang on rounding.
     """
-    n = _node_count(word, gamma, q, betas, regime, dirichlet=True)
+    bound = regime is Regime.BOUND
+    n = _node_count(word, gamma, q, betas, dirichlet=True) if bound else _pruefer_count(word, gamma, q, betas)
     letters = word.letters.replace("L", "S") if q == 1.0 else word.letters
     size = next(m for m in range(1, len(letters) + 1) if letters == letters[:m] * (len(letters) // m))
     x = _word_scan(Word(letters[:size]), gamma, q, betas, regime, "x")
     k = n + ((n % 2 == 1) != ((x < 0.0) & (len(letters) // size % 2 == 1)))
     c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
-    return c if regime is Regime.BOUND else -c
+    return c if bound else -c
 
 
 def _check_scan_inputs(word: Word, gamma: float, q: float, beta_range, grid_steps: int, regime: Regime):
@@ -370,17 +248,15 @@ def _bisect(
 
 
 def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
-    """0 if |x(beta)| <= 1 for the word's transfer matrix, else 1.
+    """0 if beta is in band for the word's transfer matrix, else 1.
 
-    x is the grid kernel's value at the one point beta, so at a germ edge
-    the gauge reads the same side as band_germs' scan.  Repetition-invariant:
-    S^n has the same gauge as S, because |x| <= 1 holds for a power exactly
-    when it holds for the base matrix.
+    In band is read as band_germs reads it, from the parity of _edge_count:
+    |x| <= 1 + BAND_TOL, with x from the word's root on the grid kernel.
+    Repetition-invariant: S^n has the gauge of S.
     """
     ChainParams(beta, gamma, q, Regime.BOUND)  # validates beta, gamma and q
     guard_exponent(word, beta, q, Regime.BOUND)
-    x = _word_scan(word, gamma, q, np.array([beta], dtype=float), Regime.BOUND, "x")[0]
-    return 0 if abs(x) <= 1.0 else 1
+    return int(_edge_count(word, gamma, q, np.array([beta], dtype=float), Regime.BOUND)[0] % 2 == 0)
 
 
 def _refuse(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str) -> None:
@@ -423,46 +299,32 @@ def band_germs(
 ) -> list[BandGerm]:
     """Maximal beta intervals with |x| <= 1, edges counted and bisection-refined.
 
-    The edge count (_edge_count) at the window ends and at both ends of every
-    x = +-1 crossing interval of the x4 grid confirms a piece whose count
-    drops by as many edges as it shows crossings; it keeps its grid brackets.
-    _isolate splits every other piece, each edge's kind taken from the count.
-    GridTooCoarse names where the count rises or x misses a counted edge.
+    The edge count (_edge_count) is taken at the window ends and at both
+    ends of every x = +-1 crossing interval of the x4 grid; _isolate splits
+    the pieces between them until each edge sits alone, its kind taken from
+    the count, and _bisect refines it on x.  GridTooCoarse names where the
+    count rises or x misses a counted edge.
     """
     lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
     x = _word_scan(word, gamma, q, betas, regime, "x")
-    up, down = _crossings(x, 1.0), _crossings(x, -1.0)
-    cross = np.concatenate([up, down])
+    cross = np.concatenate([_crossings(x, 1.0), _crossings(x, -1.0)])
     p = np.array(sorted({0, betas.size - 1, *cross.tolist(), *(cross + 1).tolist()}))
     c = _edge_count(word, gamma, q, betas[p], regime)
-    piece = np.searchsorted(p, cross)
-    odd = c[:-1] - c[1:] != np.bincount(piece, minlength=p.size - 1)
 
-    # Confirmed grid crossings keep their brackets.  A band narrower than the
-    # grid spacing shows up as one x = +1 and one x = -1 crossing there.
-    i = cross[~odd[piece]]
-    target = np.repeat([1.0, -1.0], [up.size, down.size])[~odd[piece]]
-    brackets = [(betas[i], betas[i + 1], x[i] - target, target)]
-    if odd.any():
-        # An isolated interval keeps its first edge if its low end is in a gap
-        # (even count) and its last if its high end is; edges within ROOT_TOL
-        # close every gap among them.  x crosses each edge's kind t (from the
-        # count), or at least t*(1 + BAND_TOL), unless the two disagree.
-        pieces = (betas[p[:-1]][odd], betas[p[1:]][odd], c[:-1][odd], c[1:][odd])
-        left, right, ca, cb = _isolate(
-            lambda mid: _edge_count(word, gamma, q, mid, regime), *pieces, "band-edge"
-        )
-        gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
-        left, right, one = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1))
-        t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
-        x_lo, x_hi = _word_scan(word, gamma, q, np.append(left, right), regime, "x").reshape(2, -1)
-        t = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
-        missed = one & ((x_lo - t) * (x_hi - t) >= 0.0)
-        _refuse(missed, left, right, "x does not cross +-1 at a counted edge")
-        brackets.append((left, right, x_lo - t, t))
-    a, b, f_lo, target = (np.concatenate(v) for v in zip(*brackets))
-    roots = _bisect(word, gamma, q, regime, "x", a, b, f_lo, target)
+    # An isolated interval keeps its first edge if its low end is in a gap
+    # (even count) and its last if its high end is; edges within ROOT_TOL
+    # close every gap among them.  x crosses each edge's kind t (from the
+    # count), or at least t*(1 + BAND_TOL), unless the two disagree.
+    pieces = betas[p[:-1]], betas[p[1:]], c[:-1], c[1:]
+    left, right, ca, cb = _isolate(lambda mid: _edge_count(word, gamma, q, mid, regime), *pieces, "band-edge")
+    gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
+    a, b, one = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1))
+    t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
+    x_lo, x_hi = _word_scan(word, gamma, q, np.append(a, b), regime, "x").reshape(2, -1)
+    target = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
+    _refuse(one & ((x_lo - target) * (x_hi - target) >= 0.0), a, b, "x does not cross +-1 at a counted edge")
+    roots = _bisect(word, gamma, q, regime, "x", a, b, x_lo - target, target)
     edges = sorted(zip(roots.tolist(), target.tolist()), key=lambda e: e[0])  # stable
 
     # Bands and gaps alternate from the window start, in band if its count
@@ -501,10 +363,9 @@ def bound_states(
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
     n = _node_count(word, gamma, q, fine)
 
-    def count(mid):
-        return _node_count(word, gamma, q, mid)
-
-    r_lo, r_hi, n_lo, n_hi = _isolate(count, fine[:-1], fine[1:], n[:-1], n[1:], "bound-state")
+    r_lo, r_hi, n_lo, n_hi = _isolate(
+        lambda mid: _node_count(word, gamma, q, mid), fine[:-1], fine[1:], n[:-1], n[1:], "bound-state"
+    )
     _refuse(n_lo - n_hi > 1, r_lo, r_hi, f"bound roots closer than {ROOT_TOL:g}")
     d_lo, d_hi = _word_scan(word, gamma, q, np.append(r_lo, r_hi), Regime.BOUND, "d").reshape(2, -1)
     _refuse(np.sign(d_lo) * np.sign(d_hi) != -1.0, r_lo, r_hi, "no sign change of d at one bound root")

@@ -21,7 +21,8 @@ from deltachain.scattering import (
     s_matrix,
     s_matrix_grid,
 )
-from deltachain.spectra import _CHUNK, bound_states
+from deltachain.kernel import _CHUNK
+from deltachain.spectra import bound_states
 from deltachain.substitution import Word, fibonacci_word, word_matrix
 
 

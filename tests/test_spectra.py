@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 from deltachain import spectra
 from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
+from deltachain.kernel import _CHUNK, _cell_entries, _word_grid, _word_scan
 from deltachain.spectra import (
-    _CHUNK,
     BAND_TOL,
     ROOT_TOL,
     _bisect,
-    _cell_entries,
+    _edge_count,
     _node_count,
-    _word_grid,
-    _word_scan,
     EdgeKind,
     band_germs,
     binding_equation_residual,
@@ -562,8 +560,37 @@ def test_energy_gauge_reads_the_scan_at_germ_edges():
     x = _word_scan(word, 10.0, TAU, np.array(points), Regime.BOUND, "x")
     assert len(edges) == 10
     assert [energy_gauge(word, 10.0, TAU, float(p)) for p in points] == [
-        0 if abs(v) <= 1.0 else 1 for v in x.tolist()
+        0 if abs(v) <= 1.0 + BAND_TOL else 1 for v in x.tolist()
     ]
+
+
+def test_energy_gauge_reads_in_band_as_the_edge_count_does():
+    # Both read x from the word's root and take |x| <= 1 + BAND_TOL as in
+    # band.  At the closed gaps of S^4 (q = 1, x_S = cos(k*pi/4)) the
+    # product for S^4 rounds x past +-1, and at the germ edge of S there
+    # are betas with 1 < x <= 1 + BAND_TOL; band_germs puts all of them in
+    # band, so the gauge must read 0 there.
+    s, s4 = Word("S"), Word("SSSS")
+    [germ] = band_germs(s, 4.0, 1.0)
+    t = np.array([math.cos(k * math.pi / 4) for k in (1, 2, 3)])
+    lo, hi = np.full(3, germ.beta_lo), np.full(3, germ.beta_hi)
+    flo = _word_scan(s, 4.0, 1.0, lo, Regime.BOUND, "x") - t
+    closed = _bisect(s, 4.0, 1.0, Regime.BOUND, "x", lo, hi, flo, t)
+    points = (closed[:, None] + np.arange(-50, 51) * 1e-12).ravel()
+    assert np.any(np.abs(_word_scan(s4, 4.0, 1.0, points, Regime.BOUND, "x")) > 1.0)
+
+    # Bisect x - (1 + BAND_TOL/2) across the upper edge down to adjacent floats.
+    a, b = germ.beta_hi - 1e-9, germ.beta_hi + 1e-9
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        x = _word_scan(s, 4.0, 1.0, np.array([mid]), Regime.BOUND, "x")[0]
+        a, b = (a, mid) if x > 1.0 + 0.5 * BAND_TOL else (mid, b)
+    assert 1.0 < _word_scan(s, 4.0, 1.0, np.array([a]), Regime.BOUND, "x")[0] <= 1.0 + BAND_TOL
+    points = np.append(points, [a, germ.beta_hi + 1e-6])
+
+    for word in (s, s4):
+        in_band = _edge_count(word, 4.0, 1.0, points, Regime.BOUND) % 2 == 1
+        assert [energy_gauge(word, 4.0, 1.0, float(p)) for p in points] == (~in_band).astype(int).tolist()
+        assert in_band[:-1].all() and not in_band[-1]
 
 
 def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
@@ -676,6 +703,23 @@ def test_an_edge_within_band_tol_of_one_is_refined_at_the_threshold():
     [(lo, hi)] = [(a.beta_hi, b.beta_lo) for a, b in zip(germs, germs[1:]) if abs(a.beta_hi - 5.4836) < 1e-3]
     assert 1e-7 < hi - lo < 1e-6
     assert 1 < _exact_x(letters, gamma, q, 0.5 * (lo + hi), Regime.SCATTERING) < 1 + 2 * BAND_TOL
+
+
+@pytest.mark.parametrize(
+    "letters, gamma, q",
+    [("LLLS", 10.7249439689283, 2.360193034827261), ("SLSLL", 11.724874753701918, 2.230168571257204)],
+)
+def test_edge_kinds_follow_x_outside_every_germ(letters, gamma, q):
+    # A germ narrower than ROOT_TOL has both edges in one bracket and
+    # refines them to the same beta; its lower edge still takes the kind of
+    # x below it.  In 50 digits x just outside each edge has its kind's sign.
+    germs = band_germs(Word(letters), gamma, q)
+    assert any(g.beta_lo == g.beta_hi for g in germs)
+    for g in germs:
+        below = _exact_x(letters, gamma, q, g.beta_lo - 1e-9)
+        above = _exact_x(letters, gamma, q, g.beta_hi + 1e-9)
+        assert (below > 1, above > 1) == (g.edge_kind_lo is EdgeKind.X_PLUS_ONE, g.edge_kind_hi is EdgeKind.X_PLUS_ONE)
+        assert abs(below) > 1 and abs(above) > 1
 
 
 def test_free_cells_have_one_germ():
