@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 from . import __version__
 from .core import CellKind, ChainParams, Regime, TAU, cell_matrix
-from .errors import ChainError, ParseError
+from .errors import ChainError, GridTooCoarse, ParseError
 from .kernel import _CHUNK
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
+    _germ_rows,
     band_germs,
     bound_states,
     dos_estimate,
@@ -84,6 +85,8 @@ class RunConfig:
             raise ValueError("beta_min must be < beta_max")
         if self.steps < 100:
             raise ValueError("steps must be >= 100")
+        if self.gamma_steps < 1:
+            raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.beta is not None and not self.beta > 0.0:
@@ -241,18 +244,26 @@ def _cmd_bound(config: RunConfig):
 def _cmd_atlas(config: RunConfig):
     """Single-cell band edges over a gamma grid, both regimes, plus commuting lines."""
     columns = ["gamma", "cell", "edge_kind", "beta"]
-    rows = []
     gammas = np.linspace(config.gamma_min, config.gamma_max, config.gamma_steps)
     beta_range = (config.beta_min, config.beta_max)
-    for gamma in gammas:
-        for cell_name, word in (("S", Word("S")), ("L", Word("L"))):
-            for regime, sign in ((Regime.BOUND, 1.0), (Regime.SCATTERING, -1.0)):
-                germs = band_germs(
-                    word, float(gamma), config.q, beta_range, config.steps, regime=regime
-                )
+    cells = (("S", Word("S")), ("L", Word("L")))
+    regimes = ((Regime.BOUND, 1.0), (Regime.SCATTERING, -1.0))
+    # One batched query per cell and regime, read row by row into each
+    # gamma's bucket, so the file keeps its (gamma, cell, regime) row order.
+    by_gamma, refused = [[] for _ in gammas], []
+    for name, word in cells:
+        for regime, sign in regimes:
+            found = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
+            for i, (gamma, germs) in enumerate(zip(gammas.tolist(), found)):
+                if isinstance(germs, GridTooCoarse):
+                    refused.append((i, germs))
+                    continue
                 for g in germs:
-                    rows.append((float(gamma), cell_name, g.edge_kind_lo.value, sign * g.beta_lo))
-                    rows.append((float(gamma), cell_name, g.edge_kind_hi.value, sign * g.beta_hi))
+                    by_gamma[i].append((gamma, name, g.edge_kind_lo.value, sign * g.beta_lo))
+                    by_gamma[i].append((gamma, name, g.edge_kind_hi.value, sign * g.beta_hi))
+    if refused:  # the first refused query in (gamma, cell, regime) order
+        raise min(refused, key=lambda r: r[0])[1]
+    rows = [row for part in by_gamma for row in part]
     p = 1
     while TAU * p * math.pi <= config.beta_max:
         rows.append((None, "", "commuting_line", -TAU * p * math.pi))

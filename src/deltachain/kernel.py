@@ -9,6 +9,10 @@ about 5% of points.  In the Scattering regime it multiplies (re, im) float64
 pairs with CPython's complex formulas (see _cell_entries), so each sample
 equals word_matrix at that beta bit for bit.  Entries that overflow float64
 raise OverflowRisk instead of leaving inf or NaN samples behind.
+
+gamma may be a scalar or an array the shape of the betas, one coupling per
+point; the arithmetic is elementwise, so a point's value does not depend on
+the points scanned beside it.
 """
 
 import operator
@@ -109,29 +113,34 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
 _CHUNK = 1 << 13
 
 
-def _run_chunks(betas: np.ndarray, fill, rows=(), dtype=float) -> np.ndarray:
-    """fill(beta) on every _CHUNK-point slice of betas, gathered in one array.
+def _run_chunks(betas: np.ndarray, gamma, fill, rows=(), dtype=float) -> np.ndarray:
+    """fill(beta, gamma) on every _CHUNK-point slice of betas, gathered in one array.
 
-    The result has shape rows + (betas.size,), and each call fills its slice
-    of the last axis.  An overflow or invalid operation inside fill (the
+    gamma is a scalar or an array the shape of betas, sliced with them.  The
+    result has shape rows + (betas.size,), and each call fills its slice of
+    the last axis.  An overflow or invalid operation inside fill (the
     entries of a long word at strong coupling outgrow float64) raises
     OverflowRisk.
     """
     out = np.empty((*rows, betas.size), dtype)
+    per_point = isinstance(gamma, np.ndarray) and gamma.ndim > 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             for start in range(0, betas.size, _CHUNK):
                 part = slice(start, start + _CHUNK)
-                out[..., part] = fill(betas[part])
+                out[..., part] = fill(betas[part], gamma[part] if per_point else gamma)
     except FloatingPointError as err:
         raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
     return out
 
 
-def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix over a grid."""
+def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str):
+    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix over a grid.
 
-    def fill(beta: np.ndarray) -> np.ndarray:
+    gamma is a scalar or one value per beta.
+    """
+
+    def fill(beta: np.ndarray, gamma) -> np.ndarray:
         if len(word.letters) == 1:  # x and d of one cell need only its diagonal
             A, D = _cell_entries(gamma, beta, regime, 1.0 if word.letters == "S" else q, True)
         else:
@@ -140,4 +149,4 @@ def _word_scan(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
             A, D = A[0], D[0]
         return 0.5 * (A + D) if which == "x" else D
 
-    return _run_chunks(betas, fill)
+    return _run_chunks(betas, gamma, fill)

@@ -109,7 +109,7 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
         raise ValueError(f"gamma must be finite and q positive and finite, got {gamma}, {q}")
     h = word.total_ratio(q)
 
-    def fill(beta: np.ndarray) -> tuple:
+    def fill(beta: np.ndarray, gamma: float) -> tuple:
         _, b, c, d = _word_grid(word, gamma, q, beta, Regime.SCATTERING)
         abs_d = np.hypot(*d)
         low = np.flatnonzero(abs_d < 1e-12)
@@ -122,7 +122,7 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
         s_mp = _pair_quot((-c[0], -c[1]), d)
         return (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
 
-    return _run_chunks(betas, fill, rows=(len(S_COLUMNS),))
+    return _run_chunks(betas, gamma, fill, rows=(len(S_COLUMNS),))
 
 
 def s_matrix(word: Word, params: ChainParams) -> SMatrix:

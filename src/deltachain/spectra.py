@@ -17,7 +17,10 @@ per step.  cell_matrix serves only the one-point binding_equation_residual.
 
 Each query makes one scan, on the x4 grid of grid_steps, with the
 vectorized kernel of kernel.py (see there for how its samples match the
-complex arithmetic of cell_matrix and word_matrix bit for bit).
+complex arithmetic of cell_matrix and word_matrix bit for bit).  The counts
+and _bisect take gamma as a scalar or as one value per point or bracket, so
+band germs at many gammas (_germ_rows) share one isolation and one
+bisection; each value is the one a single-gamma query computes.
 """
 
 import math
@@ -108,7 +111,7 @@ class DosSamples:
     density: np.ndarray
 
 
-def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray, dirichlet=False) -> np.ndarray:
+def _node_count(word: Word, gamma, q: float, betas: np.ndarray, dirichlet=False) -> np.ndarray:
     """Number of bound states with beta* > beta, at every beta of the grid.
 
     By the Sturm oscillation theorem it is the number of zeros of the
@@ -122,10 +125,10 @@ def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray, dirichlet
 
     dirichlet=True starts from psi = 0, psi' > 0, i.e. (cm, cp) = (-1, 1),
     and drops the tail: the zeros then count the Dirichlet eigenvalues of
-    one period below the energy.
+    one period below the energy.  gamma is a scalar or one value per beta.
     """
 
-    def fill(beta: np.ndarray) -> np.ndarray:
+    def fill(beta: np.ndarray, gamma) -> np.ndarray:
         # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
         # the delta jump first, then the tunnel.
         cells = {}
@@ -147,19 +150,20 @@ def _node_count(word: Word, gamma: float, q: float, betas: np.ndarray, dirichlet
             n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
         return n
 
-    return _run_chunks(betas, fill, dtype=np.int64)
+    return _run_chunks(betas, gamma, fill, dtype=np.int64)
 
 
-def _pruefer_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.ndarray:
+def _pruefer_count(word: Word, gamma, q: float, betas: np.ndarray) -> np.ndarray:
     """Scattering-regime Dirichlet eigenvalues of one period below beta**2.
 
     The zeros of psi from psi = 0, psi' > 0, counted by the Pruefer angle u
     (psi = R sin u, psi' = beta R cos u): a delta maps u to atan2(sin u,
     cos u - (gamma/beta) sin u), a tunnel advances it by beta*ratio, and
-    each multiple of pi passed is a zero.
+    each multiple of pi passed is a zero.  gamma is a scalar or one value
+    per beta.
     """
 
-    def fill(beta: np.ndarray) -> np.ndarray:
+    def fill(beta: np.ndarray, gamma) -> np.ndarray:
         de = gamma / beta
         u = np.zeros(beta.size)
         n = np.zeros(beta.size, dtype=np.int64)
@@ -171,10 +175,10 @@ def _pruefer_count(word: Word, gamma: float, q: float, betas: np.ndarray) -> np.
             u -= turns * np.pi
         return n
 
-    return _run_chunks(betas, fill, dtype=np.int64)
+    return _run_chunks(betas, gamma, fill, dtype=np.int64)
 
 
-def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
+def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
     """Band edges below the energy at each beta: twice the rotation number.
 
     One Dirichlet eigenvalue of a period lies in each gap, open or closed,
@@ -182,7 +186,8 @@ def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: R
     below it and a gap 2k, k being N or N + 1, even where x > 1 and odd where
     x < -1; negated in the Scattering regime, it never increases with beta.
     A power W^n (at q = 1 every word is S^n) has the bands of W, so x is
-    read from W and the closed gaps of W^n do not hang on rounding.
+    read from W and the closed gaps of W^n do not hang on rounding.  gamma
+    is a scalar or one value per beta.
     """
     bound = regime is Regime.BOUND
     n = _node_count(word, gamma, q, betas, dirichlet=True) if bound else _pruefer_count(word, gamma, q, betas)
@@ -194,11 +199,11 @@ def _edge_count(word: Word, gamma: float, q: float, betas: np.ndarray, regime: R
     return c if bound else -c
 
 
-def _check_scan_inputs(word: Word, gamma: float, q: float, beta_range, grid_steps: int, regime: Regime):
-    """Validate a scan's inputs; returns the finite range (lo, hi)."""
+def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int, regime: Regime):
+    """Validate a scan's inputs (gamma a scalar or a vector); returns the finite range (lo, hi)."""
     if grid_steps < 100:
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    if not (math.isfinite(gamma) and math.isfinite(q)):
+    if not (np.isfinite(gamma).all() and math.isfinite(q)):
         raise ValueError(f"gamma and q must be finite, got gamma = {gamma}, q = {q}")
     lo, hi = beta_range
     if not (0.0 < lo < hi < math.inf):
@@ -217,12 +222,13 @@ def _crossings(values: np.ndarray, target: float) -> np.ndarray:
 
 
 def _bisect(
-    word: Word, gamma: float, q: float, regime: Regime, which: str, lo, hi, flo, target=0.0
+    word: Word, gamma, q: float, regime: Regime, which: str, lo, hi, flo, target=0.0
 ) -> np.ndarray:
     """Sign-change bisection of f = x - target or d - target on all brackets at once.
 
     ``which`` is "x" or "d"; lo, hi and flo = f(lo) are arrays with one
-    entry per bracket, and target is a scalar or one value per bracket.
+    entry per bracket, and gamma and target are scalars or one value per
+    bracket.
     The brackets move in lockstep on the grid kernel: each step evaluates
     the midpoints 0.5*(lo + hi) of all unconverged brackets in one
     _word_scan call.  A bracket stops once its width is <= ROOT_TOL, and an
@@ -232,12 +238,13 @@ def _bisect(
     """
     lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    per_bracket = isinstance(gamma, np.ndarray) and gamma.ndim > 0
     for _ in range(200):
         live = np.nonzero(hi - lo > ROOT_TOL)[0]
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fm = _word_scan(word, gamma, q, mid, regime, which)
+        fm = _word_scan(word, gamma[live] if per_bracket else gamma, q, mid, regime, which)
         fm -= target[live]
         zero = fm == 0.0
         up = zero | ((fm > 0.0) == (flo[live] > 0.0))
@@ -259,34 +266,40 @@ def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
     return int(_edge_count(word, gamma, q, np.array([beta], dtype=float), Regime.BOUND)[0] % 2 == 0)
 
 
-def _refuse(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray, what: str) -> None:
-    """Raise GridTooCoarse naming the first interval [lo, hi] where mask holds."""
-    if np.any(mask):
-        k = np.argmax(mask)
-        raise GridTooCoarse(f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
+def _refuse(failed: dict, mask, row, lo, hi, what: str) -> None:
+    """Refuse each query row where mask holds, naming its first interval [lo, hi] there.
+
+    failed maps a row to its message; a row keeps the first one it gets, so
+    a query is refused for what a query run on its own would raise first.
+    """
+    for k in np.flatnonzero(mask).tolist():
+        failed.setdefault(int(row[k]), f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
-def _isolate(count, a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray, what: str):
-    """Bisect intervals [a, b] on a count(betas) that never increases with beta.
+def _isolate(count, a, b, na, nb, row, what: str, failed: dict):
+    """Bisect intervals [a, b] on a count(betas, row) that never increases with beta.
 
-    [a, b] holds na - nb roots or edges; those holding more are halved in
-    lockstep, one count call per step, until one is left or they are ROOT_TOL
-    wide.  Returns (lo, hi, n_lo, n_hi) of those holding any, or GridTooCoarse.
+    [a, b] of query ``row`` holds na - nb roots or edges; those holding more
+    are halved in lockstep, one count call per step, until one is left or
+    they are ROOT_TOL wide.  Returns (lo, hi, n_lo, n_hi, row) of those
+    holding any; an interval whose count rises is dropped and refuses its
+    row (see _refuse).
     """
     done = []
     while a.size:
         drop = na - nb
-        _refuse(drop < 0, a, b, f"the {what} count rises with beta")
+        _refuse(failed, drop < 0, row, a, b, f"the {what} count rises with beta")
         split = (drop >= 2) & (b - a > ROOT_TOL)
         hold = (drop >= 1) & ~split
-        done.append((a[hold], b[hold], na[hold], nb[hold]))
+        done.append((a[hold], b[hold], na[hold], nb[hold], row[hold]))
         if not split.any():
             break
-        a, b, na, nb = a[split], b[split], na[split], nb[split]
+        a, b, na, nb, row = (v[split] for v in (a, b, na, nb, row))
         mid = 0.5 * (a + b)
-        nm = count(mid)
-        a, b, na, nb = (np.concatenate(pair) for pair in ((a, mid), (mid, b), (na, nm), (nm, nb)))
-    return tuple(np.concatenate(v) for v in zip(*done)) if done else (a, b, na, nb)
+        nm = count(mid, row)
+        pairs = (a, mid), (mid, b), (na, nm), (nm, nb), (row, row)
+        a, b, na, nb, row = (np.concatenate(pair) for pair in pairs)
+    return tuple(np.concatenate(v) for v in zip(*done)) if done else (a, b, na, nb, row)
 
 
 def band_germs(
@@ -303,42 +316,81 @@ def band_germs(
     ends of every x = +-1 crossing interval of the x4 grid; _isolate splits
     the pieces between them until each edge sits alone, its kind taken from
     the count, and _bisect refines it on x.  GridTooCoarse names where the
-    count rises or x misses a counted edge.
+    count rises or x misses a counted edge.  This is _germ_rows at one gamma.
     """
-    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, regime)
+    [germs] = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
+    if isinstance(germs, GridTooCoarse):
+        raise germs
+    return germs
+
+
+def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime: Regime):
+    """Yield band_germs at each gamma of a vector in turn, or the GridTooCoarse refusing it.
+
+    x is scanned one gamma at a time on the x4 grid, and only the window
+    ends and the crossing intervals' ends are kept, so the gammas x grid
+    array is never held.  The edge count, _isolate, the bracket-end x scan
+    and _bisect then run once over the pieces of all gammas, each piece
+    carrying its row's gamma; the kernel works elementwise, so every germ
+    is the one a query at its gamma alone returns, bit for bit.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    lo, hi = _check_scan_inputs(word, gammas, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
-    x = _word_scan(word, gamma, q, betas, regime, "x")
-    cross = np.concatenate([_crossings(x, 1.0), _crossings(x, -1.0)])
-    p = np.array(sorted({0, betas.size - 1, *cross.tolist(), *(cross + 1).tolist()}))
-    c = _edge_count(word, gamma, q, betas[p], regime)
+    p, x_ends = [], np.empty((gammas.size, 2))
+    for i, gamma in enumerate(gammas.tolist()):
+        x = _word_scan(word, gamma, q, betas, regime, "x")
+        cross = np.concatenate([_crossings(x, 1.0), _crossings(x, -1.0)])
+        p.append(np.array(sorted({0, betas.size - 1, *cross.tolist(), *(cross + 1).tolist()})))
+        x_ends[i] = x[0], x[-1]
+    row = np.repeat(np.arange(gammas.size), [v.size for v in p])
+    p = np.concatenate(p)
+
+    def gamma_at(rows):  # a single gamma stays a scalar, so one query scans as before
+        return gammas[0] if gammas.size == 1 else gammas[rows]
+
+    c = _edge_count(word, gamma_at(row), q, betas[p], regime)
 
     # An isolated interval keeps its first edge if its low end is in a gap
     # (even count) and its last if its high end is; edges within ROOT_TOL
     # close every gap among them.  x crosses each edge's kind t (from the
     # count), or at least t*(1 + BAND_TOL), unless the two disagree.
-    pieces = betas[p[:-1]], betas[p[1:]], c[:-1], c[1:]
-    left, right, ca, cb = _isolate(lambda mid: _edge_count(word, gamma, q, mid, regime), *pieces, "band-edge")
+    failed = {}
+    piece = row[1:] == row[:-1]  # consecutive count points of one gamma
+    pieces = (v[piece] for v in (betas[p[:-1]], betas[p[1:]], c[:-1], c[1:], row[:-1]))
+    left, right, ca, cb, r = _isolate(
+        lambda mid, r: _edge_count(word, gamma_at(r), q, mid, regime), *pieces, "band-edge", failed
+    )
     gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
-    a, b, one = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1))
+    a, b, one, r = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1, r))
     t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
-    x_lo, x_hi = _word_scan(word, gamma, q, np.append(a, b), regime, "x").reshape(2, -1)
+    x_lo, x_hi = _word_scan(word, gamma_at(np.append(r, r)), q, np.append(a, b), regime, "x").reshape(2, -1)
     target = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
-    _refuse(one & ((x_lo - target) * (x_hi - target) >= 0.0), a, b, "x does not cross +-1 at a counted edge")
-    roots = _bisect(word, gamma, q, regime, "x", a, b, x_lo - target, target)
-    edges = sorted(zip(roots.tolist(), target.tolist()), key=lambda e: e[0])  # stable
+    miss = one & ((x_lo - target) * (x_hi - target) >= 0.0)
+    _refuse(failed, miss, r, a, b, "x does not cross +-1 at a counted edge")
+    roots = _bisect(word, gamma_at(r), q, regime, "x", a, b, x_lo - target, target)
+    roots, target, edges = roots.tolist(), target.tolist(), [[] for _ in x_ends]
+    for k, i in enumerate(r.tolist()):
+        edges[i].append(k)
+    first = (c[p == 0] % 2 == 0).tolist()  # the window starts in a gap
 
     # Bands and gaps alternate from the window start, in band if its count
     # is odd.  A clipped germ takes the nearer edge kind from the sign of x.
     def kind(value: float) -> EdgeKind:
         return EdgeKind.X_PLUS_ONE if value >= 0.0 else EdgeKind.X_MINUS_ONE
 
-    bounds = [float(betas[0])] + [b for b, _ in edges] + [float(betas[-1])]
-    kinds = [kind(x[0])] + [kind(v) for _, v in edges] + [kind(x[-1])]
-    last = len(bounds) - 1
-    return [
-        BandGerm(bounds[k], bounds[k + 1], kinds[k], kinds[k + 1], k == 0, k + 1 == last)
-        for k in range(int(c[0] % 2 == 0), last, 2)
-    ]
+    for i, gamma in enumerate(gammas.tolist()):
+        if i in failed:
+            yield GridTooCoarse(f"{failed[i]} (word {word}, gamma = {gamma!r}, {regime.value} regime)")
+            continue
+        found = sorted(edges[i], key=roots.__getitem__)  # stable
+        bounds = [float(betas[0]), *(roots[k] for k in found), float(betas[-1])]
+        kinds = [kind(v) for v in (x_ends[i, 0], *(target[k] for k in found), x_ends[i, 1])]
+        last = len(bounds) - 1
+        yield [
+            BandGerm(bounds[k], bounds[k + 1], kinds[k], kinds[k + 1], k == 0, k + 1 == last)
+            for k in range(int(first[i]), last, 2)
+        ]
 
 
 def bound_states(
@@ -356,20 +408,30 @@ def bound_states(
     refines on d (from the grid ends for a grid interval).  GridTooCoarse
     names the first interval where the count rises, two roots stay within
     ROOT_TOL, or d does not change sign across one root, so a list always
-    holds N(lo) - N(hi) roots.  The same roots are the S-matrix poles;
-    ``scattering.bound_poles`` is that public alias.
+    holds N(lo) - N(hi) roots.  The count places a root in (lo, hi], so one
+    where d is exactly 0 at an interval's upper end is that end.  The same
+    roots are the S-matrix poles; ``scattering.bound_poles`` is that public
+    alias.
     """
     lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, Regime.BOUND)
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
     n = _node_count(word, gamma, q, fine)
 
-    r_lo, r_hi, n_lo, n_hi = _isolate(
-        lambda mid: _node_count(word, gamma, q, mid), fine[:-1], fine[1:], n[:-1], n[1:], "bound-state"
+    failed = {}
+    r_lo, r_hi, n_lo, n_hi, row = _isolate(
+        lambda mid, _: _node_count(word, gamma, q, mid),
+        fine[:-1], fine[1:], n[:-1], n[1:], np.zeros(n.size - 1, dtype=np.int64), "bound-state", failed,
     )
-    _refuse(n_lo - n_hi > 1, r_lo, r_hi, f"bound roots closer than {ROOT_TOL:g}")
+    _refuse(failed, n_lo - n_hi > 1, row, r_lo, r_hi, f"bound roots closer than {ROOT_TOL:g}")
+    if failed:
+        raise GridTooCoarse(failed[0])
     d_lo, d_hi = _word_scan(word, gamma, q, np.append(r_lo, r_hi), Regime.BOUND, "d").reshape(2, -1)
-    _refuse(np.sign(d_lo) * np.sign(d_hi) != -1.0, r_lo, r_hi, "no sign change of d at one bound root")
-    roots = np.sort(_bisect(word, gamma, q, Regime.BOUND, "d", r_lo, r_hi, d_lo))
+    at_hi = (d_hi == 0.0) & (d_lo != 0.0)
+    no_sign = (np.sign(d_lo) * np.sign(d_hi) != -1.0) & ~at_hi
+    _refuse(failed, no_sign, row, r_lo, r_hi, "no sign change of d at one bound root")
+    if failed:
+        raise GridTooCoarse(failed[0])
+    roots = np.sort(np.where(at_hi, r_hi, _bisect(word, gamma, q, Regime.BOUND, "d", r_lo, r_hi, d_lo)))
     return [BoundState(r, k) for k, r in enumerate(roots.tolist())]
 
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from deltachain import spectra
 from deltachain.cli import RunConfig, _CHUNK, _token, _write_output, main, parse_word_spec, run
 from deltachain.core import TAU, ChainParams, Regime
 from deltachain.errors import ParseError
@@ -214,6 +215,29 @@ def test_grid_error_surfaces_token(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_atlas_refusal_names_the_first_refused_query(tmp_path, capsys, monkeypatch):
+    # A count rising with beta is injected for two queries.  The atlas runs
+    # one batch per cell and regime, yet names the first refused query in
+    # its (gamma, cell, regime) row order, and writes no file.
+    real = spectra._edge_count
+    refused = {("L", Regime.SCATTERING): 1.0, ("S", Regime.BOUND): 2.0}
+
+    def count(word, gamma, q, betas, regime):
+        at = np.broadcast_to(gamma, betas.shape) == refused.get((str(word), regime), math.nan)
+        return np.where(at, (betas > 3.0).astype(np.int64), real(word, gamma, q, betas, regime))
+
+    monkeypatch.setattr(spectra, "_edge_count", count)
+    out = tmp_path / "atlas.csv"
+    cfg = RunConfig(
+        command="atlas", gamma_min=-2.0, gamma_max=2.0, gamma_steps=5, steps=400, out_path=str(out)
+    )
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("GridTooCoarse: the band-edge count rises with beta on [")
+    assert err.rstrip().endswith("(word L, gamma = 1.0, scattering regime)")
+    assert not out.exists()
+
+
 def test_fib_info_command(tmp_path):
     out = tmp_path / "info.csv"
     cfg = RunConfig(command="fib-info", word_spec="fib:m=8", out_path=str(out))
@@ -332,6 +356,14 @@ def test_main_rejects_non_finite_inputs(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("InvalidConfig:") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma_steps", ["-1", "0"])
+def test_atlas_rejects_fewer_than_one_gamma(gamma_steps, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["atlas", "--gamma-steps", gamma_steps, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("InvalidConfig: gamma_steps must be >= 1")
     assert not out.exists()
 
 

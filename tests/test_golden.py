@@ -10,6 +10,9 @@ A deliberate output change updates the digest and says why in CHANGES.md.
 BANDS_GOLDEN pins ``bands`` runs whose bytes depend on how band edges are
 bracketed: converged Fibonacci censuses, the Scattering regime, a
 five-letter word, and a power word whose gaps close at q = 1.
+
+ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
+batched with the others in one band-germ pass per cell and regime.
 """
 
 import hashlib
@@ -47,6 +50,10 @@ BANDS_GOLDEN = {
     "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
 }
 
+ATLAS_GOLDEN = {
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "f9caa01414352860988932a34307821555202c89c6bcb646f383e43cfde300c0",
+}
+
 
 def test_every_command_has_a_default_digest():
     assert sorted(GOLDEN) == sorted((c, fmt) for c in COMMANDS for fmt in ("csv", "json"))
@@ -66,3 +73,11 @@ def test_bands_output_digest(args, tmp_path):
     assert main(["bands", *args.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == BANDS_GOLDEN[args], f"bands {args} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(ATLAS_GOLDEN))
+def test_atlas_output_digest(args, tmp_path):
+    out = tmp_path / "atlas.csv"
+    assert main(["atlas", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == ATLAS_GOLDEN[args], f"atlas {args} output changed"

@@ -16,7 +16,9 @@ from deltachain.spectra import (
     ROOT_TOL,
     _bisect,
     _edge_count,
+    _germ_rows,
     _node_count,
+    BoundState,
     EdgeKind,
     band_germs,
     binding_equation_residual,
@@ -90,6 +92,16 @@ def test_single_well_root_is_half_gamma():
         assert len(roots) == 1
         assert roots[0].index == 0
         assert roots[0].beta_star == pytest.approx(gamma / 2.0, abs=1e-9)
+
+
+def test_a_root_on_the_window_is_counted_at_its_upper_end_only():
+    # d(6.0) of the single well at gamma = 12 is exactly 0.  The count puts
+    # a root in (lo, hi], so a window ending at 6.0 returns it as 6.0, and
+    # one starting there holds none.
+    assert _word_scan(Word("S"), 12.0, 1.0, np.array([6.0]), Regime.BOUND, "d")[0] == 0.0
+    for beta_range in ((0.05, 6.0), (5.0, 6.0)):
+        assert bound_states(Word("S"), 12.0, 1.0, beta_range) == [BoundState(6.0, 0)]
+    assert bound_states(Word("S"), 12.0, 1.0, (6.0, 7.0)) == []
 
 
 def test_bound_roots_are_d_roots():
@@ -608,6 +620,13 @@ def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
         monkeypatch.setattr(spectra, "_node_count", count)
         with pytest.raises(GridTooCoarse, match=message):
             bound_states(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
+    # Where the count rises twice, the refusal names the lower interval.
+    def twice(word, gamma, q, betas):
+        return (betas > 1.0).astype(np.int64) + (betas > 3.0)
+
+    monkeypatch.setattr(spectra, "_node_count", twice)
+    with pytest.raises(GridTooCoarse, match=cases[1][2]):
+        bound_states(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
 
 
 def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND):
@@ -807,3 +826,25 @@ def test_band_germs_alternate_with_gaps(letters, gamma, q, regime):
     for lo, hi in gaps:
         if hi - lo > 2e-9:
             assert abs(_exact_x(letters, gamma, q, 0.5 * (lo + hi), regime)) > 1, (lo, hi)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    letters=_words,
+    gammas=st.lists(st.one_of(st.just(0.0), st.floats(-6.0, 12.0)), min_size=1, max_size=6),
+    q=st.one_of(st.just(1.0), st.floats(0.3, 2.5)),
+    regime=st.sampled_from(Regime),
+)
+def test_germ_rows_are_band_germs_at_each_gamma(letters, gammas, q, regime):
+    # All gammas share one isolation and one bisection; each row must still
+    # be, bit for bit, the germs of a query at its gamma alone.
+    def key(germs):
+        return [
+            (g.beta_lo.hex(), g.beta_hi.hex(), g.edge_kind_lo, g.edge_kind_hi, g.clipped_lo, g.clipped_hi)
+            for g in germs
+        ]
+
+    word, window = Word(letters), (0.05, 6.0)
+    rows = _germ_rows(word, gammas, q, window, 2000, regime)
+    alone = [band_germs(word, gamma, q, window, 2000, regime) for gamma in gammas]
+    assert [key(r) for r in rows] == [key(g) for g in alone]
