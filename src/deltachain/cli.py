@@ -8,12 +8,12 @@ share one envelope shape {command, config, columns, rows} described by
 docs/output_schema.json.  Non-finite values and missing ones are written as
 "" in CSV and null in JSON.
 
-Files are streamed a chunk of rows at a time.  ``wave`` and ``scatter`` hand
-the writer their numeric table as a 2-D float64 block, and each all-finite
-chunk of it is rendered with one %-format of a repeated row template; the
-small mixed-type commands hand it a list of row tuples, written token by
-token.  A command runs to completion before its file is opened, so a failed
-command leaves no file.
+Files are streamed a chunk of rows at a time.  The all-numeric commands
+(``wave``, ``scatter``, ``dos``, ``binding``) hand the writer a 2-D float64
+block, and each all-finite chunk of it is rendered with one %-format of a
+repeated row template; the mixed-type commands hand it a list of row
+tuples, written token by token.  A command runs to completion before its
+file is opened, so a failed command leaves no file.
 """
 
 import argparse
@@ -26,7 +26,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import __version__
-from .core import CellKind, ChainParams, Regime, TAU, cell_matrix
+from .core import CellKind, ChainParams, Regime, TAU, cell_matrix, tunnel_matrix
 from .errors import ChainError, GridTooCoarse, ParseError
 from .kernel import _CHUNK
 from .spectra import (
@@ -87,10 +87,12 @@ class RunConfig:
             raise ValueError("steps must be >= 100")
         if self.gamma_steps < 1:
             raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
+        if self.p_max < 1:
+            raise ValueError(f"p_max must be >= 1, got {self.p_max}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.beta is not None and not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.beta is not None:
+            ChainParams(self.beta, self.gamma, self.q)  # beta > 0 and a finite gamma/beta
 
 
 def parse_word_spec(text: str) -> Word:
@@ -107,6 +109,8 @@ def parse_word_spec(text: str) -> Word:
                 min(len(text), len(expect)),
             )
             raise ParseError(f"malformed Fibonacci spec {text!r}", position=pos)
+        if int(m.group(1)) < 1:
+            raise ParseError(f"Fibonacci order must be >= 1 in {text!r}", position=6)
         return fibonacci_word(int(m.group(1)))
     m = re.fullmatch(r"([SL])\^(\d+)", text)
     if m:
@@ -287,11 +291,7 @@ def _cmd_wave(config: RunConfig):
     if config.initial == "bloch":
         eig = bloch_eigensystem(cell_matrix(params, CellKind.S), params)
         # entry values of the S-cell Bloch eigenvector, just before a delta
-        lam = (
-            math.exp(params.beta)
-            if params.regime is Regime.BOUND
-            else complex(math.cos(params.beta), -math.sin(params.beta))
-        )
+        lam = tunnel_matrix(params, 1.0).d
         cm, cp = eig.p / lam, eig.v * lam
         psi0 = cm + cp
         dpsi0 = kappa * (-cm + cp)
@@ -312,12 +312,8 @@ def _cmd_dos(config: RunConfig):
     if str(word) != "S":
         raise ParseError("dos supports only the single-cell word S", position=0)
     samples = dos_estimate(config.gamma, config.steps, (config.beta_min, config.beta_max))
-    columns = ["beta", "energy", "kb", "density"]
-    rows = [
-        (float(b), float(e), float(k), float(r))
-        for b, e, k, r in zip(samples.beta, samples.energy, samples.kb, samples.density)
-    ]
-    return columns, rows, None
+    table = np.column_stack([samples.beta, samples.energy, samples.kb, samples.density])
+    return ["beta", "energy", "kb", "density"], table, None
 
 
 def _cmd_binding(config: RunConfig):
@@ -328,9 +324,8 @@ def _cmd_binding(config: RunConfig):
     n = total
     germ = _single_cell_germ(config.gamma, (config.beta_min, config.beta_max), config.steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, config.steps + 1)[1:-1]
-    columns = ["beta", "kb", "lhs", "rhs"]
-    rows = [(beta, *_binding_terms(n, beta, config.gamma)) for beta in betas.tolist()]
-    return columns, rows, None
+    table = np.column_stack([betas, _binding_terms(n, betas, config.gamma)])
+    return ["beta", "kb", "lhs", "rhs"], table, None
 
 
 def _cmd_fib_info(config: RunConfig):

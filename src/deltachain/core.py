@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import OverflowRisk
 
 # Golden ratio, the default length ratio of the L cell to the S cell.
@@ -72,8 +74,8 @@ class ChainParams:
     def __post_init__(self):
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not math.isfinite(self.gamma / self.beta):  # gamma and delta = gamma/beta
+            raise ValueError(f"gamma and gamma/beta must be finite, got {self.gamma}/{self.beta}")
         if not 0.0 < self.q < math.inf:
             raise ValueError(f"q must be positive and finite, got {self.q}")
 
@@ -169,7 +171,7 @@ def tunnel_matrix(params: ChainParams, length_ratio: float) -> TransferMatrix:
             raise OverflowRisk(
                 f"beta*ratio = {t:.3g} exceeds the exponent guard {EXP_LIMIT:g}"
             )
-        lam = math.exp(t)
+        lam = float(np.exp(t))
         return TransferMatrix(1.0 / lam, 0.0, 0.0, lam)
     lam = cmath.exp(-1j * t)
     return TransferMatrix(1.0 / lam, 0.0, 0.0, lam)

@@ -1,14 +1,12 @@
 """Vectorized transfer-matrix kernel shared by spectra and scattering.
 
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
-chunks.  In the Bound regime the kernel multiplies real float64 entries;
-they equal the real parts of the complex-arithmetic entries bit for bit.
-Their exponentials come from np.exp, which can differ from math.exp (and so
-from word_matrix) in the last bit; with numpy's AVX-512 exp that happens at
-about 5% of points.  In the Scattering regime it multiplies (re, im) float64
-pairs with CPython's complex formulas (see _cell_entries), so each sample
-equals word_matrix at that beta bit for bit.  Entries that overflow float64
-raise OverflowRisk instead of leaving inf or NaN samples behind.
+chunks.  In the Bound regime the kernel multiplies real float64 entries,
+with the np.exp that tunnel_matrix also takes; in the Scattering regime it
+multiplies (re, im) float64 pairs with CPython's complex formulas (see
+_cell_entries).  In both, each sample equals cell_matrix and word_matrix at
+that beta bit for bit.  Entries that overflow float64 raise OverflowRisk
+instead of leaving inf or NaN samples behind.
 
 gamma may be a scalar or an array the shape of the betas, one coupling per
 point; the arithmetic is elementwise, so a point's value does not depend on
@@ -52,25 +50,25 @@ def _pair_quot(z, w):
 def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float, diagonal=False):
     """Vectorized cell-matrix entries over a beta grid, equal to cell_matrix bit for bit.
 
-    Bound entries are real float64.  They are written as products with the
-    reciprocal 1/lam because that is how numpy divides by a real lam + 0j,
-    so they equal the real parts of the complex entries bit for bit.
+    Bound entries are real float64, the products that cell_matrix's delta
+    factor makes with the tunnel's diag(1/lam, lam).
 
     Scattering entries are (re, im) pairs of float64 arrays.  numpy's
     complex multiply and divide round differently from CPython's in the last
     bit, so each entry is built from the float operations that
     cell_matrix's complex arithmetic makes: lam = (cos t, -sin t), 1/lam by
-    Smith's method, and delta/2 on the imaginary axis.  The zero terms of
-    the scalar product are kept where they fix the sign of a zero entry
-    (gamma = 0), as 0.0 - v and v + 0.0.  diagonal=True returns (a, d) only.
+    Smith's method, and delta/2 on the imaginary axis.
+
+    In both regimes the zero terms of the scalar product are kept where they
+    fix the sign of a zero entry (gamma = 0), as 0.0 - v and v + 0.0.
+    diagonal=True returns (a, d) only.
     """
     if regime is Regime.BOUND:
-        de = gamma / betas
         lam = np.exp(betas * ratio)
         inv = 1.0 / lam
-        h = de / 2
+        h = (gamma / betas) / 2
         a, d = (1 + h) * inv, lam * (1 - h)
-        return (a, d) if diagonal else (a, (lam * de) * 0.5, -h * inv, d)
+        return (a, d) if diagonal else (a, h * lam + 0.0, 0.0 - h * inv, d)
     t = betas * ratio
     lc, ls = np.cos(t), -np.sin(t)  # cmath.exp(-1j * t)
     ir, ii = _pair_quot((1.0, 0.0), (lc, ls))
@@ -84,11 +82,10 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
     """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
 
     Real arrays in the Bound regime, (re, im) pairs in the Scattering
-    regime, multiplied in word_matrix's order.  Scattering values equal
-    word_matrix's bit for bit; Bound values do up to np.exp's last bit (see
-    the module docstring).  The product starts from the first cell, not
-    from the identity: for finite entries 1*a + 0*c == a, so only the sign
-    of an exact zero could differ.
+    regime, multiplied in word_matrix's order, so each value equals
+    word_matrix's bit for bit.  The product starts from the first cell, not
+    from the identity: for finite entries 1*a + 0*c == a, and the cell's
+    zero entries already carry the sign that the identity product gives.
     """
     if regime is Regime.BOUND:
         mul, add = operator.mul, operator.add

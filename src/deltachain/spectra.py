@@ -13,14 +13,14 @@ _edge_count).  One isolation rule serves both: the exact count says how
 many an interval holds, _isolate bisects on it until each sits alone, and
 _bisect refines each one to |dbeta| <= 1e-10 on the grid kernel, all
 brackets of a query in lockstep, one kernel call on the vector of midpoints
-per step.  cell_matrix serves only the one-point binding_equation_residual.
+per step.
 
 Each query makes one scan, on the x4 grid of grid_steps, with the
-vectorized kernel of kernel.py (see there for how its samples match the
-complex arithmetic of cell_matrix and word_matrix bit for bit).  The counts
-and _bisect take gamma as a scalar or as one value per point or bracket, so
-band germs at many gammas (_germ_rows) share one isolation and one
-bisection; each value is the one a single-gamma query computes.
+vectorized kernel of kernel.py, whose samples equal cell_matrix and
+word_matrix bit for bit in both regimes.  The counts and _bisect take gamma
+as a scalar or as one value per point or bracket, so band germs at many
+gammas (_germ_rows) share one isolation and one bisection; each value is
+the one a single-gamma query computes.
 """
 
 import math
@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ChainParams, Regime, cell_matrix, CellKind
+from .core import ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
 from .kernel import _cell_entries, _run_chunks, _word_scan
 from .substitution import Word, guard_exponent
@@ -476,28 +476,32 @@ def _single_cell_germ(gamma: float, beta_range, grid_steps: int) -> BandGerm:
 def binding_equation_residual(n: int, beta: float, gamma: float) -> tuple[float, float]:
     """(lhs, rhs) of tan(n*Kb) = sin(Kb)/y1 at the single-cell dispersion point.
 
-    Bound states of S^n sit where lhs = rhs; rhs diverges at y1 = 0.
+    Bound states of S^n sit where lhs = rhs; rhs diverges at y1 = 0.  This
+    is _binding_terms at one beta.
     """
-    return _binding_terms(n, beta, gamma)[1:]
+    ChainParams(beta, gamma, 1.0, Regime.BOUND)  # validates beta and gamma
+    guard_exponent(Word("S"), beta, 1.0, Regime.BOUND)
+    [(_, lhs, rhs)] = _binding_terms(n, np.array([beta], dtype=float), gamma).tolist()
+    return lhs, rhs
 
 
-def _binding_terms(n: int, beta: float, gamma: float) -> tuple[float, float, float]:
-    """(Kb, lhs, rhs) of the binding equation from one single-cell matrix."""
+def _binding_terms(n: int, betas: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows (Kb, lhs, rhs) of the binding equation, one per beta.
+
+    x1 and y1 come from one scan of the single cell's diagonal on the grid
+    kernel; acos, tan and sin are math's, taken point by point, because
+    numpy's round differently in the last bit.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    params = ChainParams(beta, gamma, 1.0, Regime.BOUND)
-    M = cell_matrix(params, CellKind.S)
-    x1 = M.x.real
-    if abs(x1) > 1.0 + BAND_TOL:
-        raise OutOfBand(f"beta = {beta:.6g} lies outside the single-cell germ")
-    kb = bloch_label(x1)
-    y1 = M.y.real
-    lhs = math.tan(n * kb)
-    try:
-        rhs = math.sin(kb) / y1
-    except ZeroDivisionError:
-        rhs = math.inf
-    return kb, lhs, rhs
+    a, d = _run_chunks(betas, gamma, lambda b, g: _cell_entries(g, b, Regime.BOUND, 1.0, True), (2,))
+    rows = []
+    for beta, x1, y1 in zip(betas.tolist(), (0.5 * (a + d)).tolist(), (0.5 * (a - d)).tolist()):
+        if abs(x1) > 1.0 + BAND_TOL:
+            raise OutOfBand(f"beta = {beta:.6g} lies outside the single-cell germ")
+        kb = bloch_label(x1)
+        rows.append((kb, math.tan(n * kb), math.sin(kb) / y1 if y1 != 0.0 else math.inf))
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def partial_band_census(

@@ -32,6 +32,7 @@ from .core import (
     TAU,
     TransferMatrix,
     cell_matrix,
+    tunnel_matrix,
 )
 from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand
 from .substitution import Word, guard_exponent
@@ -194,7 +195,7 @@ def bound_companion_pair(
         )
     eig = bloch_eigensystem(M, params)
     ratio = kind.ratio(params.q)
-    lam = math.exp(beta * ratio)
+    lam = tunnel_matrix(params, ratio).d
     xi = np.linspace(0.0, ratio, grid_per_cell + 1)
     scale = 1.0 / math.sqrt(2.0 * beta)
     kappa = _local_kappa(params)

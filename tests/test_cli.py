@@ -46,6 +46,9 @@ def test_parse_word_spec_error_positions():
     assert err.value.position == 0
     with pytest.raises(ParseError):
         parse_word_spec("S^0")
+    with pytest.raises(ParseError) as err:
+        parse_word_spec("fib:m=0")
+    assert err.value.position == 6
     with pytest.raises(ParseError):
         parse_word_spec("fib:m=")
 
@@ -451,6 +454,26 @@ def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
     proc = _run_module(*argv, "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr.startswith("OverflowRisk: transfer-matrix entries are not finite")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, token",
+    [
+        (["fib-info", "--word", "fib:m=0"], 1, "ParseError: Fibonacci order must be >= 1"),
+        (["bands", "--word", "fib:m=0"], 1, "ParseError: Fibonacci order must be >= 1"),
+        (["commute", "--p-max", "0"], 2, "InvalidConfig: p_max must be >= 1"),
+        (["wave", "--word", "S", "--beta", "1e-320"], 2, "InvalidConfig: gamma and gamma/beta must be"),
+    ],
+)
+def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code, token, tmp_path):
+    # Each used to end in a ValueError traceback, or (wave) in 65 blank rows
+    # behind an exit status of 0: gamma/beta overflowed to inf.
+    out = tmp_path / "x.csv"
+    proc = _run_module(*argv, "--out", str(out))
+    assert proc.returncode == code
+    assert proc.stderr.startswith(token)
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     assert not out.exists()
 

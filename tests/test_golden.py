@@ -34,8 +34,8 @@ GOLDEN = {
     ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
     ("dos", "csv"): "3dd9e961cdb8c19839cb42684ca44369eeca104bf5b036f67f5093ccda7a0002",
     ("dos", "json"): "104c37020aff04e500662ba05c192222a78f498d93bc600cf2d9a80ae73227f5",
-    ("binding", "csv"): "7659fe6143b298893cc28880669bda2736171f6451879aa6a220d197ce2e8c43",
-    ("binding", "json"): "3ef90cd9014669d3f948b72cb8ec79d29a4aeace7c522497478e249ed5b0f74a",
+    ("binding", "csv"): "6b2f8318f9a7208ed5118f2ccca420ac4eafba33771f5f1e5f43bc1deebc1469",
+    ("binding", "json"): "1594d96c54b8e643b5e92b35cb06ef35d1535f7eb1e3173da246e47abf3ff839",
     ("fib-info", "csv"): "7bcb068aac3dc4faf4b6de7b019eaeecf5e23d793b96713e0dbf249a903a7c8d",
     ("fib-info", "json"): "237c1d58c04de923215bcf31dd3312e9cf9777d07e9fdc9dc0101566453cd9d7",
     ("commute", "csv"): "60a2d7270521b80a0a04a748a5c9f740ba3513e7d686adf7c7db657b01dc5801",

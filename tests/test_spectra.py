@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltachain import spectra
-from deltachain.core import TAU, CellKind, ChainParams, Regime, cell_matrix
+from deltachain.core import TAU, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.kernel import _CHUNK, _cell_entries, _word_grid, _word_scan
 from deltachain.spectra import (
@@ -296,37 +296,6 @@ def test_grid_steps_validation():
         bound_states(Word("S"), 4.0, 1.0, grid_steps=10)
 
 
-def _complex_reference(word, gamma, q, betas):
-    """x and d of the Bound-regime scan in complex arithmetic, as the scan
-    computed them before it switched to real arithmetic."""
-    de = (gamma / betas).astype(complex)
-    cells = {}
-    for ch in set(word.letters):
-        lam = np.exp(betas * (1.0 if ch == "S" else q))
-        cells[ch] = ((1 + de / 2) / lam, lam * de / 2, -(de / 2) / lam, lam * (1 - de / 2))
-    A = np.ones(betas.shape, dtype=complex)
-    B = np.zeros(betas.shape, dtype=complex)
-    C = np.zeros(betas.shape, dtype=complex)
-    D = np.ones(betas.shape, dtype=complex)
-    for ch in word.letters:
-        a2, b2, c2, d2 = cells[ch]
-        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
-    return (0.5 * (A + D)).real, D.real
-
-
-@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3])
-def test_bound_scan_is_bitwise_the_complex_scan(gamma):
-    # Real arithmetic must reproduce every sample exactly, so brackets,
-    # bisections and GridTooCoarse decisions cannot move.
-    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
-    for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
-        x_ref, d_ref = _complex_reference(word, gamma, TAU, betas)
-        x = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "x")
-        d = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "d")
-        assert np.array_equal(x, x_ref), (str(word), gamma)
-        assert np.array_equal(d, d_ref), (str(word), gamma)
-
-
 @pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
 def test_base_grid_is_every_fourth_fine_sample(steps):
     # A scan of n steps samples the x4 grid, which holds the n-step grid
@@ -374,32 +343,46 @@ def test_single_cell_helpers_raise_out_of_band_without_a_germ():
 
 
 
-def _parts(M):
-    """Real and imaginary parts of a scalar TransferMatrix, entry by entry."""
-    return [v for z in M.entries() for v in (z.real, z.imag)]
-
-
 @pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3, 0.0, -0.0])
 def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
-    # Every scattering-regime grid value equals cell_matrix / word_matrix,
+    # In both regimes every grid value equals cell_matrix / word_matrix,
     # signs of zeros included, so the grid brackets what the scalar
-    # bisection refines.  The grid crosses the Smith-branch flips of 1/lam.
-    betas = np.concatenate([np.linspace(0.05, 12.0, 1201), np.pi / 4 + np.arange(8) * np.pi / 2])
-    points = [ChainParams(b, gamma, TAU, Regime.SCATTERING) for b in betas.tolist()]
+    # bisection refines.  The grid spans three chunks and crosses the
+    # Smith-branch flips of the Scattering 1/lam.
+    flips = np.pi / 4 + np.arange(8) * np.pi / 2
+    betas = np.concatenate([np.linspace(0.05, 12.0, 2 * _CHUNK + 1), flips])
+    for regime in Regime:
+        bound = regime is Regime.BOUND
 
-    def bits(rows):
-        return np.array(rows, dtype=float).view(np.int64)
+        def kernel_bits(entries):  # real arrays (Bound) or (re, im) pairs (Scattering)
+            return np.array(entries if bound else [p for z in entries for p in z]).view(np.int64)
 
-    for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
-        want = np.array([_parts(cell_matrix(p, kind)) for p in points]).T
-        got = [part for entry in _cell_entries(gamma, betas, Regime.SCATTERING, ratio) for part in entry]
-        assert np.array_equal(bits(got), bits(want)), (kind, gamma)
-    for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5)):
-        ref = [word_matrix(word, p) for p in points]
-        want = np.array([[*_parts(M), M.x.real] for M in ref]).T
-        x = _word_scan(word, gamma, TAU, betas, Regime.SCATTERING, "x")
-        got = [part for entry in _word_grid(word, gamma, TAU, betas, Regime.SCATTERING) for part in entry]
-        assert np.array_equal(bits([*got, x]), bits(want)), (str(word), gamma)
+        def scalar_bits(*entries):  # object arrays of Python floats or complex numbers
+            values = [np.array(v, dtype=complex) for v in entries]
+            parts = [p for v in values for p in ((v.real,) if bound else (v.real, v.imag))]
+            return np.array(parts).view(np.int64)
+
+        points = [ChainParams(b, gamma, TAU, regime) for b in betas.tolist()]
+        cells = {}
+        for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
+            entries = np.array([cell_matrix(p, kind).entries() for p in points], dtype=object)
+            cells[kind] = TransferMatrix(*entries.T)
+            got = kernel_bits(_cell_entries(gamma, betas, regime, ratio))
+            assert np.array_equal(got, scalar_bits(*entries.T)), (regime, kind, gamma)
+        for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
+            # word_matrix's product on all points at once: compose on object
+            # arrays takes CPython's arithmetic element by element.
+            M = TransferMatrix.identity()
+            for kind in word.kinds():
+                M = compose(M, cells[kind])
+            for k in range(0, betas.size, 1024):  # it is word_matrix's, repr for repr
+                want = word_matrix(word, points[k]).entries()
+                assert list(map(repr, want)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
+            got = kernel_bits(_word_grid(word, gamma, TAU, betas, regime))
+            assert np.array_equal(got, scalar_bits(*M.entries())), (regime, str(word), gamma)
+            x, d = (_word_scan(word, gamma, TAU, betas, regime, which) for which in ("x", "d"))
+            want = [np.array(v, dtype=complex).real for v in (M.x, M.d)]
+            assert np.array_equal(np.array([x, d]).view(np.int64), np.array(want).view(np.int64))
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
@@ -478,13 +461,15 @@ def test_lockstep_bisect_refines_d_roots_as_the_scalar_loop():
 
 
 def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
-    # Scans, refinement and the energy gauge run on the grid kernel only;
-    # cell_matrix serves the one-point binding residual.
+    # Scans, refinement, the energy gauge and the binding equation run on
+    # the grid kernel only; every scalar cell_matrix builds a tunnel_matrix.
     def scalar_route(*args, **kwargs):
         raise AssertionError("scalar transfer-matrix route called")
 
-    assert not hasattr(spectra, "word_matrix")
-    monkeypatch.setattr("deltachain.spectra.cell_matrix", scalar_route)
+    assert not hasattr(spectra, "word_matrix") and not hasattr(spectra, "cell_matrix")
+    monkeypatch.setattr("deltachain.core.tunnel_matrix", scalar_route)
+    lhs, rhs = binding_equation_residual(2, 1.5, 4.0)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
     assert energy_gauge(Word("S"), 4.0, 1.0, 1.5) == 0
     assert len(band_germs(Word("SL"), 4.0, TAU)) == 2
     assert band_germs(Word("SL"), 4.0, TAU, regime=Regime.SCATTERING)
@@ -565,7 +550,7 @@ def test_close_root_pairs_are_all_returned(letters, gamma, q, count, steps):
 
 def test_energy_gauge_reads_the_scan_at_germ_edges():
     # At a refined edge |x| = 1 up to rounding, so the gauge must read x as
-    # the scan does; math.exp and np.exp can differ in the last bit.
+    # the scan does, down to the last bit.
     word = fibonacci_word(5)
     edges = [b for g in band_germs(word, 10.0, TAU) for b in (g.beta_lo, g.beta_hi)]
     points = [p for b in edges for p in (np.nextafter(b, 0.0), b, np.nextafter(b, 7.0))]
