@@ -296,6 +296,37 @@ def test_grid_steps_validation():
         bound_states(Word("S"), 4.0, 1.0, grid_steps=10)
 
 
+def _complex_reference(word, gamma, q, betas):
+    """x and d of the Bound-regime scan in complex arithmetic, as the scan
+    computed them before it switched to real arithmetic."""
+    de = (gamma / betas).astype(complex)
+    cells = {}
+    for ch in set(word.letters):
+        lam = np.exp(betas * (1.0 if ch == "S" else q))
+        cells[ch] = ((1 + de / 2) / lam, lam * de / 2, -(de / 2) / lam, lam * (1 - de / 2))
+    A = np.ones(betas.shape, dtype=complex)
+    B = np.zeros(betas.shape, dtype=complex)
+    C = np.zeros(betas.shape, dtype=complex)
+    D = np.ones(betas.shape, dtype=complex)
+    for ch in word.letters:
+        a2, b2, c2, d2 = cells[ch]
+        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
+    return (0.5 * (A + D)).real, D.real
+
+
+@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3])
+def test_bound_scan_is_bitwise_the_complex_scan(gamma):
+    # Real arithmetic must reproduce every sample exactly, so brackets,
+    # bisections and GridTooCoarse decisions cannot move.
+    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
+    for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
+        x_ref, d_ref = _complex_reference(word, gamma, TAU, betas)
+        x = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "x")
+        d = _word_scan(word, gamma, TAU, betas, Regime.BOUND, "d")
+        assert np.array_equal(x, x_ref), (str(word), gamma)
+        assert np.array_equal(d, d_ref), (str(word), gamma)
+
+
 @pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
 def test_base_grid_is_every_fourth_fine_sample(steps):
     # A scan of n steps samples the x4 grid, which holds the n-step grid
