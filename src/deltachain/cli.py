@@ -14,6 +14,11 @@ block, and each all-finite chunk of it is rendered with one %-format of a
 repeated row template; the mixed-type commands hand it a list of row
 tuples, written token by token.  A command runs to completion before its
 file is opened, so a failed command leaves no file.
+
+Each command's parser declares the flags of the RunConfig fields it reads
+(``READS``) and refuses any other flag as an invalid configuration, so
+RunConfig's field defaults are the only defaults, and a JSON envelope's
+config holds them for the fields its command does not read.
 """
 
 import argparse
@@ -43,9 +48,42 @@ from .scattering import S_COLUMNS, commuting_deviations, commuting_points, s_mat
 from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
 from .substitution import Word, fibonacci_word, word_counts
 
-COMMANDS = ("bands", "bound", "atlas", "scatter", "wave", "dos", "binding", "fib-info", "commute")
-# The commands that read --regime; the others reject it.
-REGIME_COMMANDS = ("bands", "wave")
+# The RunConfig fields each command reads besides out_path and format.  Its
+# parser declares the flags of these fields and no others.  The JSON
+# envelope's config records command, the _SCAN fields and regime.
+_SCAN = ("word_spec", "gamma", "q", "beta_min", "beta_max", "steps")
+READS = {
+    "bands": (*_SCAN, "regime"),
+    "bound": _SCAN,
+    "atlas": ("q", "beta_min", "beta_max", "steps", "gamma_min", "gamma_max", "gamma_steps"),
+    "scatter": _SCAN,
+    "wave": ("word_spec", "gamma", "q", "regime", "beta", "initial"),
+    "dos": ("word_spec", "gamma", "beta_min", "beta_max", "steps"),
+    "binding": ("word_spec", "gamma", "beta_min", "beta_max", "steps"),
+    "fib-info": ("word_spec",),
+    "commute": ("gamma", "p_max"),
+}
+COMMANDS = tuple(READS)
+
+# The flag of each RunConfig field.  No flag carries a default: a flag left
+# out leaves the field's RunConfig default.
+FLAGS = {
+    "word_spec": ("--word", {"metavar": "WORD", "help": "fib:m=<int>, literal S/L string, or S^<n>"}),
+    "gamma": ("--gamma", {"type": float}),
+    "q": ("--q", {"type": float}),
+    "beta_min": ("--beta-min", {"type": float}),
+    "beta_max": ("--beta-max", {"type": float}),
+    "steps": ("--steps", {"type": int}),
+    "regime": ("--regime", {"choices": [r.value for r in Regime]}),
+    "beta": ("--beta", {"type": float, "help": "single energy (default tau*pi, scattering)"}),
+    "initial": ("--initial", {"choices": ["bloch", "plane"]}),
+    "p_max": ("--p-max", {"type": int}),
+    "gamma_min": ("--gamma-min", {"type": float}),
+    "gamma_max": ("--gamma-max", {"type": float}),
+    "gamma_steps": ("--gamma-steps", {"type": int}),
+    "out_path": ("--out", {"metavar": "PATH", "help": "output path (default <command>.<format>)"}),
+    "format": ("--format", {"choices": ["csv", "json"]}),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +100,6 @@ class RunConfig:
     regime: Regime = Regime.BOUND
     out_path: str = "out.csv"
     format: str = "csv"
-    # command-specific extras
     beta: float | None = None
     initial: str = "bloch"
     p_max: int = 3
@@ -184,16 +221,8 @@ def _write_output(config: RunConfig, columns, table, comment: str | None = None)
         head = (f"# {comment}\n" if comment else "") + ",".join(columns) + "\n"
         sep, tail = "", ""
     else:
-        cfg_items = [
-            ("command", config.command),
-            ("word_spec", config.word_spec),
-            ("gamma", config.gamma),
-            ("q", config.q),
-            ("beta_min", config.beta_min),
-            ("beta_max", config.beta_max),
-            ("steps", config.steps),
-            ("regime", config.regime.value),
-        ]
+        cfg_items = [(k, getattr(config, k)) for k in ("command", *_SCAN)]
+        cfg_items.append(("regime", config.regime.value))
         if comment:
             cfg_items.append(("note", comment))
         cfg = ",".join(f'"{k}":{_token(v, fmt)}' for k, v in cfg_items)
@@ -369,8 +398,9 @@ def run(config: RunConfig) -> int:
     try:
         columns, rows, comment = _DISPATCH[config.command](config)
         _write_output(config, columns, rows, comment)
-    except ChainError as err:
-        print(f"{err.token}: {err}", file=sys.stderr)
+    except (ChainError, OSError) as err:  # OSError: the output path cannot be written
+        token = err.token if isinstance(err, ChainError) else type(err).__name__
+        print(f"{token}: {err}", file=sys.stderr)
         return 1
     return 0
 
@@ -383,68 +413,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--word", default="S", help="fib:m=<int>, literal S/L string, or S^<n>")
-        p.add_argument("--gamma", type=float, default=4.0)
-        p.add_argument("--q", type=float, default=TAU)
-        p.add_argument("--beta-min", type=float, default=DEFAULT_BETA_RANGE[0])
-        p.add_argument("--beta-max", type=float, default=DEFAULT_BETA_RANGE[1])
-        p.add_argument("--steps", type=int, default=DEFAULT_GRID_STEPS)
-        p.add_argument("--regime", choices=["bound", "scattering"], default=None)
-        p.add_argument("--out", default=None, help="output path (default <command>.<format>)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        if name == "wave":
-            p.add_argument("--beta", type=float, default=None, help="single energy (default tau*pi)")
-            p.add_argument("--initial", choices=["bloch", "plane"], default="bloch")
-        if name == "commute":
-            p.add_argument("--p-max", type=int, default=3)
-        if name == "atlas":
-            p.add_argument("--gamma-min", type=float, default=-6.0)
-            p.add_argument("--gamma-max", type=float, default=6.0)
-            p.add_argument("--gamma-steps", type=int, default=25)
+    for name, fields in READS.items():
+        p = sub.add_parser(name, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for field in (*fields, "out_path", "format"):
+            flag, kwargs = FLAGS[field]
+            p.add_argument(flag, dest=field, **kwargs)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.regime is not None and args.command not in REGIME_COMMANDS:
-        raise ValueError(
-            f"--regime does not apply to {args.command}; only {' and '.join(REGIME_COMMANDS)} read it"
-        )
-    regime = Regime(args.regime or "bound")
-    if args.command == "wave":
-        extras = {"beta": args.beta, "initial": args.initial, "regime": regime}
-        if extras["beta"] is None:
-            if args.regime == "bound":
-                raise ValueError("wave --regime bound needs --beta; the default energy is scattering")
-            extras["regime"] = Regime.SCATTERING  # default tau*pi commuting energy
-    else:
-        extras = {"regime": regime}
-    if args.command == "commute":
-        extras["p_max"] = args.p_max
-    if args.command == "atlas":
-        extras.update(
-            gamma_min=args.gamma_min, gamma_max=args.gamma_max, gamma_steps=args.gamma_steps
-        )
-    out = args.out if args.out is not None else f"{args.command}.{args.format}"
-    return RunConfig(
-        command=args.command,
-        word_spec=args.word,
-        gamma=args.gamma,
-        q=args.q,
-        beta_min=args.beta_min,
-        beta_max=args.beta_max,
-        steps=args.steps,
-        out_path=out,
-        format=args.format,
-        **extras,
-    )
+def _config_from_args(args: argparse.Namespace, extra: list[str]) -> RunConfig:
+    """The configuration of one parsed command line; ``extra`` is what its parser left."""
+    values = vars(args)
+    command = values["command"]
+    if extra:  # a flag this command does not read, or a stray argument
+        raise ValueError(f"{extra[0].split('=')[0]} does not apply to {command}")
+    if "regime" in values:
+        values["regime"] = Regime(values["regime"])
+    if command == "wave" and "beta" not in values:
+        if values.get("regime") is Regime.BOUND:
+            raise ValueError("wave --regime bound needs --beta; the default energy is scattering")
+        values["regime"] = Regime.SCATTERING  # the default energy tau*pi scatters
+    values.setdefault("out_path", f"{command}.{values.get('format', RunConfig.format)}")
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(args, extra)
     except (ChainError, ValueError) as err:
         token = err.token if isinstance(err, ChainError) else "InvalidConfig"
         print(f"{token}: {err}", file=sys.stderr)

@@ -203,8 +203,8 @@ def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int,
     """Validate a scan's inputs (gamma a scalar or a vector); returns the finite range (lo, hi)."""
     if grid_steps < 100:
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    if not (np.isfinite(gamma).all() and math.isfinite(q)):
-        raise ValueError(f"gamma and q must be finite, got gamma = {gamma}, q = {q}")
+    if not (np.isfinite(gamma).all() and 0.0 < q < math.inf):
+        raise ValueError(f"gamma must be finite and q in (0, inf), got gamma = {gamma}, q = {q}")
     lo, hi = beta_range
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")

@@ -34,7 +34,7 @@ from .core import (
     cell_matrix,
     tunnel_matrix,
 )
-from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand
+from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand, OverflowRisk
 from .substitution import Word, guard_exponent
 
 
@@ -222,17 +222,20 @@ def cell_coefficients(
 
     ``initial`` is (psi, psi') at the left end, just before the first delta.
     Each cell's pair refers to the local basis exp(-+kappa*xi) with xi
-    measured from that cell's delta.
+    measured from that cell's delta.  A pair that is not finite raises
+    OverflowRisk.
     """
     guard_exponent(word, params.beta, params.q, params.regime)
     kappa = _local_kappa(params)
     psi, dpsi = complex(initial[0]), complex(initial[1])
     out = []
-    for kind in word.kinds():
+    for i, kind in enumerate(word.kinds()):
         ratio = kind.ratio(params.q)
         dpsi = dpsi - params.gamma * psi  # delta jump at the cell's left edge
         cm = (psi - dpsi / kappa) / 2.0
         cp = (psi + dpsi / kappa) / 2.0
+        if not (cmath.isfinite(cm) and cmath.isfinite(cp)):
+            raise OverflowRisk(f"wavefunction coefficients are not finite at cell {i}")
         out.append((cm, cp))
         em = cmath.exp(-kappa * ratio)
         ep = cmath.exp(kappa * ratio)

@@ -1,16 +1,33 @@
 """Word-spec parsing, command execution, output formats, and determinism."""
 
 import csv
+import dataclasses
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deltachain import spectra
-from deltachain.cli import RunConfig, _CHUNK, _token, _write_output, main, parse_word_spec, run
+from deltachain.cli import (
+    COMMANDS,
+    FLAGS,
+    READS,
+    RunConfig,
+    _CHUNK,
+    _build_parser,
+    _config_from_args,
+    _token,
+    _write_output,
+    main,
+    parse_word_spec,
+    run,
+)
 from deltachain.core import TAU, ChainParams, Regime
 from deltachain.errors import ParseError
 from deltachain.scattering import S_COLUMNS, s_matrix
@@ -465,11 +482,14 @@ def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
         (["bands", "--word", "fib:m=0"], 1, "ParseError: Fibonacci order must be >= 1"),
         (["commute", "--p-max", "0"], 2, "InvalidConfig: p_max must be >= 1"),
         (["wave", "--word", "S", "--beta", "1e-320"], 2, "InvalidConfig: gamma and gamma/beta must be"),
+        (["wave", "--word", "fib:m=14", "--regime", "scattering", "--beta", "1e-150",
+          "--initial", "plane"], 1, "OverflowRisk: wavefunction coefficients are not finite"),
     ],
 )
 def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code, token, tmp_path):
-    # Each used to end in a ValueError traceback, or (wave) in 65 blank rows
-    # behind an exit status of 0: gamma/beta overflowed to inf.
+    # Each used to end in a ValueError traceback, or (wave) in blank rows
+    # behind an exit status of 0: gamma/beta overflowed to inf (65 rows), or
+    # the wavefunction coefficients did (2,496 of 24,129 rows).
     out = tmp_path / "x.csv"
     proc = _run_module(*argv, "--out", str(out))
     assert proc.returncode == code
@@ -478,14 +498,34 @@ def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code
     assert not out.exists()
 
 
+# The flags each command would ignore, and so refuses: --regime everywhere
+# but in bands and wave, and each flag of a field the command does not read.
+IGNORED = {
+    "bound": ["--regime"],
+    "scatter": ["--regime"],
+    "atlas": ["--regime", "--word", "--gamma"],
+    "wave": ["--beta-min", "--beta-max", "--steps"],
+    "dos": ["--regime", "--q"],
+    "binding": ["--regime", "--q"],
+    "fib-info": ["--regime", "--gamma", "--q", "--beta-min", "--beta-max", "--steps"],
+    "commute": ["--regime", "--word", "--q", "--beta-min", "--beta-max", "--steps"],
+}
+
+
 @pytest.mark.parametrize(
-    "command", ["bound", "scatter", "atlas", "dos", "binding", "fib-info", "commute"]
+    "command, flag",
+    [
+        pytest.param(command, flag, id=command if flag == "--regime" else command + flag)
+        for command, flags in IGNORED.items()
+        for flag in flags
+    ],
 )
-def test_regime_is_rejected_where_it_is_ignored(command, tmp_path):
+def test_regime_is_rejected_where_it_is_ignored(command, flag, tmp_path):
     out = tmp_path / "x.csv"
-    proc = _run_module(command, "--regime", "bound", "--out", str(out))
+    value = {"--regime": "bound", "--word": "S", "--steps": "200"}.get(flag, "1")
+    proc = _run_module(command, flag, value, "--out", str(out))
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"InvalidConfig: --regime does not apply to {command}")
+    assert proc.stderr.startswith(f"InvalidConfig: {flag} does not apply to {command}")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -507,3 +547,81 @@ def test_regime_is_read_by_bands_and_wave(tmp_path, capsys):
     scatter = tmp_path / "scatter.json"
     assert main(["scatter", "--steps", "100", "--format", "json", "--out", str(scatter)]) == 0
     assert json.loads(scatter.read_text())["config"]["regime"] == "bound"
+
+
+# Each RunConfig field's flag, and a value unlike the field's default.
+FLAG_VALUES = {
+    "word_spec": ("--word", "SL"),
+    "gamma": ("--gamma", 2.5),
+    "q": ("--q", 1.5),
+    "beta_min": ("--beta-min", 0.5),
+    "beta_max": ("--beta-max", 5.0),
+    "steps": ("--steps", 200),
+    "regime": ("--regime", Regime.SCATTERING),
+    "beta": ("--beta", 1.25),
+    "initial": ("--initial", "plane"),
+    "p_max": ("--p-max", 2),
+    "gamma_min": ("--gamma-min", -1.0),
+    "gamma_max": ("--gamma-max", 1.0),
+    "gamma_steps": ("--gamma-steps", 3),
+    "out_path": ("--out", "x.json"),
+    "format": ("--format", "json"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_flag_lands_in_its_field_and_defaults_to_run_config(command):
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    reads = (*READS[command], "out_path", "format")
+    assert set(FLAGS) == set(defaults) - {"command"}
+    assert {f: v[0] for f, v in FLAG_VALUES.items()} == {f: v[0] for f, v in FLAGS.items()}
+
+    def config(*left_out):
+        argv = [command]
+        for field in reads:
+            if field not in left_out:
+                flag, value = FLAG_VALUES[field]
+                argv += [flag, getattr(value, "value", str(value))]
+        args, extra = _build_parser().parse_known_args(argv)
+        assert extra == []
+        return _config_from_args(args, extra)
+
+    given = config()  # every flag the command reads; the other fields keep their defaults
+    for field in FLAGS:
+        if field in reads:
+            assert FLAG_VALUES[field][1] != defaults[field]
+            assert getattr(given, field) == FLAG_VALUES[field][1], field
+        else:
+            assert getattr(given, field) == defaults[field], field
+    for field in reads:  # each flag left out in turn
+        want = f"{command}.json" if field == "out_path" else defaults[field]
+        assert getattr(config(field), field) == want, field
+
+
+def test_readme_cli_lines_parse_and_list_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("deltachain ")]
+    assert sorted({argv[0] for argv in lines}) == sorted(COMMANDS)
+    for argv in lines:
+        assert _build_parser().parse_known_args(argv)[1] == [], argv
+    # One "- `<command>`: `--flag`, ..." line per command names the flags it reads.
+    listed = dict(re.findall(r"^- `([a-z-]+)`: (.*)$", section, flags=re.M))
+    assert sorted(listed) == sorted(COMMANDS)
+    for command, text in listed.items():
+        want = [FLAGS[f][0] for f in (*READS[command], "out_path", "format")]
+        assert sorted(re.findall(r"`(--[a-z-]+)", text)) == sorted(want), command
+
+
+@pytest.mark.parametrize(
+    "out, token",
+    [("missing/x.csv", "FileNotFoundError: "), (".", "IsADirectoryError: ")],
+    ids=["missing-dir", "directory"],
+)
+def test_unwritable_out_exits_1_with_token_and_no_file(out, token, tmp_path, capsys):
+    # Both used to end in a traceback.
+    assert main(["fib-info", "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(token) and captured.out == ""
+    assert list(tmp_path.iterdir()) == []

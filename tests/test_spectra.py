@@ -365,6 +365,15 @@ def test_scans_reject_non_finite_inputs(bad):
             scan(Word("S"), 4.0, 1.0, (0.05, bad))
 
 
+@pytest.mark.parametrize("q", [0.0, -1.0])
+def test_scans_reject_a_non_positive_q(q):
+    # ChainParams refuses such a q; the scans used to return 0 germs, 2 roots
+    # of a zero-length L tunnel, or (q < 0) a misleading GridTooCoarse.
+    for scan in (band_germs, bound_states):
+        with pytest.raises(ValueError, match=r"q in \(0, inf\)"):
+            scan(Word("SL"), 4.0, q)
+
+
 def test_single_cell_helpers_raise_out_of_band_without_a_germ():
     # A repulsive cell (gamma < 0) has no Bound-regime band germ.
     with pytest.raises(OutOfBand, match="found 0"):
