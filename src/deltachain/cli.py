@@ -128,6 +128,10 @@ class RunConfig:
             raise ValueError(f"p_max must be >= 1, got {self.p_max}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        if self.initial not in ("bloch", "plane"):
+            raise ValueError(f"initial must be bloch or plane, got {self.initial!r}")
+        if self.command == "wave" and self.beta is None and self.regime is not Regime.SCATTERING:
+            raise ValueError("wave --regime bound needs --beta; the default energy tau*pi is scattering")
         if self.beta is not None:
             ChainParams(self.beta, self.gamma, self.q)  # beta > 0 and a finite gamma/beta
 
@@ -430,9 +434,7 @@ def _config_from_args(args: argparse.Namespace, extra: list[str]) -> RunConfig:
     if "regime" in values:
         values["regime"] = Regime(values["regime"])
     if command == "wave" and "beta" not in values:
-        if values.get("regime") is Regime.BOUND:
-            raise ValueError("wave --regime bound needs --beta; the default energy is scattering")
-        values["regime"] = Regime.SCATTERING  # the default energy tau*pi scatters
+        values.setdefault("regime", Regime.SCATTERING)  # the default energy tau*pi scatters
     values.setdefault("out_path", f"{command}.{values.get('format', RunConfig.format)}")
     return RunConfig(**values)
 

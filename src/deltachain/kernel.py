@@ -1,12 +1,15 @@
 """Vectorized transfer-matrix kernel shared by spectra and scattering.
 
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
-chunks.  In the Bound regime the kernel multiplies real float64 entries,
-with the np.exp that tunnel_matrix also takes; in the Scattering regime it
-multiplies (re, im) float64 pairs with CPython's complex formulas (see
-_cell_entries).  In both, each sample equals cell_matrix and word_matrix at
-that beta bit for bit.  Entries that overflow float64 raise OverflowRisk
-instead of leaving inf or NaN samples behind.
+chunks.  Each chunk tables the gamma-free terms of each letter's cell
+(_cell_table: lam and 1/lam), and a gamma step makes the entries from that
+table (_cell_entries), so a scan at many gammas tables a chunk only once.
+In the Bound regime the kernel multiplies real float64 entries, with the
+np.exp that tunnel_matrix also takes; in the Scattering regime it
+multiplies (re, im) float64 pairs with CPython's complex formulas.  In
+both, each sample equals cell_matrix and word_matrix at that beta bit for
+bit.  Entries that overflow float64 raise OverflowRisk instead of leaving
+inf or NaN samples behind.
 
 gamma may be a scalar or an array the shape of the betas, one coupling per
 point; the arithmetic is elementwise, so a point's value does not depend on
@@ -47,38 +50,47 @@ def _pair_quot(z, w):
     return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
 
 
-def _cell_entries(gamma: float, betas: np.ndarray, regime: Regime, ratio: float, diagonal=False):
-    """Vectorized cell-matrix entries over a beta grid, equal to cell_matrix bit for bit.
+def _cell_table(betas: np.ndarray, regime: Regime, ratio: float) -> tuple:
+    """The gamma-free terms of a cell with tunnel ratio ``ratio`` over a beta slice.
 
-    Bound entries are real float64, the products that cell_matrix's delta
-    factor makes with the tunnel's diag(1/lam, lam).
-
-    Scattering entries are (re, im) pairs of float64 arrays.  numpy's
-    complex multiply and divide round differently from CPython's in the last
-    bit, so each entry is built from the float operations that
-    cell_matrix's complex arithmetic makes: lam = (cos t, -sin t), 1/lam by
-    Smith's method, and delta/2 on the imaginary axis.
-
-    In both regimes the zero terms of the scalar product are kept where they
-    fix the sign of a zero entry (gamma = 0), as 0.0 - v and v + 0.0.
-    diagonal=True returns (a, d) only.
+    (lam, inv) = (exp(beta*ratio), 1/lam) in the Bound regime; (lc, ls) = lam =
+    cmath.exp(-1j*beta*ratio) and (ir, ii) = 1/lam, by Smith's method, in the Scattering one.
     """
     if regime is Regime.BOUND:
         lam = np.exp(betas * ratio)
-        inv = 1.0 / lam
+        return lam, 1.0 / lam
+    t = betas * ratio
+    lc, ls = np.cos(t), -np.sin(t)
+    return (lc, ls, *_pair_quot((1.0, 0.0), (lc, ls)))
+
+
+def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagonal=False):
+    """Cell-matrix entries over a beta slice from its _cell_table, equal to cell_matrix bit for bit.
+
+    Real float64 in the Bound regime; in the Scattering regime (re, im) pairs of
+    float64 arrays, from the float operations of cell_matrix's complex arithmetic
+    (numpy's complex multiply and divide round differently in the last bit).  The
+    zero terms of the scalar product are kept where they fix the sign of a zero
+    entry (gamma = 0), as 0.0 - v and v + 0.0.  diagonal=True returns (a, d) only.
+    """
+    if regime is Regime.BOUND:
+        lam, inv = table
         h = (gamma / betas) / 2
         a, d = (1 + h) * inv, lam * (1 - h)
         return (a, d) if diagonal else (a, h * lam + 0.0, 0.0 - h * inv, d)
-    t = betas * ratio
-    lc, ls = np.cos(t), -np.sin(t)  # cmath.exp(-1j * t)
-    ir, ii = _pair_quot((1.0, 0.0), (lc, ls))
+    lc, ls, ir, ii = table
     h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
     mh = 0.0 - h
     a, d = (ir - h * ii, ii + h * ir), (lc - mh * ls, ls + mh * lc)
     return (a, d) if diagonal else (a, (0.0 - h * ls, h * lc + 0.0), (0.0 - mh * ii, mh * ir + 0.0), d)
 
 
-def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Regime):
+def _letter_tables(word: Word, q: float, betas: np.ndarray, regime: Regime) -> dict:
+    """The _cell_table of each distinct letter of the word over a beta slice."""
+    return {ch: _cell_table(betas, regime, 1.0 if ch == "S" else q) for ch in set(word.letters)}
+
+
+def _word_grid(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, tables=None):
     """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
 
     Real arrays in the Bound regime, (re, im) pairs in the Scattering
@@ -87,13 +99,9 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
     from the identity: for finite entries 1*a + 0*c == a, and the cell's
     zero entries already carry the sign that the identity product gives.
     """
-    if regime is Regime.BOUND:
-        mul, add = operator.mul, operator.add
-    else:
-        mul, add = _pair_mul, _pair_add
-    cells = {}
-    for ch in set(word.letters):
-        cells[ch] = _cell_entries(gamma, betas, regime, 1.0 if ch == "S" else q)
+    mul, add = (operator.mul, operator.add) if regime is Regime.BOUND else (_pair_mul, _pair_add)
+    cells = {ch: _cell_entries(gamma, betas, regime, table)
+             for ch, table in (tables or _letter_tables(word, q, betas, regime)).items()}
     A, B, C, D = cells[word.letters[0]]
     for ch in word.letters[1:]:
         a2, b2, c2, d2 = cells[ch]
@@ -110,40 +118,66 @@ def _word_grid(word: Word, gamma: float, q: float, betas: np.ndarray, regime: Re
 _CHUNK = 1 << 13
 
 
+def _finite(scan):
+    """scan, raising OverflowRisk where float64 overflows (long words, strong coupling) or turns invalid."""
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return scan(*args, **kwargs)
+        except FloatingPointError as err:
+            raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
+    return guarded
+
+
+@_finite
 def _run_chunks(betas: np.ndarray, gamma, fill, rows=(), dtype=float) -> np.ndarray:
     """fill(beta, gamma) on every _CHUNK-point slice of betas, gathered in one array.
 
     gamma is a scalar or an array the shape of betas, sliced with them.  The
     result has shape rows + (betas.size,), and each call fills its slice of
-    the last axis.  An overflow or invalid operation inside fill (the
-    entries of a long word at strong coupling outgrow float64) raises
-    OverflowRisk.
+    the last axis.  An overflow inside fill raises OverflowRisk (_finite).
     """
     out = np.empty((*rows, betas.size), dtype)
     per_point = isinstance(gamma, np.ndarray) and gamma.ndim > 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, betas.size, _CHUNK):
-                part = slice(start, start + _CHUNK)
-                out[..., part] = fill(betas[part], gamma[part] if per_point else gamma)
-    except FloatingPointError as err:
-        raise OverflowRisk(f"transfer-matrix entries are not finite ({err})") from None
+    for start in range(0, betas.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        out[..., part] = fill(betas[part], gamma[part] if per_point else gamma)
     return out
 
 
+def _word_value(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str, tables=None):
+    """Real x (which = "x") or d (which = "d") over a slice, from the word's _letter_tables (made if None)."""
+    if len(word.letters) == 1:  # x and d of one cell need only its diagonal
+        table = (tables or _letter_tables(word, q, betas, regime))[word.letters]
+        A, D = _cell_entries(gamma, betas, regime, table, True)
+    else:
+        A, _, _, D = _word_grid(word, gamma, q, betas, regime, tables)
+    if regime is Regime.SCATTERING:
+        A, D = A[0], D[0]
+    return 0.5 * (A + D) if which == "x" else D
+
+
 def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str):
-    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix over a grid.
+    """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix; gamma scalar or per beta."""
+    return _run_chunks(betas, gamma, lambda beta, g: _word_value(word, g, q, beta, regime, which))
 
-    gamma is a scalar or one value per beta.
+
+@_finite
+def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
+    """Per gamma, the indices i where x crosses +-1 between betas i and i+1, and x at both ends.
+
+    A sample at +-1 or NaN never counts.  Chunk-outer, gamma-inner: each
+    _CHUNK-point slice of betas is tabled once per letter, then stepped at
+    every gamma; slices share a seam point, so a crossing there is found once.
     """
-
-    def fill(beta: np.ndarray, gamma) -> np.ndarray:
-        if len(word.letters) == 1:  # x and d of one cell need only its diagonal
-            A, D = _cell_entries(gamma, beta, regime, 1.0 if word.letters == "S" else q, True)
-        else:
-            A, _, _, D = _word_grid(word, gamma, q, beta, regime)
-        if regime is Regime.SCATTERING:
-            A, D = A[0], D[0]
-        return 0.5 * (A + D) if which == "x" else D
-
-    return _run_chunks(betas, gamma, fill)
+    cross, ends = [[] for _ in gammas], np.empty((len(gammas), 2))
+    for start in range(0, betas.size - 1, _CHUNK):
+        part = betas[start : start + _CHUNK + 1]
+        tables = _letter_tables(word, q, part, regime)
+        for i, gamma in enumerate(gammas):
+            x = _word_value(word, gamma, q, part, regime, "x", tables)
+            for t in (1.0, -1.0):
+                hi, lo = x > t, x < t
+                cross[i].append(start + np.nonzero((hi[1:] & lo[:-1]) | (lo[1:] & hi[:-1]))[0])
+            ends[i] = x[0] if start == 0 else ends[i, 0], x[-1]
+    return [np.concatenate(c) for c in cross], ends

@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
-from .kernel import _cell_entries, _run_chunks, _word_scan
+from .kernel import _cell_entries, _cell_table, _letter_tables, _run_chunks, _word_scan, _x_crossings
 from .substitution import Word, guard_exponent
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
@@ -131,16 +131,14 @@ def _node_count(word: Word, gamma, q: float, betas: np.ndarray, dirichlet=False)
     def fill(beta: np.ndarray, gamma) -> np.ndarray:
         # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
         # the delta jump first, then the tunnel.
-        cells = {}
-        for ch in set(word.letters):
-            a, b, c, d = _cell_entries(gamma, beta, Regime.BOUND, 1.0 if ch == "S" else q)
-            cells[ch] = a, -c, -b, d
+        cells = {ch: _cell_entries(gamma, beta, Regime.BOUND, table)
+                 for ch, table in _letter_tables(word, q, beta, Regime.BOUND).items()}
         cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
         positive = np.ones(beta.size, dtype=bool)
         n = np.zeros(beta.size, dtype=np.int64)
         for ch in word.letters:
             a, b, c, d = cells[ch]
-            cm, cp = a * cm + b * cp, c * cm + d * cp
+            cm, cp = a * cm - c * cp, d * cp - b * cm
             norm = np.abs(cm) + np.abs(cp)
             cm, cp = cm / norm, cp / norm
             now = cm + cp > 0.0
@@ -210,15 +208,6 @@ def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int,
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
     guard_exponent(word, hi, q, regime)
     return lo, hi
-
-
-def _crossings(values: np.ndarray, target: float) -> np.ndarray:
-    """Indices i where values crosses target strictly between samples i and i+1.
-
-    Samples equal to target or NaN never count, as for a sign product.
-    """
-    above, below = values > target, values < target
-    return np.nonzero((above[1:] & below[:-1]) | (below[1:] & above[:-1]))[0]
 
 
 def _bisect(
@@ -327,9 +316,9 @@ def band_germs(
 def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime: Regime):
     """Yield band_germs at each gamma of a vector in turn, or the GridTooCoarse refusing it.
 
-    x is scanned one gamma at a time on the x4 grid, and only the window
-    ends and the crossing intervals' ends are kept, so the gammas x grid
-    array is never held.  The edge count, _isolate, the bracket-end x scan
+    x is scanned on the x4 grid a chunk at a time, every gamma from the
+    chunk's cell tables (_x_crossings), keeping only the window ends and the
+    crossing indices.  The edge count, _isolate, the bracket-end x scan
     and _bisect then run once over the pieces of all gammas, each piece
     carrying its row's gamma; the kernel works elementwise, so every germ
     is the one a query at its gamma alone returns, bit for bit.
@@ -337,12 +326,8 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     gammas = np.asarray(gammas, dtype=float)
     lo, hi = _check_scan_inputs(word, gammas, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
-    p, x_ends = [], np.empty((gammas.size, 2))
-    for i, gamma in enumerate(gammas.tolist()):
-        x = _word_scan(word, gamma, q, betas, regime, "x")
-        cross = np.concatenate([_crossings(x, 1.0), _crossings(x, -1.0)])
-        p.append(np.array(sorted({0, betas.size - 1, *cross.tolist(), *(cross + 1).tolist()})))
-        x_ends[i] = x[0], x[-1]
+    cross, x_ends = _x_crossings(word, gammas.tolist(), q, betas, regime)
+    p = [np.array(sorted({0, betas.size - 1, *c.tolist(), *(c + 1).tolist()})) for c in cross]
     row = np.repeat(np.arange(gammas.size), [v.size for v in p])
     p = np.concatenate(p)
 
@@ -494,7 +479,11 @@ def _binding_terms(n: int, betas: np.ndarray, gamma: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a, d = _run_chunks(betas, gamma, lambda b, g: _cell_entries(g, b, Regime.BOUND, 1.0, True), (2,))
+
+    def diagonal(b: np.ndarray, g) -> tuple:  # the cell's (a, d)
+        return _cell_entries(g, b, Regime.BOUND, _cell_table(b, Regime.BOUND, 1.0), True)
+
+    a, d = _run_chunks(betas, gamma, diagonal, (2,))
     rows = []
     for beta, x1, y1 in zip(betas.tolist(), (0.5 * (a + d)).tolist(), (0.5 * (a - d)).tolist()):
         if abs(x1) > 1.0 + BAND_TOL:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltachain import spectra
+from deltachain import kernel, spectra
 from deltachain.cli import (
     COMMANDS,
     FLAGS,
@@ -408,6 +408,43 @@ def test_run_config_rejects_non_positive_scales():
         RunConfig(command="bands", beta_min=0.0)
     with pytest.raises(ValueError):
         RunConfig(command="wave", beta=-1.0)
+
+
+def test_run_config_checks_initial_and_the_wave_energy(tmp_path):
+    # Only the parser checked these: a library caller got a plane wave for
+    # any initial but "bloch", and tau*pi in the Bound regime without beta.
+    with pytest.raises(ValueError, match="initial must be bloch or plane"):
+        RunConfig(command="wave", initial="Bloch", regime=Regime.SCATTERING)
+    with pytest.raises(ValueError, match="wave --regime bound needs --beta"):
+        RunConfig(command="wave")
+    RunConfig(command="wave", regime=Regime.BOUND, beta=1.0)
+    RunConfig(command="bands", initial="bloch")
+    # Without beta the library call writes what the command line writes.
+    lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    assert run(RunConfig(command="wave", regime=Regime.SCATTERING, out_path=str(lib))) == 0
+    assert main(["wave", "--out", str(cli)]) == 0
+    assert lib.read_bytes() == cli.read_bytes()
+
+
+def test_atlas_tables_each_chunk_once_per_letter(tmp_path, monkeypatch):
+    # The x scan tables each chunk of the x4 grid once per letter, for all
+    # 401 gammas of a cell and regime.  A scan that tabled it once per gamma
+    # would make 401 such calls per cell and regime; unlike wall time, the
+    # count repeats exactly on any host.
+    calls = []
+    real = kernel._cell_table
+
+    def counted(betas, regime, ratio):
+        calls.append((betas.size, regime, ratio))
+        return real(betas, regime, ratio)
+
+    monkeypatch.setattr(kernel, "_cell_table", counted)
+    config = RunConfig(command="atlas", gamma_steps=401, out_path=str(tmp_path / "atlas.csv"))
+    assert run(config) == 0
+    grid = 4 * config.steps + 1
+    assert grid <= _CHUNK + 1  # one chunk
+    scans = [(regime, ratio) for size, regime, ratio in calls if size == grid]
+    assert sorted(scans, key=repr) == sorted(((r, ratio) for r in Regime for ratio in (1.0, TAU)), key=repr)
 
 
 def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from deltachain import spectra
 from deltachain.core import TAU, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
-from deltachain.kernel import _CHUNK, _cell_entries, _word_grid, _word_scan
+from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _word_grid, _word_scan, _x_crossings
 from deltachain.spectra import (
     BAND_TOL,
     ROOT_TOL,
@@ -407,7 +408,7 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
         for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
             entries = np.array([cell_matrix(p, kind).entries() for p in points], dtype=object)
             cells[kind] = TransferMatrix(*entries.T)
-            got = kernel_bits(_cell_entries(gamma, betas, regime, ratio))
+            got = kernel_bits(_cell_entries(gamma, betas, regime, _cell_table(betas, regime, ratio)))
             assert np.array_equal(got, scalar_bits(*entries.T)), (regime, kind, gamma)
         for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
             # word_matrix's product on all points at once: compose on object
@@ -423,6 +424,39 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
             x, d = (_word_scan(word, gamma, TAU, betas, regime, which) for which in ("x", "d"))
             want = [np.array(v, dtype=complex).real for v in (M.x, M.d)]
             assert np.array_equal(np.array([x, d]).view(np.int64), np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("letters", ["S", "L", "SLS"])
+def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
+    # The chunk-outer, gamma-inner scan keeps each gamma's crossings of
+    # x = +-1 and its window-end x, bit for bit those of a per-gamma scan.
+    # The grid spans three chunks, and the first gamma's first germ edge
+    # falls between samples _CHUNK - 1 and _CHUNK, on the shared seam point.
+    word, gammas = Word(letters), [4.0, 0.0, -2.5, 11.0, -0.0, -6.0]
+    edge = band_germs(word, gammas[0], TAU, (0.05, 6.0), 2000, regime)[0].beta_hi
+    betas = 0.05 + (edge - 0.05) / (_CHUNK - 0.5) * np.arange(2 * _CHUNK + 777)
+    cross, ends = _x_crossings(word, gammas, TAU, betas, regime)
+    assert _CHUNK - 1 in cross[0].tolist()
+    for gamma, got, (x_lo, x_hi) in zip(gammas, cross, ends.tolist()):
+        x = _word_scan(word, gamma, TAU, betas, regime, "x")
+        sides = [np.sign(x - t) for t in (1.0, -1.0)]
+        want = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
+        assert sorted(got.tolist()) == want, gamma
+        assert (x_lo.hex(), x_hi.hex()) == (float(x[0]).hex(), float(x[-1]).hex()), gamma
+
+
+def test_germ_rows_memory_stays_bounded_by_the_chunk():
+    # 25 gammas on 40,001 points (5 chunks): the per-gamma scan peaked at
+    # about 2.8 MB of traced memory, and the chunked scan does too.  A table
+    # of the whole grid would add about 2.6 MB, and a gammas x grid array 8 MB.
+    tracemalloc.start()
+    try:
+        list(_germ_rows(Word("SL"), np.linspace(-6, 6, 25), TAU, (0.05, 6.0), 10000, Regime.SCATTERING))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
