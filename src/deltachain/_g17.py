@@ -1,0 +1,218 @@
+"""Python's format(v, ".17g") over a float64 block, in numpy, byte for byte.
+
+block_text(block, fmt) renders a 2-D float64 block as CSV lines or as JSON
+row arrays joined by ",", exactly as the token-by-token writer would.  It
+works in two steps.
+
+Digits.  The correctly rounded 17 significant digits N (an int64 in
+[1e16, 1e17)) and the decimal exponent e10 of |v| come from the
+double-double product |v| * 10**(16 - e10): a Dekker split (no FMA) times a
+(hi, lo) table of 10**s built from exact integer arithmetic.  The decade
+guess from log10 is corrected from the raw product, and a rounding carry to
+1e17 moves the value to the next decade.  The product is off by less than
+1e-14 at the last digit, so a rounding that lies more than 1e-6 away from a
+tie is the one CPython's dtoa makes.  A value within 1e-6 of a tie (exact
+ties occur: 1377037368961076.25 is one), or with |v| outside
+[1e-280, 1e280] (subnormals included), is "unsure" and is formatted by
+Python itself.
+
+Text.  Each value fills six 8-byte words of a buffer, each taken whole
+from a table of byte patterns, with NUL bytes where nothing is written:
+the sign, the "0." and "0"s of fixed notation below 1 and the leading
+digit; four groups of four (digit, ".") pairs; the exponent "e+XXX" and
+the separator ("," between values, "\\n" or "],[" after a row).  The %g
+rules decide what is written: fixed notation for -4 <= e10 < 17, trailing
+zeros stripped, at least two exponent digits, one "." after the digit it
+follows.  Zeros print as "0" / "-0", and non-finite values as "" (CSV) or
+null (JSON).  bytes.translate then deletes the padding.
+"""
+
+import numpy as np
+
+# Values outside [_TINY, _HUGE] go to Python; with one decade of slack the
+# scale 10**(16 - e10) then stays in [_S_MIN, _S_MAX], and every partial
+# product of the Dekker split stays a normal float64.
+_TINY, _HUGE = 1e-280, 1e280
+_S_MIN, _S_MAX = -266, 298
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _pow10_table():
+    """(hi, hi_high, hi_low, lo) with hi + lo = 10**s to about 2**-106, for s in [_S_MIN, _S_MAX].
+
+    hi is 10**s correctly rounded and lo the correctly rounded remainder,
+    both from exact integer arithmetic (int / int rounds correctly);
+    hi_high + hi_low is hi's Dekker split.
+    """
+    hi, lo = {}, {}
+    p = 1  # 10**k
+    for k in range(max(-_S_MIN, _S_MAX) + 1):
+        hi[k] = float(p)
+        lo[k] = float(p - int(hi[k]))
+        if k:
+            h = hi[-k] = 1 / p
+            num, den = h.as_integer_ratio()  # h = num / den exactly
+            lo[-k] = (den - num * p) / (den * p)
+        p *= 10
+    s = range(_S_MIN, _S_MAX + 1)
+    hi, lo = np.array([hi[k] for k in s]), np.array([lo[k] for k in s])
+    c = _SPLIT * hi
+    high = c - (c - hi)
+    return hi, high, hi - high, lo
+
+
+_HI, _HI_HIGH, _HI_LOW, _LO = _pow10_table()
+
+# Each value takes _WIDTH bytes, six 8-byte words; a word is written whole
+# from a table of byte patterns, so no table depends on byte order:
+#   word 0     sign, the "0.000" prefix of -4 <= e10 < 0, the leading digit and a "."
+#   words 1-4  four groups of four (digit, ".") pairs
+#   word 5     the exponent "e+XXX" and up to three separator bytes
+_WIDTH = 48
+
+
+def _words(patterns) -> np.ndarray:
+    """uint64 words holding the 8-byte rows of a uint8 array."""
+    return np.ascontiguousarray(patterns, np.uint8).view(np.uint64).ravel()
+
+
+def _group_tables():
+    """By group value 0..9999: its digits as "d.d.d.d." with NUL dots, and its trailing zeros (4 for 0).
+
+    The four digits of a group index the axes of a 10x10x10x10 grid.
+    """
+    pairs = np.zeros((10, 10, 10, 10, 4, 2), np.uint8)
+    zeros = np.uint8(0)
+    for k in range(4):
+        axis = (10,) + (1,) * (3 - k)
+        pairs[..., k, 0] = np.arange(48, 58).reshape(axis)
+        zeros = (np.arange(10) == 0).reshape(axis) * (1 + zeros)
+    return _words(pairs.reshape(10000, 8)), zeros.reshape(10000)
+
+
+_PLACES = np.arange(8)
+_PAIRS4, _ZEROS4 = _group_tables()
+# By group i and digits written: the mask that keeps the group's written pairs.
+_KEEP = np.clip(np.arange(18) - 1 - 4 * np.arange(4)[:, None], 0, 4)[..., None]
+_KEEP = _words((_PLACES < 2 * _KEEP) * 255).reshape(4, 18)
+_LEAD = _words((_PLACES == 6) * (np.arange(10)[:, None] + 48))
+_MINUS = _words([ord("-")] + [0] * 7)[0]
+
+
+def _e10_tables():
+    """Words 0 and 5 by e10 + _E_OFF: the "0." and up to three "0"s of fixed
+    notation below 1, and "e", the exponent's sign and at least two of its digits."""
+    e = np.arange(-_E_OFF, _E_OFF + 1)[:, None]
+    sci, ae = (e < -4) | (e >= 17), abs(e)
+    prefix = ((e < 0) & ~sci) * np.select(
+        [_PLACES == 1, _PLACES == 2, (_PLACES >= 3) & (_PLACES < 2 - e)], [48, 46, 48]
+    )
+    exponent = sci * np.select(
+        [_PLACES == 0, _PLACES == 1, (_PLACES == 2) & (ae >= 100), _PLACES == 3, _PLACES == 4],
+        [ord("e"), np.where(e < 0, ord("-"), ord("+")), ae // 100 + 48, ae // 10 % 10 + 48, ae % 10 + 48],
+    )
+    return _words(prefix), _words(exponent)
+
+
+_E_OFF = 300
+_PREFIX, _EXPONENT = _e10_tables()
+
+
+def _scaled(a, e10):
+    """The double-double (ph, pl) of a * 10**(16 - e10): Dekker's exact product a * hi, plus a * lo."""
+    k = 16 - e10 - _S_MIN
+    hi, bh, bl = _HI[k], _HI_HIGH[k], _HI_LOW[k]
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    ph = a * hi
+    return ph, (((ah * bh - ph) + ah * bl + al * bh) + al * bl) + a * _LO[k]
+
+
+def _digits(a):
+    """(N, e10, unsure) for positive a in [_TINY, _HUGE], rounded as CPython's dtoa rounds.
+
+    a = N * 10**(e10 - 16) to 17 digits, N an int64 in [1e16, 1e17).
+    Where unsure is set, a lies within 1e-6 of a tie and N may be off by one.
+    """
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    ph, pl = _scaled(a, e10)
+    # log10 can miss the decade next to a power of ten; the raw product tells.
+    down = (ph < 1e16) | ((ph == 1e16) & (pl < 0.0))
+    up = (ph > 1e17) | ((ph == 1e17) & (pl >= 0.0))
+    miss = np.flatnonzero(down | up)
+    if miss.size:
+        e10[miss] += up[miss].astype(np.int64) - down[miss]
+        ph[miss], pl[miss] = _scaled(a[miss], e10[miss])
+    # ph >= 1e16 > 2**53 is an integer; pl holds the rest of the product.
+    r = np.rint(pl)
+    unsure = np.abs(np.abs(pl - r) - 0.5) < 1e-6
+    n = ph.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    return n, e10 + carry, unsure
+
+
+def _separators(cols: int, json: bool) -> np.ndarray:
+    """Word 5's separator bytes per column: "," between values, then "\\n" or "],[" after a row."""
+    sep = np.zeros((cols, 8), np.uint8)
+    sep[:, 5] = ord(",")
+    sep[-1, 5:] = list(b"],[" if json else b"\n\0\0")
+    return _words(sep)
+
+
+def block_text(block: np.ndarray, fmt: str) -> bytes:
+    """The rows of a 2-D float64 block as CSV lines, or as JSON arrays joined by ","."""
+    rows, cols = block.shape
+    json = fmt == "json"
+    v = block.ravel()
+    a = np.abs(v)
+    sure = (a >= _TINY) & (a <= _HUGE)  # False for 0, subnormals and non-finite values
+    n, e10, unsure = _digits(np.where(sure, a, 1.0))
+    sure &= ~unsure
+
+    # The leading digit, then four groups of four, and the trailing zeros.
+    # (numpy divides int64 by a constant fast, but its % is slow.)
+    top = n // 10**8
+    low = n - top * 10**8
+    head, top4, low4 = top // 10**8, top // 10**4, low // 10**4
+    g1, g2, g3, g4 = top4 - head * 10**4, top - top4 * 10**4, low4, low - low4 * 10**4
+    zeros = _ZEROS4[g4] + (g4 == 0) * _ZEROS4[g3]
+    zeros += (low == 0) * (_ZEROS4[g2] + (g2 == 0) * _ZEROS4[g1])
+    sig = 17 - zeros
+    fixed = (e10 >= -4) & (e10 < 17)
+    keep = np.where(fixed, np.maximum(sig, e10 + 1), sig)  # digits written
+    dot = np.where(fixed, e10, 0)  # the digit a "." follows, if any digit follows it
+
+    # Row 0 is a pad whose last byte opens the first JSON row.
+    out = np.zeros((v.size + 1, _WIDTH // 8), np.uint64)
+    body = out[1:]
+    e = e10 + _E_OFF
+    body[:, 0] = _PREFIX[e] | _LEAD[head] | np.where(np.signbit(v), _MINUS, np.uint64(0))
+    for i, g in enumerate((g1, g2, g3, g4)):
+        body[:, 1 + i] = _PAIRS4[g] & _KEEP[i, keep]
+    sep = _separators(cols, json)
+    body.reshape(rows, cols, -1)[..., 5] = _EXPONENT[e].reshape(rows, cols) | sep
+    text = out.view(np.uint8).reshape(-1)
+    if json:
+        text[_WIDTH - 1] = ord("[")
+        text[-2:] = 0  # rows are joined, not terminated, by ","
+    at = np.flatnonzero((dot >= 0) & (keep > dot + 1))
+    text[(at + 1) * _WIDTH + 7 + 2 * dot[at]] = ord(".")
+
+    # Zeros, non-finite values and unsure values replace the number's bytes.
+    special = np.flatnonzero(~sure)
+    if special.size:
+        x = v[special]
+        body[special, :5] = 0
+        body[special, 5] &= sep[special % cols]
+        base = (special + 1) * _WIDTH
+        zero, finite = x == 0.0, np.isfinite(x)
+        text[base[zero]] = np.signbit(x[zero]) * np.uint8(ord("-"))
+        text[base[zero] + 6] = ord("0")
+        if json:
+            text[base[~finite, None] + np.arange(4)] = np.frombuffer(b"null", np.uint8)
+        for start, value in zip(base[finite & ~zero].tolist(), x[finite & ~zero].tolist()):
+            token = format(value, ".17g").encode()
+            text[start : start + len(token)] = np.frombuffer(token, np.uint8)
+    return text.tobytes().translate(None, b"\0")

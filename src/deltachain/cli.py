@@ -8,12 +8,14 @@ share one envelope shape {command, config, columns, rows} described by
 docs/output_schema.json.  Non-finite values and missing ones are written as
 "" in CSV and null in JSON.
 
-Files are streamed a chunk of rows at a time.  The all-numeric commands
+Files are streamed 1,024 rows at a time.  The all-numeric commands
 (``wave``, ``scatter``, ``dos``, ``binding``) hand the writer a 2-D float64
-block, and each all-finite chunk of it is rendered with one %-format of a
-repeated row template; the mixed-type commands hand it a list of row
-tuples, written token by token.  A command runs to completion before its
-file is opened, so a failed command leaves no file.
+block, formatted in numpy by ``_g17.block_text``, which computes the
+correctly rounded 17 digits itself and writes the bytes format(v, ".17g")
+writes.  Only values within 1e-6 of a rounding tie, or with |v| outside
+[1e-280, 1e280], go through Python's format.  The mixed-type commands hand
+the writer a list of row tuples, written token by token.  A command runs to
+completion before its file is opened, so a failed command leaves no file.
 
 Each command's parser declares the flags of the RunConfig fields it reads
 (``READS``) and refuses any other flag as an invalid configuration, so
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from . import __version__
 from .core import CellKind, ChainParams, Regime, TAU, cell_matrix, tunnel_matrix
 from .errors import ChainError, GridTooCoarse, ParseError
-from .kernel import _CHUNK
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
@@ -196,26 +197,26 @@ def _row_text(rows, fmt: str) -> str:
     return ",".join("[" + ",".join(_token(v, fmt) for v in row) + "]" for row in rows)
 
 
-def _chunk_texts(table, fmt: str):
-    """The body of the file, one formatted slice of at most _CHUNK rows at a time.
+# Rows per written slice: the text of a slice, and the formatting
+# temporaries of a float64 slice, stay a few hundred kB.
+_BLOCK_ROWS = 1 << 10
 
-    A float64 table renders each all-finite slice with one %-format of the
-    row template repeated over the slice; a slice holding a non-finite value,
-    and any table given as a list of rows, goes token by token.
+
+def _chunk_texts(table, fmt: str):
+    """The body of the file as bytes, _BLOCK_ROWS rows at a time.
+
+    A float64 table goes through block_text; a list of row tuples goes
+    token by token.
     """
-    if not isinstance(table, np.ndarray):
-        for k in range(0, len(table), _CHUNK):
-            yield _row_text(table[k : k + _CHUNK], fmt)
-        return
-    cells = ",".join(["%.17g"] * table.shape[1])
-    template = cells + "\n" if fmt == "csv" else f"[{cells}]"
-    sep = "" if fmt == "csv" else ","
-    for k in range(0, len(table), _CHUNK):
-        part = table[k : k + _CHUNK]
-        if np.isfinite(part).all():
-            yield sep.join([template] * len(part)) % tuple(part.ravel().tolist())
-        else:
-            yield _row_text(part.tolist(), fmt)
+    if isinstance(table, np.ndarray):
+        # Imported here: its tables cost about 1 MB and 3 ms, which the
+        # commands without a float64 block do not pay.
+        from ._g17 import block_text as text
+    else:
+        def text(rows, fmt):
+            return _row_text(rows, fmt).encode()
+    for k in range(0, len(table), _BLOCK_ROWS):
+        yield text(table[k : k + _BLOCK_ROWS], fmt)
 
 
 def _write_output(config: RunConfig, columns, table, comment: str | None = None):
@@ -223,7 +224,7 @@ def _write_output(config: RunConfig, columns, table, comment: str | None = None)
     fmt = config.format
     if fmt == "csv":
         head = (f"# {comment}\n" if comment else "") + ",".join(columns) + "\n"
-        sep, tail = "", ""
+        sep, tail = b"", b""
     else:
         cfg_items = [(k, getattr(config, k)) for k in ("command", *_SCAN)]
         cfg_items.append(("regime", config.regime.value))
@@ -235,9 +236,9 @@ def _write_output(config: RunConfig, columns, table, comment: str | None = None)
             f'{{"command":{_token(config.command, fmt)},"config":{{{cfg}}},'
             f'"columns":[{cols}],"rows":['
         )
-        sep, tail = ",", "]}\n"
-    with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
+        sep, tail = b",", b"]}\n"
+    with open(config.out_path, "wb") as fh:
+        fh.write(head.encode())
         for i, text in enumerate(_chunk_texts(table, fmt)):
             if i:
                 fh.write(sep)

@@ -71,7 +71,8 @@ def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagon
     float64 arrays, from the float operations of cell_matrix's complex arithmetic
     (numpy's complex multiply and divide round differently in the last bit).  The
     zero terms of the scalar product are kept where they fix the sign of a zero
-    entry (gamma = 0), as 0.0 - v and v + 0.0.  diagonal=True returns (a, d) only.
+    entry (gamma = 0), as 0.0 - v and v + 0.0.  diagonal=True returns the real
+    parts of a and d only, all that x and d of one cell read.
     """
     if regime is Regime.BOUND:
         lam, inv = table
@@ -81,8 +82,11 @@ def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagon
     lc, ls, ir, ii = table
     h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
     mh = 0.0 - h
-    a, d = (ir - h * ii, ii + h * ir), (lc - mh * ls, ls + mh * lc)
-    return (a, d) if diagonal else (a, (0.0 - h * ls, h * lc + 0.0), (0.0 - mh * ii, mh * ir + 0.0), d)
+    re_a, re_d = ir - h * ii, lc - mh * ls
+    if diagonal:
+        return re_a, re_d
+    a, d = (re_a, ii + h * ir), (re_d, ls + mh * lc)
+    return a, (0.0 - h * ls, h * lc + 0.0), (0.0 - mh * ii, mh * ir + 0.0), d
 
 
 def _letter_tables(word: Word, q: float, betas: np.ndarray, regime: Regime) -> dict:
@@ -147,13 +151,13 @@ def _run_chunks(betas: np.ndarray, gamma, fill, rows=(), dtype=float) -> np.ndar
 
 def _word_value(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str, tables=None):
     """Real x (which = "x") or d (which = "d") over a slice, from the word's _letter_tables (made if None)."""
-    if len(word.letters) == 1:  # x and d of one cell need only its diagonal
+    if len(word.letters) == 1:  # x and d of one cell need only its real diagonal
         table = (tables or _letter_tables(word, q, betas, regime))[word.letters]
         A, D = _cell_entries(gamma, betas, regime, table, True)
     else:
         A, _, _, D = _word_grid(word, gamma, q, betas, regime, tables)
-    if regime is Regime.SCATTERING:
-        A, D = A[0], D[0]
+        if regime is Regime.SCATTERING:
+            A, D = A[0], D[0]
     return 0.5 * (A + D) if which == "x" else D
 
 

@@ -8,18 +8,21 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deltachain import kernel, spectra
+from deltachain._g17 import _digits, block_text
 from deltachain.cli import (
     COMMANDS,
     FLAGS,
     READS,
     RunConfig,
-    _CHUNK,
+    _BLOCK_ROWS,
     _build_parser,
     _config_from_args,
     _token,
@@ -98,40 +101,95 @@ SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_block_writer_matches_the_token_function(fmt, tmp_path):
-    # Three _CHUNK slices: the first all finite (one row-template format),
-    # the second finite but for one nan, the last short and full of specials.
+    # Three _BLOCK_ROWS blocks per table, with one column, four, and scatter's
+    # eleven: the first block ordinary, the second ordinary but for a nan
+    # and a -0.0 in its middle, the last short and full of specials.
     rng = np.random.default_rng(5)
-    shape = (2 * _CHUNK + 7, 4)
-    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    table[0] = (-0.0, 5e-324, 1.7976931348623157e308, -5e-324)
-    table[_CHUNK + 3, 2] = math.nan
-    table[-len(SPECIALS) :, 1] = SPECIALS
-    table[-1] = (math.inf, -math.inf, math.nan, -0.0)
-    columns = ["a", "b", "c", "d"]
-    out = tmp_path / f"block.{fmt}"
-    _write_output(RunConfig(command="scatter", out_path=str(out), format=fmt), columns, table)
-    tokens = [[_token(v, fmt) for v in row] for row in table.tolist()]
     null = "" if fmt == "csv" else "null"
-    assert tokens[0] == [
-        "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-4.9406564584124654e-324"
-    ]
-    assert tokens[-1] == [null, null, null, "-0"]
-    text = out.read_text()
-    if fmt == "csv":
-        want = "a,b,c,d\n" + "".join(",".join(row) + "\n" for row in tokens)
-    else:
-        body = ",".join("[" + ",".join(row) + "]" for row in tokens)
-        want = text[: text.index('"rows":[')] + '"rows":[' + body + "]}\n"
-        assert want.startswith('{"command":"scatter","config":{"command":"scatter",')
-    # Compare through the first differing character: a failure then shows a
-    # short excerpt instead of pytest's diff of two 1 MB strings.
-    at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), None)
-    if at is None and len(text) != len(want):
-        at = min(len(text), len(want))
-    assert at is None, (at, text[max(at - 40, 0) : at + 40], want[max(at - 40, 0) : at + 40])
-    if fmt == "json":
-        rows = json.loads(text)["rows"]
-        assert rows[_CHUNK + 3][2] is None and rows[-1] == [None, None, None, -0.0]
+    for cols in (1, 4, 11):
+        shape = (2 * _BLOCK_ROWS + 7, cols)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        table[0, :4] = (-0.0, 5e-324, 1.7976931348623157e308, -5e-324)[:cols]
+        table[_BLOCK_ROWS + 3, cols // 2] = math.nan
+        table[_BLOCK_ROWS + 5, cols - 1] = -0.0
+        table[-len(SPECIALS) :, cols // 3] = SPECIALS
+        table[-1, :4] = (math.inf, -math.inf, math.nan, -0.0)[:cols]
+        columns = [f"c{j}" for j in range(cols)]
+        out = tmp_path / f"block{cols}.{fmt}"
+        _write_output(RunConfig(command="scatter", out_path=str(out), format=fmt), columns, table)
+        tokens = [[_token(v, fmt) for v in row] for row in table.tolist()]
+        assert tokens[0][:4] == [
+            "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-4.9406564584124654e-324"
+        ][:cols]
+        assert tokens[-1][:4] == [null, null, null, "-0"][:cols]
+        assert tokens[_BLOCK_ROWS + 3][cols // 2] == null and tokens[_BLOCK_ROWS + 5][cols - 1] == "-0"
+        text = out.read_text()
+        if fmt == "csv":
+            want = ",".join(columns) + "\n" + "".join(",".join(row) + "\n" for row in tokens)
+        else:
+            body = ",".join("[" + ",".join(row) + "]" for row in tokens)
+            want = text[: text.index('"rows":[')] + '"rows":[' + body + "]}\n"
+            assert want.startswith('{"command":"scatter","config":{"command":"scatter",')
+        # Compare through the first differing character: a failure then shows a
+        # short excerpt instead of pytest's diff of two 1 MB strings.
+        at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), None)
+        if at is None and len(text) != len(want):
+            at = min(len(text), len(want))
+        assert at is None, (cols, at, text[max(at - 40, 0) : at + 40], want[max(at - 40, 0) : at + 40])
+        if fmt == "json":
+            rows = json.loads(text)["rows"]
+            assert len(rows) == len(table) and all(len(row) == cols for row in rows)
+            assert rows[_BLOCK_ROWS + 3][cols // 2] is None
+            assert rows[-1][:4] == [None, None, None, -0.0][:cols]
+
+
+def _ties(rng, count):
+    """Exact ties at 17 digits: odd multiples of 2**-p whose 18th and last digit is a 5.
+
+    m / 2**p has p decimals, so 18 digits when it lies in [10**(17-p), 10**(18-p)).
+    """
+    ties = []
+    while len(ties) < count:
+        p = int(rng.integers(2, 26))
+        lo = math.ceil(Fraction(10) ** (17 - p) * 2**p)
+        hi = min(Fraction(10) ** (18 - p) * 2**p, 2**53)
+        m = int(rng.integers(lo, max(lo + 1, math.ceil(hi)))) | 1
+        if m < hi:
+            ties.append(math.ldexp(m, -p))
+    return ties
+
+
+def test_block_text_matches_python_format():
+    # Every float64 class the digit step treats apart, checked against CPython.
+    rng = np.random.default_rng(14)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    steps = np.arange(-20, 21)
+    near_tens = tens.view(np.int64)[:, None] + steps
+    near_tens = near_tens[near_tens >= 0].view(np.float64)  # 1e-323 is 2 ulps above 0
+    ties = [1377037368961076.25, *_ties(rng, 2000)]
+    assert all(len(Decimal(t).as_tuple().digits) == 18 for t in ties)
+    assert _digits(np.array(ties))[2].all()  # every tie goes to Python
+    short = [float(f"{k}e{j}") for k, j in zip(rng.integers(1, 10**5, 3000), rng.integers(-30, 30, 3000))]
+    decade = rng.uniform(1.0, 10.0, 500)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],  # the whole range
+        near_tens, -near_tens,
+        ties, np.negative(ties),
+        short,  # short decimals
+        *(float(c) + steps for c in (2**53, 10**16, 10**17)),
+        *(decade * 10.0**e for e in (-5, -4, 16, 17)),  # either side of %g's switch
+        rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(100, 308, 2000),
+        rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(-308, -99, 2000),
+        rng.integers(1, 2**52, 2000).view(np.float64),  # subnormals
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    ])
+    assert np.isfinite(values).all()
+    want = "".join(format(v, ".17g") + "\n" for v in values.tolist())
+    got = block_text(values[:, None], "csv").decode()
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
+        pytest.fail(f"{values[bad]!r}: {got.split()[bad]} != {want.split()[bad]}")
 
 
 def test_bound_command_csv(tmp_path):
@@ -442,7 +500,7 @@ def test_atlas_tables_each_chunk_once_per_letter(tmp_path, monkeypatch):
     config = RunConfig(command="atlas", gamma_steps=401, out_path=str(tmp_path / "atlas.csv"))
     assert run(config) == 0
     grid = 4 * config.steps + 1
-    assert grid <= _CHUNK + 1  # one chunk
+    assert grid <= kernel._CHUNK + 1  # one chunk
     scans = [(regime, ratio) for size, regime, ratio in calls if size == grid]
     assert sorted(scans, key=repr) == sorted(((r, ratio) for r in Regime for ratio in (1.0, TAU)), key=repr)
 
