@@ -1,9 +1,10 @@
 """Vectorized transfer-matrix kernel shared by spectra and scattering.
 
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
-chunks.  Each chunk tables the gamma-free terms of each letter's cell
-(_cell_table: lam and 1/lam), and a gamma step makes the entries from that
-table (_cell_entries), so a scan at many gammas tables a chunk only once.
+chunks.  _chunks tables the gamma-free terms of each letter's cell once per
+chunk (_cell_table: lam and 1/lam) and a gamma step makes the entries from
+a table (_cell_entries); _scan hands each table to one fill, which reads
+all it needs from it, and _x_crossings steps each table at many gammas.
 In the Bound regime the kernel multiplies real float64 entries, with the
 np.exp that tunnel_matrix also takes; in the Scattering regime it
 multiplies (re, im) float64 pairs with CPython's complex formulas.  In
@@ -11,9 +12,9 @@ both, each sample equals cell_matrix and word_matrix at that beta bit for
 bit.  Entries that overflow float64 raise OverflowRisk instead of leaving
 inf or NaN samples behind.
 
-gamma may be a scalar or an array the shape of the betas, one coupling per
-point; the arithmetic is elementwise, so a point's value does not depend on
-the points scanned beside it.
+_scan broadcasts gamma, a scalar or one coupling per point, to the betas;
+the arithmetic is elementwise, so a point's value does not depend on the
+points scanned beside it.
 """
 
 import operator
@@ -89,13 +90,8 @@ def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagon
     return a, (0.0 - h * ls, h * lc + 0.0), (0.0 - mh * ii, mh * ir + 0.0), d
 
 
-def _letter_tables(word: Word, q: float, betas: np.ndarray, regime: Regime) -> dict:
-    """The _cell_table of each distinct letter of the word over a beta slice."""
-    return {ch: _cell_table(betas, regime, 1.0 if ch == "S" else q) for ch in set(word.letters)}
-
-
-def _word_grid(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, tables=None):
-    """Entries (a, b, c, d) of the word's transfer matrix over a beta grid.
+def _word_grid(word: Word, cells: dict, regime: Regime):
+    """Entries (a, b, c, d) of the word's transfer matrix from the _cells of its letters.
 
     Real arrays in the Bound regime, (re, im) pairs in the Scattering
     regime, multiplied in word_matrix's order, so each value equals
@@ -104,8 +100,6 @@ def _word_grid(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, t
     zero entries already carry the sign that the identity product gives.
     """
     mul, add = (operator.mul, operator.add) if regime is Regime.BOUND else (_pair_mul, _pair_add)
-    cells = {ch: _cell_entries(gamma, betas, regime, table)
-             for ch, table in (tables or _letter_tables(word, q, betas, regime)).items()}
     A, B, C, D = cells[word.letters[0]]
     for ch in word.letters[1:]:
         a2, b2, c2, d2 = cells[ch]
@@ -118,8 +112,36 @@ def _word_grid(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, t
     return A, B, C, D
 
 
+def _cells(gamma, betas: np.ndarray, regime: Regime, tables: dict) -> dict:
+    """The _cell_entries of each tabled letter at gamma over the tables' beta slice."""
+    return {ch: _cell_entries(gamma, betas, regime, table) for ch, table in tables.items()}
+
+
+def _word_value(word: Word, gamma, betas: np.ndarray, regime: Regime, which: str, tables: dict):
+    """Real x (which = "x") or d (which = "d") over a slice, from the _chunks tables of its letters."""
+    if len(word.letters) == 1:  # x and d of one cell need only its real diagonal
+        A, D = _cell_entries(gamma, betas, regime, tables[word.letters], True)
+    else:
+        A, _, _, D = _word_grid(word, _cells(gamma, betas, regime, tables), regime)
+        if regime is Regime.SCATTERING:
+            A, D = A[0], D[0]
+    return 0.5 * (A + D) if which == "x" else D
+
+
 # Points per scan chunk: the per-letter temporaries of one chunk stay in cache.
 _CHUNK = 1 << 13
+
+
+def _chunks(word: Word, q: float, betas: np.ndarray, regime: Regime, seam=0):
+    """Yield (start, slice, tables) per _CHUNK-point slice of betas, the only place that tables cells.
+
+    tables maps each distinct letter of the word to its _cell_table over the
+    slice.  With seam=1 consecutive slices share their boundary point.
+    """
+    ratios = {ch: 1.0 if ch == "S" else q for ch in set(word.letters)}
+    for start in range(0, betas.size - seam, _CHUNK):
+        part = slice(start, start + _CHUNK + seam)
+        yield start, part, {ch: _cell_table(betas[part], regime, r) for ch, r in ratios.items()}
 
 
 def _finite(scan):
@@ -134,36 +156,24 @@ def _finite(scan):
 
 
 @_finite
-def _run_chunks(betas: np.ndarray, gamma, fill, rows=(), dtype=float) -> np.ndarray:
-    """fill(beta, gamma) on every _CHUNK-point slice of betas, gathered in one array.
+def _scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, fill, rows=(), dtype=float):
+    """fill(beta, gamma, tables) on every chunk of betas (_chunks), gathered in one array.
 
-    gamma is a scalar or an array the shape of betas, sliced with them.  The
-    result has shape rows + (betas.size,), and each call fills its slice of
-    the last axis.  An overflow inside fill raises OverflowRisk (_finite).
+    gamma, a scalar or one value per beta, is broadcast to the betas once.
+    The result has shape rows + (betas.size,), and each call fills its slice
+    of the last axis.  An overflow inside fill raises OverflowRisk (_finite).
     """
     out = np.empty((*rows, betas.size), dtype)
-    per_point = isinstance(gamma, np.ndarray) and gamma.ndim > 0
-    for start in range(0, betas.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        out[..., part] = fill(betas[part], gamma[part] if per_point else gamma)
+    gamma = np.full(betas.shape, gamma, dtype=float)
+    for _, part, tables in _chunks(word, q, betas, regime):
+        out[..., part] = fill(betas[part], gamma[part], tables)
     return out
-
-
-def _word_value(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str, tables=None):
-    """Real x (which = "x") or d (which = "d") over a slice, from the word's _letter_tables (made if None)."""
-    if len(word.letters) == 1:  # x and d of one cell need only its real diagonal
-        table = (tables or _letter_tables(word, q, betas, regime))[word.letters]
-        A, D = _cell_entries(gamma, betas, regime, table, True)
-    else:
-        A, _, _, D = _word_grid(word, gamma, q, betas, regime, tables)
-        if regime is Regime.SCATTERING:
-            A, D = A[0], D[0]
-    return 0.5 * (A + D) if which == "x" else D
 
 
 def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str):
     """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix; gamma scalar or per beta."""
-    return _run_chunks(betas, gamma, lambda beta, g: _word_value(word, g, q, beta, regime, which))
+    return _scan(word, gamma, q, betas, regime,
+                 lambda beta, g, tables: _word_value(word, g, beta, regime, which, tables))
 
 
 @_finite
@@ -171,15 +181,13 @@ def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: 
     """Per gamma, the indices i where x crosses +-1 between betas i and i+1, and x at both ends.
 
     A sample at +-1 or NaN never counts.  Chunk-outer, gamma-inner: each
-    _CHUNK-point slice of betas is tabled once per letter, then stepped at
-    every gamma; slices share a seam point, so a crossing there is found once.
+    chunk of betas is tabled once per letter, then stepped at every gamma;
+    chunks share a seam point, so a crossing there is found once.
     """
     cross, ends = [[] for _ in gammas], np.empty((len(gammas), 2))
-    for start in range(0, betas.size - 1, _CHUNK):
-        part = betas[start : start + _CHUNK + 1]
-        tables = _letter_tables(word, q, part, regime)
+    for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
-            x = _word_value(word, gamma, q, part, regime, "x", tables)
+            x = _word_value(word, gamma, betas[part], regime, "x", tables)
             for t in (1.0, -1.0):
                 hi, lo = x > t, x < t
                 cross[i].append(start + np.nonzero((hi[1:] & lo[:-1]) | (lo[1:] & hi[:-1]))[0])

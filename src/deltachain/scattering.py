@@ -40,7 +40,7 @@ from .core import (
     power_closed,
 )
 from .errors import ResonancePole
-from .kernel import _pair_mul, _pair_quot, _run_chunks, _word_grid, _word_scan
+from .kernel import _cells, _pair_mul, _pair_quot, _scan, _word_grid, _word_scan
 from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _check_scan_inputs, bound_states
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
 
@@ -109,8 +109,8 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
         raise ValueError(f"gamma must be finite and q positive and finite, got {gamma}, {q}")
     h = word.total_ratio(q)
 
-    def fill(beta: np.ndarray, gamma: float) -> tuple:
-        _, b, c, d = _word_grid(word, gamma, q, beta, Regime.SCATTERING)
+    def fill(beta: np.ndarray, gamma: np.ndarray, tables: dict) -> tuple:
+        _, b, c, d = _word_grid(word, _cells(gamma, beta, Regime.SCATTERING, tables), Regime.SCATTERING)
         abs_d = np.hypot(*d)
         low = np.flatnonzero(abs_d < 1e-12)
         if low.size:
@@ -122,7 +122,7 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
         s_mp = _pair_quot((-c[0], -c[1]), d)
         return (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
 
-    return _run_chunks(betas, gamma, fill, rows=(len(S_COLUMNS),))
+    return _scan(word, gamma, q, betas, Regime.SCATTERING, fill, rows=(len(S_COLUMNS),))
 
 
 def s_matrix(word: Word, params: ChainParams) -> SMatrix:
@@ -195,6 +195,13 @@ def band_edge_limit(n: int, delta: float) -> tuple[complex, complex]:
     return 1.0 / denom, 0.5j * n * delta / denom
 
 
+def _commuting_cells(p: int, gamma: float):
+    """(params, M1, M2, max-entry deviation of M2 from (-1)^p M1) at beta(p) = tau*p*pi."""
+    params = ChainParams(TAU * p * math.pi, gamma, TAU, Regime.SCATTERING)
+    m1, m2 = cell_matrix(params, CellKind.S), cell_matrix(params, CellKind.L)
+    return params, m1, m2, m2.max_abs_diff(m1.scaled(-1.0 if p % 2 else 1.0))
+
+
 def commuting_points(
     p_max: int, gamma: float
 ) -> list[tuple[CommutingPoint, bool, bool]]:
@@ -208,29 +215,16 @@ def commuting_points(
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     out = []
     for p in range(1, p_max + 1):
-        beta = TAU * p * math.pi
-        params = ChainParams(beta, gamma, TAU, Regime.SCATTERING)
-        m1 = cell_matrix(params, CellKind.S)
-        m2 = cell_matrix(params, CellKind.L)
-        sign = -1.0 if p % 2 else 1.0
-        prop_dev = m2.max_abs_diff(m1.scaled(sign))
+        params, m1, m2, prop_dev = _commuting_cells(p, gamma)
         in_overlap = abs(m1.x.real) <= 1.0 and abs(m2.x.real) <= 1.0
-        out.append((CommutingPoint(p, beta), prop_dev <= 1e-9, in_overlap))
+        out.append((CommutingPoint(p, params.beta), prop_dev <= 1e-9, in_overlap))
     return out
 
 
 def commuting_deviations(p: int, gamma: float) -> tuple[float, float]:
     """(commutator deviation from identity, proportionality deviation) at beta(p)."""
-    beta = TAU * p * math.pi
-    params = ChainParams(beta, gamma, TAU, Regime.SCATTERING)
-    m1 = cell_matrix(params, CellKind.S)
-    m2 = cell_matrix(params, CellKind.L)
-    K = commutator(m1, m2)
-    sign = -1.0 if p % 2 else 1.0
-    return (
-        K.max_abs_diff(TransferMatrix.identity()),
-        m2.max_abs_diff(m1.scaled(sign)),
-    )
+    _, m1, m2, prop_dev = _commuting_cells(p, gamma)
+    return commutator(m1, m2).max_abs_diff(TransferMatrix.identity()), prop_dev
 
 
 def fibonacci_periodic_equivalence(m: int, p: int, gamma: float) -> float:
@@ -239,11 +233,10 @@ def fibonacci_periodic_equivalence(m: int, p: int, gamma: float) -> float:
     Zero in exact arithmetic: at commuting energies a Fibonacci string is
     spectrally equivalent to a periodic string of f_m cells.
     """
-    beta = TAU * p * math.pi
-    params = ChainParams(beta, gamma, TAU, Regime.SCATTERING)
+    params, m1, _, _ = _commuting_cells(p, gamma)
     lhs = word_matrix(fibonacci_word(m), params)
     f_m = fibonacci_number(m)
     f_m1 = fibonacci_number(m - 1) if m >= 2 else 0  # f_0 = 0
     sign = -1.0 if (p * f_m1) % 2 else 1.0
-    rhs = power_closed(cell_matrix(params, CellKind.S), f_m).scaled(sign)
+    rhs = power_closed(m1, f_m).scaled(sign)
     return lhs.max_abs_diff(rhs)

@@ -17,8 +17,9 @@ per step.
 
 Each query makes one scan, on the x4 grid of grid_steps, with the
 vectorized kernel of kernel.py, whose samples equal cell_matrix and
-word_matrix bit for bit in both regimes.  The counts and _bisect take gamma
-as a scalar or as one value per point or bracket, so band germs at many
+word_matrix bit for bit in both regimes.  Each count is a fill of
+kernel._scan; the edge count reads N and x from one chunk table.  gamma
+is broadcast to one value per point or bracket, so band germs at many
 gammas (_germ_rows) share one isolation and one bisection; each value is
 the one a single-gamma query computes.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
-from .kernel import _cell_entries, _cell_table, _letter_tables, _run_chunks, _word_scan, _x_crossings
+from .kernel import _cell_entries, _cells, _scan, _word_scan, _word_value, _x_crossings
 from .substitution import Word, guard_exponent
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
@@ -111,8 +112,8 @@ class DosSamples:
     density: np.ndarray
 
 
-def _node_count(word: Word, gamma, q: float, betas: np.ndarray, dirichlet=False) -> np.ndarray:
-    """Number of bound states with beta* > beta, at every beta of the grid.
+def _sturm(word: Word, beta: np.ndarray, gamma: np.ndarray, tables: dict, dirichlet=False) -> np.ndarray:
+    """Number of bound states with beta* > beta, over one chunk of _chunks tables.
 
     By the Sturm oscillation theorem it is the number of zeros of the
     solution that decays on the left (psi = 1, psi' = beta before the first
@@ -125,55 +126,51 @@ def _node_count(word: Word, gamma, q: float, betas: np.ndarray, dirichlet=False)
 
     dirichlet=True starts from psi = 0, psi' > 0, i.e. (cm, cp) = (-1, 1),
     and drops the tail: the zeros then count the Dirichlet eigenvalues of
-    one period below the energy.  gamma is a scalar or one value per beta.
+    one period below the energy.
     """
-
-    def fill(beta: np.ndarray, gamma) -> np.ndarray:
-        # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
-        # the delta jump first, then the tunnel.
-        cells = {ch: _cell_entries(gamma, beta, Regime.BOUND, table)
-                 for ch, table in _letter_tables(word, q, beta, Regime.BOUND).items()}
-        cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
-        positive = np.ones(beta.size, dtype=bool)
-        n = np.zeros(beta.size, dtype=np.int64)
-        for ch in word.letters:
-            a, b, c, d = cells[ch]
-            cm, cp = a * cm - c * cp, d * cp - b * cm
-            norm = np.abs(cm) + np.abs(cp)
-            cm, cp = cm / norm, cp / norm
-            now = cm + cp > 0.0
-            n += now != positive
-            positive = now
-        if not dirichlet:
-            n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
-        return n
-
-    return _run_chunks(betas, gamma, fill, dtype=np.int64)
+    # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
+    # the delta jump first, then the tunnel.
+    cells = _cells(gamma, beta, Regime.BOUND, tables)
+    cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
+    positive = np.ones(beta.size, dtype=bool)
+    n = np.zeros(beta.size, dtype=np.int64)
+    for ch in word.letters:
+        a, b, c, d = cells[ch]
+        cm, cp = a * cm - c * cp, d * cp - b * cm
+        norm = np.abs(cm) + np.abs(cp)
+        cm, cp = cm / norm, cp / norm
+        now = cm + cp > 0.0
+        n += now != positive
+        positive = now
+    if not dirichlet:
+        n += (cm * cp < 0.0) & (np.abs(cm) > np.abs(cp))
+    return n
 
 
-def _pruefer_count(word: Word, gamma, q: float, betas: np.ndarray) -> np.ndarray:
+def _node_count(word: Word, gamma, q: float, betas: np.ndarray) -> np.ndarray:
+    """_sturm at every beta of the grid; gamma is a scalar or one value per beta."""
+    return _scan(word, gamma, q, betas, Regime.BOUND,
+                 lambda beta, g, tables: _sturm(word, beta, g, tables), dtype=np.int64)
+
+
+def _pruefer(word: Word, q: float, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Scattering-regime Dirichlet eigenvalues of one period below beta**2.
 
     The zeros of psi from psi = 0, psi' > 0, counted by the Pruefer angle u
     (psi = R sin u, psi' = beta R cos u): a delta maps u to atan2(sin u,
     cos u - (gamma/beta) sin u), a tunnel advances it by beta*ratio, and
-    each multiple of pi passed is a zero.  gamma is a scalar or one value
-    per beta.
+    each multiple of pi passed is a zero.
     """
-
-    def fill(beta: np.ndarray, gamma) -> np.ndarray:
-        de = gamma / beta
-        u = np.zeros(beta.size)
-        n = np.zeros(beta.size, dtype=np.int64)
-        for ch in word.letters:
-            s = np.sin(u)
-            u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
-            turns = np.floor(u / np.pi)
-            n += turns.astype(np.int64)
-            u -= turns * np.pi
-        return n
-
-    return _run_chunks(betas, gamma, fill, dtype=np.int64)
+    de = gamma / beta
+    u = np.zeros(beta.size)
+    n = np.zeros(beta.size, dtype=np.int64)
+    for ch in word.letters:
+        s = np.sin(u)
+        u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
+        turns = np.floor(u / np.pi)
+        n += turns.astype(np.int64)
+        u -= turns * np.pi
+    return n
 
 
 def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
@@ -184,17 +181,22 @@ def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
     below it and a gap 2k, k being N or N + 1, even where x > 1 and odd where
     x < -1; negated in the Scattering regime, it never increases with beta.
     A power W^n (at q = 1 every word is S^n) has the bands of W, so x is
-    read from W and the closed gaps of W^n do not hang on rounding.  gamma
-    is a scalar or one value per beta.
+    read from W and the closed gaps of W^n do not hang on rounding.  N and
+    x come from one scan; gamma is a scalar or one value per beta.
     """
     bound = regime is Regime.BOUND
-    n = _node_count(word, gamma, q, betas, dirichlet=True) if bound else _pruefer_count(word, gamma, q, betas)
-    letters = word.letters.replace("L", "S") if q == 1.0 else word.letters
-    size = next(m for m in range(1, len(letters) + 1) if letters == letters[:m] * (len(letters) // m))
-    x = _word_scan(Word(letters[:size]), gamma, q, betas, regime, "x")
-    k = n + ((n % 2 == 1) != ((x < 0.0) & (len(letters) // size % 2 == 1)))
-    c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
-    return c if bound else -c
+    word = Word(word.letters.replace("L", "S")) if q == 1.0 else word  # at q = 1, L is S
+    size = (word.letters * 2).find(word.letters, 1)  # the primitive root's length
+    root, odd = word if size == len(word) else Word(word.letters[:size]), len(word) // size % 2 == 1
+
+    def fill(beta: np.ndarray, gamma: np.ndarray, tables: dict) -> np.ndarray:
+        n = _sturm(word, beta, gamma, tables, dirichlet=True) if bound else _pruefer(word, q, beta, gamma)
+        x = _word_value(root, gamma, beta, regime, "x", tables)
+        k = n + ((n % 2 == 1) != ((x < 0.0) & odd))
+        c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
+        return c if bound else -c
+
+    return _scan(word, gamma, q, betas, regime, fill, dtype=np.int64)
 
 
 def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int, regime: Regime):
@@ -226,14 +228,13 @@ def _bisect(
     kernel and returns the same root, 0.5*(lo + hi).
     """
     lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
-    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
-    per_bracket = isinstance(gamma, np.ndarray) and gamma.ndim > 0
+    gamma, target = (np.full(lo.shape, v, dtype=float) for v in (gamma, target))
     for _ in range(200):
         live = np.nonzero(hi - lo > ROOT_TOL)[0]
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fm = _word_scan(word, gamma[live] if per_bracket else gamma, q, mid, regime, which)
+        fm = _word_scan(word, gamma[live], q, mid, regime, which)
         fm -= target[live]
         zero = fm == 0.0
         up = zero | ((fm > 0.0) == (flo[live] > 0.0))
@@ -330,11 +331,7 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     p = [np.array(sorted({0, betas.size - 1, *c.tolist(), *(c + 1).tolist()})) for c in cross]
     row = np.repeat(np.arange(gammas.size), [v.size for v in p])
     p = np.concatenate(p)
-
-    def gamma_at(rows):  # a single gamma stays a scalar, so one query scans as before
-        return gammas[0] if gammas.size == 1 else gammas[rows]
-
-    c = _edge_count(word, gamma_at(row), q, betas[p], regime)
+    c = _edge_count(word, gammas[row], q, betas[p], regime)
 
     # An isolated interval keeps its first edge if its low end is in a gap
     # (even count) and its last if its high end is; edges within ROOT_TOL
@@ -344,16 +341,16 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     piece = row[1:] == row[:-1]  # consecutive count points of one gamma
     pieces = (v[piece] for v in (betas[p[:-1]], betas[p[1:]], c[:-1], c[1:], row[:-1]))
     left, right, ca, cb, r = _isolate(
-        lambda mid, r: _edge_count(word, gamma_at(r), q, mid, regime), *pieces, "band-edge", failed
+        lambda mid, r: _edge_count(word, gammas[r], q, mid, regime), *pieces, "band-edge", failed
     )
     gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
     a, b, one, r = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1, r))
     t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
-    x_lo, x_hi = _word_scan(word, gamma_at(np.append(r, r)), q, np.append(a, b), regime, "x").reshape(2, -1)
+    x_lo, x_hi = _word_scan(word, gammas[np.append(r, r)], q, np.append(a, b), regime, "x").reshape(2, -1)
     target = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
     miss = one & ((x_lo - target) * (x_hi - target) >= 0.0)
     _refuse(failed, miss, r, a, b, "x does not cross +-1 at a counted edge")
-    roots = _bisect(word, gamma_at(r), q, regime, "x", a, b, x_lo - target, target)
+    roots = _bisect(word, gammas[r], q, regime, "x", a, b, x_lo - target, target)
     roots, target, edges = roots.tolist(), target.tolist(), [[] for _ in x_ends]
     for k, i in enumerate(r.tolist()):
         edges[i].append(k)
@@ -480,10 +477,8 @@ def _binding_terms(n: int, betas: np.ndarray, gamma: float) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
-    def diagonal(b: np.ndarray, g) -> tuple:  # the cell's (a, d)
-        return _cell_entries(g, b, Regime.BOUND, _cell_table(b, Regime.BOUND, 1.0), True)
-
-    a, d = _run_chunks(betas, gamma, diagonal, (2,))
+    a, d = _scan(Word("S"), gamma, 1.0, betas, Regime.BOUND,  # the cell's diagonal (a, d)
+                 lambda b, g, tables: _cell_entries(g, b, Regime.BOUND, tables["S"], True), (2,))
     rows = []
     for beta, x1, y1 in zip(betas.tolist(), (0.5 * (a + d)).tolist(), (0.5 * (a - d)).tolist()):
         if abs(x1) > 1.0 + BAND_TOL:

@@ -215,6 +215,11 @@ def bound_companion_pair(
     return psi1, psi2
 
 
+def _ratios(word: Word, q: float) -> dict:
+    """The tunnel ratio of each distinct letter of the word."""
+    return {ch: CellKind(ch).ratio(q) for ch in set(word.letters)}
+
+
 def cell_coefficients(
     word: Word, params: ChainParams, initial: tuple[complex, complex]
 ) -> list[tuple[complex, complex]]:
@@ -227,18 +232,18 @@ def cell_coefficients(
     """
     guard_exponent(word, params.beta, params.q, params.regime)
     kappa = _local_kappa(params)
+    ratio = _ratios(word, params.q)  # one exp(-+kappa*ratio) pair per letter
+    tunnels = {ch: (cmath.exp(-kappa * r), cmath.exp(kappa * r)) for ch, r in ratio.items()}
     psi, dpsi = complex(initial[0]), complex(initial[1])
     out = []
-    for i, kind in enumerate(word.kinds()):
-        ratio = kind.ratio(params.q)
+    for i, ch in enumerate(word.letters):
         dpsi = dpsi - params.gamma * psi  # delta jump at the cell's left edge
         cm = (psi - dpsi / kappa) / 2.0
         cp = (psi + dpsi / kappa) / 2.0
         if not (cmath.isfinite(cm) and cmath.isfinite(cp)):
             raise OverflowRisk(f"wavefunction coefficients are not finite at cell {i}")
         out.append((cm, cp))
-        em = cmath.exp(-kappa * ratio)
-        ep = cmath.exp(kappa * ratio)
+        em, ep = tunnels[ch]
         psi = cm * em + cp * ep
         dpsi = kappa * (-cm * em + cp * ep)
     return out
@@ -261,20 +266,18 @@ def sample_wavefunction(
         raise ValueError(f"grid_per_cell must be >= 2, got {grid_per_cell}")
     coeffs = np.array(cell_coefficients(word, params, initial), dtype=complex)
     kappa = _local_kappa(params)
-    letters = np.array(list(str(word)))
-    ratios = [kind.ratio(params.q) for kind in word.kinds()]
+    letters = np.array(list(word.letters))
+    ratio = _ratios(word, params.q)
     # each cell starts where the running left-to-right sum of ratios ends
-    offsets = np.array(list(itertools.accumulate(ratios[:-1], initial=0.0)))
-    shape = (len(ratios), grid_per_cell)
+    offsets = np.array(list(itertools.accumulate(map(ratio.get, word.letters[:-1]), initial=0.0)))
+    shape = (len(word.letters), grid_per_cell)
     positions = np.empty(shape)
     values = np.empty(shape, dtype=complex)
     derivs = np.empty(shape, dtype=complex)
-    for kind in CellKind:
-        cells = letters == kind.value
-        if not cells.any():
-            continue
-        # one exp(-+kappa*xi) pair per cell kind, broadcast over its cells
-        xi = np.linspace(0.0, kind.ratio(params.q), grid_per_cell)
+    for ch, r in ratio.items():
+        cells = letters == ch
+        # one exp(-+kappa*xi) pair per letter, broadcast over its cells
+        xi = np.linspace(0.0, r, grid_per_cell)
         cm, cp = coeffs[cells, 0, None], coeffs[cells, 1, None]
         values[cells], derivs[cells] = _tunnel_samples(cm, cp, kappa, xi)
         positions[cells] = offsets[cells, None] + xi

@@ -282,10 +282,10 @@ def test_binding_command_rejects_long_cells(tmp_path, capsys):
 def test_grid_error_surfaces_token(tmp_path, capsys, monkeypatch):
     # Band edges are counted exactly, so a refusal needs an injected count
     # that rises with beta.
-    def rising(word, gamma, q, betas, *args, **kwargs):
+    def rising(word, betas, gamma, tables, dirichlet=False):
         return (betas > 3.0).astype(np.int64)
 
-    monkeypatch.setattr("deltachain.spectra._node_count", rising)
+    monkeypatch.setattr("deltachain.spectra._sturm", rising)
     out = tmp_path / "x.csv"
     cfg = RunConfig(command="bands", word_spec="fib:m=6", gamma=10.0, out_path=str(out))
     assert run(cfg) == 1

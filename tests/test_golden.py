@@ -8,8 +8,12 @@ floats.
 A deliberate output change updates the digest and says why in CHANGES.md.
 
 BANDS_GOLDEN pins ``bands`` runs whose bytes depend on how band edges are
-bracketed: converged Fibonacci censuses, the Scattering regime, a
-five-letter word, and a power word whose gaps close at q = 1.
+bracketed: converged Fibonacci censuses, the Scattering regime (W_12's 245
+germs go through the Pruefer count), a five-letter word, and a power word
+whose gaps close at q = 1.
+
+BOUND_GOLDEN pins a ``bound`` run with many roots: W_6's 8 roots at
+gamma = 10 go through the node count, its isolation and the d bisection.
 
 ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
 batched with the others in one band-germ pass per cell and regime.
@@ -48,6 +52,11 @@ BANDS_GOLDEN = {
     "--word SLLSL --gamma 3": "90391007a759837fda207cba8bca3c0294b9a3dfefad2378a75a2c91b356248e",
     "--word S^3 --q 1": "3ed29ba5270ce314d77a980c989f85c21fa3fb925b9788574e45f8e36bdf96dc",
     "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
+    "--regime scattering --word fib:m=12 --gamma 4": "ce8a5cb914f9438b70e48e930c8ef45eb075bc9381e3e0b001a6e1ea07699b9e",
+}
+
+BOUND_GOLDEN = {
+    "--word fib:m=6 --gamma 10": "6e46d295560725eead3a34f32911c8f841452fc56dc03d7109206e764d6846af",
 }
 
 ATLAS_GOLDEN = {
@@ -73,6 +82,14 @@ def test_bands_output_digest(args, tmp_path):
     assert main(["bands", *args.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == BANDS_GOLDEN[args], f"bands {args} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(BOUND_GOLDEN))
+def test_bound_output_digest(args, tmp_path):
+    out = tmp_path / "bound.csv"
+    assert main(["bound", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == BOUND_GOLDEN[args], f"bound {args} output changed"
 
 
 @pytest.mark.parametrize("args", sorted(ATLAS_GOLDEN))

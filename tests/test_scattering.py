@@ -275,25 +275,30 @@ def test_s_matrix_grid_rejects_bad_grids():
         s_matrix_grid(Word("S"), math.inf, TAU, [1.0])
 
 
-def _pole_from(beta0):
-    """A _word_grid stand-in whose d entry has |d| = 5e-13 * k at the k-th
-    grid point from beta0 on (k = 1, 2, ...)."""
-    real = scattering._word_grid
+def _inject_pole(monkeypatch, beta0):
+    """Stand-ins for _cells and _word_grid whose d entry has |d| = 5e-13 * k
+    at the k-th grid point from beta0 on (k = 1, 2, ...)."""
+    real_cells, real_grid, chunk = scattering._cells, scattering._word_grid, []
 
-    def word_grid(word, gamma, q, betas, regime):
-        a, b, c, (dr, di) = real(word, gamma, q, betas, regime)
-        k = np.cumsum(betas >= beta0)
+    def cells(gamma, betas, regime, tables):
+        chunk[:] = [betas]
+        return real_cells(gamma, betas, regime, tables)
+
+    def word_grid(word, cells, regime):
+        a, b, c, (dr, di) = real_grid(word, cells, regime)
+        k = np.cumsum(chunk[0] >= beta0)
         hit = k > 0
         dr[hit], di[hit] = 3e-13 * k[hit], 4e-13 * k[hit]
         return a, b, c, (dr, di)
 
-    return word_grid
+    monkeypatch.setattr(scattering, "_cells", cells)
+    monkeypatch.setattr(scattering, "_word_grid", word_grid)
 
 
 def test_resonance_pole_still_fires(monkeypatch, tmp_path, capsys):
     # |d| >= 1 on the real scattering axis, so the guard is reached through
     # an injected d; it reports the first beta below the threshold.
-    monkeypatch.setattr(scattering, "_word_grid", _pole_from(1.0))
+    _inject_pole(monkeypatch, 1.0)
     with pytest.raises(ResonancePole, match=r"^\|d\| = 5e-13 below threshold$"):
         s_matrix_grid(Word("SL"), 2.0, TAU, np.linspace(0.5, 3.0, 11))
     with pytest.raises(ResonancePole, match="below threshold"):

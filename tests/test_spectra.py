@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltachain import spectra
+from deltachain import kernel, spectra
 from deltachain.core import TAU, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
-from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _word_grid, _word_scan, _x_crossings
+from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_grid, _word_scan, _x_crossings
 from deltachain.spectra import (
     BAND_TOL,
     ROOT_TOL,
@@ -404,11 +404,12 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
             return np.array(parts).view(np.int64)
 
         points = [ChainParams(b, gamma, TAU, regime) for b in betas.tolist()]
-        cells = {}
+        cells, tables = {}, {}
         for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
             entries = np.array([cell_matrix(p, kind).entries() for p in points], dtype=object)
             cells[kind] = TransferMatrix(*entries.T)
-            got = kernel_bits(_cell_entries(gamma, betas, regime, _cell_table(betas, regime, ratio)))
+            tables[kind.value] = _cell_table(betas, regime, ratio)
+            got = kernel_bits(_cell_entries(gamma, betas, regime, tables[kind.value]))
             assert np.array_equal(got, scalar_bits(*entries.T)), (regime, kind, gamma)
         for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
             # word_matrix's product on all points at once: compose on object
@@ -419,7 +420,7 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
             for k in range(0, betas.size, 1024):  # it is word_matrix's, repr for repr
                 want = word_matrix(word, points[k]).entries()
                 assert list(map(repr, want)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
-            got = kernel_bits(_word_grid(word, gamma, TAU, betas, regime))
+            got = kernel_bits(_word_grid(word, _cells(gamma, betas, regime, tables), regime))
             assert np.array_equal(got, scalar_bits(*M.entries())), (regime, str(word), gamma)
             x, d = (_word_scan(word, gamma, TAU, betas, regime, which) for which in ("x", "d"))
             want = [np.array(v, dtype=complex).real for v in (M.x, M.d)]
@@ -633,6 +634,24 @@ def test_energy_gauge_reads_the_scan_at_germ_edges():
     assert [energy_gauge(word, 10.0, TAU, float(p)) for p in points] == [
         0 if abs(v) <= 1.0 + BAND_TOL else 1 for v in x.tolist()
     ]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_edge_count_tables_each_chunk_once_per_letter(monkeypatch, regime):
+    # The Dirichlet count and x of the root word read one table per chunk
+    # and letter; a count and an x scan of their own would table each twice.
+    calls, real = [], kernel._cell_table
+
+    def counted(betas, regime, ratio):
+        calls.append((betas.size, ratio))
+        return real(betas, regime, ratio)
+
+    monkeypatch.setattr(kernel, "_cell_table", counted)
+    betas = np.linspace(0.05, 6.0, _CHUNK + 11)
+    for word, q, ratios in ((fibonacci_word(6), TAU, (1.0, TAU)), (Word("SLSL"), 1.0, (1.0,))):
+        calls.clear()
+        _edge_count(word, 10.0, q, betas, regime)
+        assert sorted(calls) == sorted((size, r) for size in (_CHUNK, 11) for r in ratios)
 
 
 def test_energy_gauge_reads_in_band_as_the_edge_count_does():
