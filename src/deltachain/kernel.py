@@ -3,8 +3,9 @@
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
 chunks.  _chunks tables the gamma-free terms of each letter's cell once per
 chunk (_cell_table: lam and 1/lam) and a gamma step makes the entries from
-a table (_cell_entries); _scan hands each table to one fill, which reads
-all it needs from it, and _x_crossings steps each table at many gammas.
+a table (_cell_entries).  _scan makes each chunk's cells once and hands
+them, not the table, to one fill, which reads all it needs from them;
+_x_crossings alone keeps the tables, to step them at many gammas.
 In the Bound regime the kernel multiplies real float64 entries, with the
 np.exp that tunnel_matrix also takes; in the Scattering regime it
 multiplies (re, im) float64 pairs with CPython's complex formulas.  In
@@ -21,7 +22,7 @@ import operator
 
 import numpy as np
 
-from .core import Regime
+from .core import CellKind, Regime
 from .errors import OverflowRisk
 from .substitution import Word
 
@@ -82,12 +83,14 @@ def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagon
         return (a, d) if diagonal else (a, h * lam + 0.0, 0.0 - h * inv, d)
     lc, ls, ir, ii = table
     h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
-    mh = 0.0 - h
-    re_a, re_d = ir - h * ii, lc - mh * ls
+    h_ii, h_ls = h * ii, h * ls
+    re_a, re_d = ir - h_ii, lc + h_ls  # the scalar lc - (0.0 - h)*ls, as lc = cos(t) is never 0
     if diagonal:
         return re_a, re_d
-    a, d = (re_a, ii + h * ir), (re_d, ls + mh * lc)
-    return a, (0.0 - h * ls, h * lc + 0.0), (0.0 - mh * ii, mh * ir + 0.0), d
+    h_ir, mh = h * ir, 0.0 - h
+    a, d = (re_a, ii + h_ir), (re_d, ls + mh * lc)
+    # c is (0.0 - mh*ii, mh*ir + 0.0), from the products a already took
+    return a, (0.0 - h_ls, h * lc + 0.0), (h_ii + 0.0, 0.0 - h_ir), d
 
 
 def _word_grid(word: Word, cells: dict, regime: Regime):
@@ -117,14 +120,11 @@ def _cells(gamma, betas: np.ndarray, regime: Regime, tables: dict) -> dict:
     return {ch: _cell_entries(gamma, betas, regime, table) for ch, table in tables.items()}
 
 
-def _word_value(word: Word, gamma, betas: np.ndarray, regime: Regime, which: str, tables: dict):
-    """Real x (which = "x") or d (which = "d") over a slice, from the _chunks tables of its letters."""
-    if len(word.letters) == 1:  # x and d of one cell need only its real diagonal
-        A, D = _cell_entries(gamma, betas, regime, tables[word.letters], True)
-    else:
-        A, _, _, D = _word_grid(word, _cells(gamma, betas, regime, tables), regime)
-        if regime is Regime.SCATTERING:
-            A, D = A[0], D[0]
+def _word_value(word: Word, cells: dict, regime: Regime, which: str):
+    """Real x (which = "x") or d (which = "d") over a slice, from the _cells of its letters."""
+    A, _, _, D = _word_grid(word, cells, regime)
+    if regime is Regime.SCATTERING:
+        A, D = A[0], D[0]
     return 0.5 * (A + D) if which == "x" else D
 
 
@@ -138,7 +138,7 @@ def _chunks(word: Word, q: float, betas: np.ndarray, regime: Regime, seam=0):
     tables maps each distinct letter of the word to its _cell_table over the
     slice.  With seam=1 consecutive slices share their boundary point.
     """
-    ratios = {ch: 1.0 if ch == "S" else q for ch in set(word.letters)}
+    ratios = {ch: CellKind(ch).ratio(q) for ch in set(word.letters)}
     for start in range(0, betas.size - seam, _CHUNK):
         part = slice(start, start + _CHUNK + seam)
         yield start, part, {ch: _cell_table(betas[part], regime, r) for ch, r in ratios.items()}
@@ -157,23 +157,26 @@ def _finite(scan):
 
 @_finite
 def _scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, fill, rows=(), dtype=float):
-    """fill(beta, gamma, tables) on every chunk of betas (_chunks), gathered in one array.
+    """fill(beta, cells) on every chunk of betas (_chunks), gathered in one array.
 
-    gamma, a scalar or one value per beta, is broadcast to the betas once.
-    The result has shape rows + (betas.size,), and each call fills its slice
-    of the last axis.  An overflow inside fill raises OverflowRisk (_finite).
+    gamma, a scalar or one value per beta, is broadcast to the betas once,
+    and each chunk's _cells are made once; its tables are dropped before
+    fill runs, so a long product does not hold them.  The result has shape
+    rows + (betas.size,), and each call fills its slice of the last axis.
+    An overflow inside fill raises OverflowRisk (_finite).
     """
     out = np.empty((*rows, betas.size), dtype)
     gamma = np.full(betas.shape, gamma, dtype=float)
     for _, part, tables in _chunks(word, q, betas, regime):
-        out[..., part] = fill(betas[part], gamma[part], tables)
+        cells = _cells(gamma[part], betas[part], regime, tables)
+        del tables
+        out[..., part] = fill(betas[part], cells)
     return out
 
 
 def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str):
     """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix; gamma scalar or per beta."""
-    return _scan(word, gamma, q, betas, regime,
-                 lambda beta, g, tables: _word_value(word, g, beta, regime, which, tables))
+    return _scan(word, gamma, q, betas, regime, lambda beta, cells: _word_value(word, cells, regime, which))
 
 
 @_finite
@@ -187,7 +190,11 @@ def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: 
     cross, ends = [[] for _ in gammas], np.empty((len(gammas), 2))
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
-            x = _word_value(word, gamma, betas[part], regime, "x", tables)
+            if len(word.letters) == 1:  # x of one cell needs only its real diagonal
+                A, D = _cell_entries(gamma, betas[part], regime, tables[word.letters], True)
+                x = 0.5 * (A + D)
+            else:
+                x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
             for t in (1.0, -1.0):
                 hi, lo = x > t, x < t
                 cross[i].append(start + np.nonzero((hi[1:] & lo[:-1]) | (lo[1:] & hi[:-1]))[0])

@@ -40,7 +40,7 @@ from .core import (
     power_closed,
 )
 from .errors import ResonancePole
-from .kernel import _cells, _pair_mul, _pair_quot, _scan, _word_grid, _word_scan
+from .kernel import _pair_mul, _pair_quot, _scan, _word_grid, _word_scan
 from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _check_scan_inputs, bound_states
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
 
@@ -109,8 +109,8 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
         raise ValueError(f"gamma must be finite and q positive and finite, got {gamma}, {q}")
     h = word.total_ratio(q)
 
-    def fill(beta: np.ndarray, gamma: np.ndarray, tables: dict) -> tuple:
-        _, b, c, d = _word_grid(word, _cells(gamma, beta, Regime.SCATTERING, tables), Regime.SCATTERING)
+    def fill(beta: np.ndarray, cells: dict) -> tuple:
+        _, b, c, d = _word_grid(word, cells, Regime.SCATTERING)
         abs_d = np.hypot(*d)
         low = np.flatnonzero(abs_d < 1e-12)
         if low.size:

@@ -9,7 +9,8 @@ Roots and band edges are counted, so how many lie in range does not
 depend on how the grid falls: by the Sturm oscillation theorem N(lo) -
 N(hi) bound roots (see _node_count), and from the Dirichlet count and x the
 number of band edges below each energy, twice the rotation number (see
-_edge_count).  One isolation rule serves both: the exact count says how
+_edge_count).  One fold, _sturm, counts the zeros behind both, in either
+regime.  One isolation rule serves both: the exact count says how
 many an interval holds, _isolate bisects on it until each sits alone, and
 _bisect refines each one to |dbeta| <= 1e-10 on the grid kernel, all
 brackets of a query in lockstep, one kernel call on the vector of midpoints
@@ -18,7 +19,7 @@ per step.
 Each query makes one scan, on the x4 grid of grid_steps, with the
 vectorized kernel of kernel.py, whose samples equal cell_matrix and
 word_matrix bit for bit in both regimes.  Each count is a fill of
-kernel._scan; the edge count reads N and x from one chunk table.  gamma
+kernel._scan; the edge count reads N and x from one chunk's cells.  gamma
 is broadcast to one value per point or bracket, so band germs at many
 gammas (_germ_rows) share one isolation and one bisection; each value is
 the one a single-gamma query computes.
@@ -30,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ChainParams, Regime
+from .core import CellKind, ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
-from .kernel import _cell_entries, _cells, _scan, _word_scan, _word_value, _x_crossings
+from .kernel import _scan, _word_scan, _word_value, _x_crossings
 from .substitution import Word, guard_exponent
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
@@ -112,28 +113,39 @@ class DosSamples:
     density: np.ndarray
 
 
-def _sturm(word: Word, beta: np.ndarray, gamma: np.ndarray, tables: dict, dirichlet=False) -> np.ndarray:
-    """Number of bound states with beta* > beta, over one chunk of _chunks tables.
+def _sturm(word: Word, q: float, beta: np.ndarray, cells: dict, regime: Regime, dirichlet=False) -> np.ndarray:
+    """Zeros of one solution along the word, over one chunk of _scan cells, in both regimes.
 
-    By the Sturm oscillation theorem it is the number of zeros of the
-    solution that decays on the left (psi = 1, psi' = beta before the first
-    delta).  The solution is carried in the exponential basis, psi =
-    cm*exp(-beta*xi) + cp*exp(beta*xi), so psi = cm + cp at a cell boundary.
-    A delta jump adds no zero and a tunnel at most one, where psi changes
-    sign across it.  The free tail adds one when psi*psi' < 0 and
-    |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.  Each cell divides
-    (cm, cp) by |cm| + |cp|, so the carry never overflows.
+    From psi = 1, psi' = beta before the first delta (the solution that
+    decays on the left) they count the bound states with beta* > beta, by
+    the Sturm oscillation theorem.  dirichlet=True starts from psi = 0,
+    psi' > 0 and drops the tail: they then count the Dirichlet eigenvalues
+    of one period below the energy (the rotation number).
 
-    dirichlet=True starts from psi = 0, psi' > 0, i.e. (cm, cp) = (-1, 1),
-    and drops the tail: the zeros then count the Dirichlet eigenvalues of
-    one period below the energy.
+    The carry is (cm, cp) = ((psi - psi'/beta)/2, (psi + psi'/beta)/2), so
+    psi = cm + cp at a cell boundary (in the Bound regime, the
+    exponential-basis coefficients), divided by |cm| + |cp| after each cell
+    so that it never overflows.  A cell maps it by [[a, -c], [-b, d]]: its
+    own entries in the Bound regime, and in the Scattering regime the delta
+    shear and tunnel rotation (a_re - c_im, a_im + c_re, c_re - a_im, a_re +
+    c_im), as SU(1,1) gives d = conj(a) and b = conj(c).  A tunnel of phase
+    t = beta*ratio adds floor(t/pi) zeros (none in the Bound regime), and
+    one more where psi's sign at its end differs from (-1)**floor(t/pi)
+    times its sign at its start; the map is taken times (-1)**floor(t/pi),
+    so that reads as a plain sign change.  The tail adds one when psi*psi'
+    < 0 and |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.
     """
-    # One cell maps (cm, cp) by [[a, -c], [-b, d]] of its cell matrix:
-    # the delta jump first, then the tunnel.
-    cells = _cells(gamma, beta, Regime.BOUND, tables)
+    n = np.zeros(beta.size, dtype=np.int64)
+    if regime is Regime.SCATTERING:  # turns counted once per chunk and letter
+        maps = {}
+        for ch, ((a_re, a_im), _, (c_re, c_im), _) in cells.items():
+            turns = np.floor(beta * CellKind(ch).ratio(q) / np.pi)
+            n += word.letters.count(ch) * turns.astype(np.int64)
+            sign = (-1.0) ** turns
+            maps[ch] = sign * (a_re - c_im), sign * (a_im + c_re), sign * (c_re - a_im), sign * (a_re + c_im)
+        cells = maps
     cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
     positive = np.ones(beta.size, dtype=bool)
-    n = np.zeros(beta.size, dtype=np.int64)
     for ch in word.letters:
         a, b, c, d = cells[ch]
         cm, cp = a * cm - c * cp, d * cp - b * cm
@@ -148,29 +160,9 @@ def _sturm(word: Word, beta: np.ndarray, gamma: np.ndarray, tables: dict, dirich
 
 
 def _node_count(word: Word, gamma, q: float, betas: np.ndarray) -> np.ndarray:
-    """_sturm at every beta of the grid; gamma is a scalar or one value per beta."""
+    """Bound states above every beta of the grid (_sturm); gamma is a scalar or one value per beta."""
     return _scan(word, gamma, q, betas, Regime.BOUND,
-                 lambda beta, g, tables: _sturm(word, beta, g, tables), dtype=np.int64)
-
-
-def _pruefer(word: Word, q: float, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Scattering-regime Dirichlet eigenvalues of one period below beta**2.
-
-    The zeros of psi from psi = 0, psi' > 0, counted by the Pruefer angle u
-    (psi = R sin u, psi' = beta R cos u): a delta maps u to atan2(sin u,
-    cos u - (gamma/beta) sin u), a tunnel advances it by beta*ratio, and
-    each multiple of pi passed is a zero.
-    """
-    de = gamma / beta
-    u = np.zeros(beta.size)
-    n = np.zeros(beta.size, dtype=np.int64)
-    for ch in word.letters:
-        s = np.sin(u)
-        u = np.arctan2(s, np.cos(u) - de * s) + beta * (1.0 if ch == "S" else q)
-        turns = np.floor(u / np.pi)
-        n += turns.astype(np.int64)
-        u -= turns * np.pi
-    return n
+                 lambda beta, cells: _sturm(word, q, beta, cells, Regime.BOUND), dtype=np.int64)
 
 
 def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
@@ -181,17 +173,17 @@ def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
     below it and a gap 2k, k being N or N + 1, even where x > 1 and odd where
     x < -1; negated in the Scattering regime, it never increases with beta.
     A power W^n (at q = 1 every word is S^n) has the bands of W, so x is
-    read from W and the closed gaps of W^n do not hang on rounding.  N and
-    x come from one scan; gamma is a scalar or one value per beta.
+    read from W and the closed gaps of W^n do not hang on rounding.  N (_sturm)
+    and x read one chunk's cells; gamma is a scalar or one value per beta.
     """
     bound = regime is Regime.BOUND
     word = Word(word.letters.replace("L", "S")) if q == 1.0 else word  # at q = 1, L is S
     size = (word.letters * 2).find(word.letters, 1)  # the primitive root's length
     root, odd = word if size == len(word) else Word(word.letters[:size]), len(word) // size % 2 == 1
 
-    def fill(beta: np.ndarray, gamma: np.ndarray, tables: dict) -> np.ndarray:
-        n = _sturm(word, beta, gamma, tables, dirichlet=True) if bound else _pruefer(word, q, beta, gamma)
-        x = _word_value(root, gamma, beta, regime, "x", tables)
+    def fill(beta: np.ndarray, cells: dict) -> np.ndarray:
+        n = _sturm(word, q, beta, cells, regime, dirichlet=True)
+        x = _word_value(root, cells, regime, "x")
         k = n + ((n % 2 == 1) != ((x < 0.0) & odd))
         c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
         return c if bound else -c
@@ -478,7 +470,7 @@ def _binding_terms(n: int, betas: np.ndarray, gamma: float) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
 
     a, d = _scan(Word("S"), gamma, 1.0, betas, Regime.BOUND,  # the cell's diagonal (a, d)
-                 lambda b, g, tables: _cell_entries(g, b, Regime.BOUND, tables["S"], True), (2,))
+                 lambda b, cells: cells["S"][::3], (2,))
     rows = []
     for beta, x1, y1 in zip(betas.tolist(), (0.5 * (a + d)).tolist(), (0.5 * (a - d)).tolist()):
         if abs(x1) > 1.0 + BAND_TOL:

@@ -282,7 +282,7 @@ def test_binding_command_rejects_long_cells(tmp_path, capsys):
 def test_grid_error_surfaces_token(tmp_path, capsys, monkeypatch):
     # Band edges are counted exactly, so a refusal needs an injected count
     # that rises with beta.
-    def rising(word, betas, gamma, tables, dirichlet=False):
+    def rising(word, q, betas, cells, regime, dirichlet=False):
         return (betas > 3.0).astype(np.int64)
 
     monkeypatch.setattr("deltachain.spectra._sturm", rising)

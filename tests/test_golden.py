@@ -9,7 +9,7 @@ A deliberate output change updates the digest and says why in CHANGES.md.
 
 BANDS_GOLDEN pins ``bands`` runs whose bytes depend on how band edges are
 bracketed: converged Fibonacci censuses, the Scattering regime (W_12's 245
-germs go through the Pruefer count), a five-letter word, and a power word
+germs go through the Sturm fold's Scattering count), a five-letter word, and a power word
 whose gaps close at q = 1.
 
 BOUND_GOLDEN pins a ``bound`` run with many roots: W_6's 8 roots at

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from deltachain import scattering
+from deltachain import kernel, scattering
 from deltachain.cli import main
 from deltachain.core import TAU, ChainParams, Regime
 from deltachain.errors import OverflowRisk, ResonancePole
@@ -276,9 +276,10 @@ def test_s_matrix_grid_rejects_bad_grids():
 
 
 def _inject_pole(monkeypatch, beta0):
-    """Stand-ins for _cells and _word_grid whose d entry has |d| = 5e-13 * k
-    at the k-th grid point from beta0 on (k = 1, 2, ...)."""
-    real_cells, real_grid, chunk = scattering._cells, scattering._word_grid, []
+    """Stand-ins for kernel._cells, where _scan makes each chunk's cells, and
+    _word_grid, whose d entry has |d| = 5e-13 * k at the k-th grid point from
+    beta0 on (k = 1, 2, ...)."""
+    real_cells, real_grid, chunk = kernel._cells, scattering._word_grid, []
 
     def cells(gamma, betas, regime, tables):
         chunk[:] = [betas]
@@ -291,7 +292,7 @@ def _inject_pole(monkeypatch, beta0):
         dr[hit], di[hit] = 3e-13 * k[hit], 4e-13 * k[hit]
         return a, b, c, (dr, di)
 
-    monkeypatch.setattr(scattering, "_cells", cells)
+    monkeypatch.setattr(kernel, "_cells", cells)
     monkeypatch.setattr(scattering, "_word_grid", word_grid)
 
 

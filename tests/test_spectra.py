@@ -1,8 +1,10 @@
 """Band germs, bound-state roots, labels, censuses, and the DOS estimate."""
 
+import ast
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,7 +386,7 @@ def test_single_cell_helpers_raise_out_of_band_without_a_germ():
 
 
 
-@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3, 0.0, -0.0])
+@pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3, 0.0, -0.0, 5e-324, -5e-324])
 def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
     # In both regimes every grid value equals cell_matrix / word_matrix,
     # signs of zeros included, so the grid brackets what the scalar
@@ -639,19 +641,91 @@ def test_energy_gauge_reads_the_scan_at_germ_edges():
 @pytest.mark.parametrize("regime", list(Regime))
 def test_edge_count_tables_each_chunk_once_per_letter(monkeypatch, regime):
     # The Dirichlet count and x of the root word read one table per chunk
-    # and letter; a count and an x scan of their own would table each twice.
-    calls, real = [], kernel._cell_table
+    # and letter, and one set of cells per chunk; a count and an x scan of
+    # their own would make each twice.
+    calls, cells, real_table, real_cells = [], [], kernel._cell_table, kernel._cells
 
     def counted(betas, regime, ratio):
         calls.append((betas.size, ratio))
-        return real(betas, regime, ratio)
+        return real_table(betas, regime, ratio)
+
+    def counted_cells(gamma, betas, regime, tables):
+        cells.append(betas.size)
+        return real_cells(gamma, betas, regime, tables)
 
     monkeypatch.setattr(kernel, "_cell_table", counted)
+    monkeypatch.setattr(kernel, "_cells", counted_cells)
     betas = np.linspace(0.05, 6.0, _CHUNK + 11)
     for word, q, ratios in ((fibonacci_word(6), TAU, (1.0, TAU)), (Word("SLSL"), 1.0, (1.0,))):
         calls.clear()
+        cells.clear()
         _edge_count(word, 10.0, q, betas, regime)
         assert sorted(calls) == sorted((size, r) for size in (_CHUNK, 11) for r in ratios)
+        assert sorted(cells) == [11, _CHUNK]
+
+
+def _pruefer(word: Word, q: float, beta: np.ndarray, gamma) -> np.ndarray:
+    """Scattering-regime Dirichlet eigenvalues of one period below beta**2, by the Pruefer angle.
+
+    The zeros of psi from psi = 0, psi' > 0, counted by the Pruefer angle u
+    (psi = R sin u, psi' = beta R cos u): a delta maps u to atan2(sin u,
+    cos u - (gamma/beta) sin u), a tunnel advances it by beta*ratio, and
+    each multiple of pi passed is a zero.  The reference for _sturm's
+    Scattering count.
+    """
+    de = gamma / beta
+    u = np.zeros(beta.size)
+    n = np.zeros(beta.size, dtype=np.int64)
+    for ch in word.letters:
+        s = np.sin(u)
+        u = np.arctan2(s, np.cos(u) - de * s) + beta * CellKind(ch).ratio(q)
+        turns = np.floor(u / np.pi)
+        n += turns.astype(np.int64)
+        u -= turns * np.pi
+    return n
+
+
+def _scattering_dirichlet_count(word: Word, gamma, q: float, betas: np.ndarray) -> np.ndarray:
+    def fold(beta, cells):
+        return spectra._sturm(word, q, beta, cells, Regime.SCATTERING, dirichlet=True)
+
+    return kernel._scan(word, gamma, q, betas, Regime.SCATTERING, fold, dtype=np.int64)
+
+
+def test_scattering_dirichlet_count_is_the_pruefer_count():
+    # One Sturm fold counts zeros in both regimes; in the Scattering regime
+    # it must agree with the Pruefer angle at every point, on random words
+    # and on Fibonacci words whose tunnels pass many multiples of pi.
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        word = Word("".join(rng.choice(["S", "L"], rng.integers(1, 41))))
+        gamma, q = rng.uniform(-8.0, 12.0), rng.uniform(0.3, 3.0)
+        betas = rng.uniform(0.0, 12.0, 1000) + 1e-3
+        got = _scattering_dirichlet_count(word, gamma, q, betas)
+        assert np.array_equal(got, _pruefer(word, q, betas, gamma)), (str(word), gamma, q)
+    betas = np.linspace(0.05, 12.0, 2001)
+    for m in range(2, 15):
+        for gamma in (4.0, 10.0, -3.0):
+            got = _scattering_dirichlet_count(fibonacci_word(m), gamma, TAU, betas)
+            assert np.array_equal(got, _pruefer(fibonacci_word(m), TAU, betas, gamma)), (m, gamma)
+
+
+def test_only_the_kernel_touches_cell_tables():
+    # Scans hand their fills a chunk's cells; cell tables, cell entries and
+    # the cells themselves are made in kernel.py alone.
+    private = {"_cell_table", "_cell_entries", "_cells"}
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & private, (path.name, sorted(names & private))
 
 
 def test_energy_gauge_reads_in_band_as_the_edge_count_does():
