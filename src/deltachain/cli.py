@@ -173,17 +173,17 @@ def _token(value, fmt: str) -> str:
 
     Non-finite floats and None are written as "" in CSV and null in JSON.
     """
+    if type(value) is float or isinstance(value, np.floating):  # most cells, so tested first
+        v = float(value)
+        if not math.isfinite(v):
+            return "null" if fmt == "json" else ""
+        return format(v, ".17g")
     if value is None:
         return "null" if fmt == "json" else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return "null" if fmt == "json" else ""
-        return format(v, ".17g")
     if fmt == "csv":
         return str(value)
     s = str(value).replace("\\", "\\\\").replace('"', '\\"')

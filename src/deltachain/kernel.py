@@ -4,8 +4,9 @@ Cell and word matrix entries over a vector of betas, in _CHUNK-point
 chunks.  _chunks tables the gamma-free terms of each letter's cell once per
 chunk (_cell_table: lam and 1/lam) and a gamma step makes the entries from
 a table (_cell_entries).  _scan makes each chunk's cells once and hands
-them, not the table, to one fill, which reads all it needs from them;
-_x_crossings alone keeps the tables, to step them at many gammas.
+them, not the table, to one fill, which reads all it needs from them.
+_x_crossings alone keeps the tables: it steps a word's at every gamma, and
+evaluates one cell's x only where a screen finds it can cross +-1.
 In the Bound regime the kernel multiplies real float64 entries, with the
 np.exp that tunnel_matrix also takes; in the Scattering regime it
 multiplies (re, im) float64 pairs with CPython's complex formulas.  In
@@ -179,24 +180,73 @@ def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, w
     return _scan(word, gamma, q, betas, regime, lambda beta, cells: _word_value(word, cells, regime, which))
 
 
+def _crosses(x0, x1, t: float):
+    """Where x goes strictly across t from x0 to x1; a sample at t or NaN never counts."""
+    return ((x1 > t) & (x0 < t)) | ((x1 < t) & (x0 > t))
+
+
 @_finite
 def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
     """Per gamma, the indices i where x crosses +-1 between betas i and i+1, and x at both ends.
 
-    A sample at +-1 or NaN never counts.  Chunk-outer, gamma-inner: each
-    chunk of betas is tabled once per letter, then stepped at every gamma;
-    chunks share a seam point, so a crossing there is found once.
+    Chunks share a seam point, so a crossing there is found once.  One cell
+    is screened (_cell_crossings); a longer word, whose x is a polynomial in
+    gamma, is scanned chunk-outer, gamma-inner, each chunk tabled once per
+    letter and stepped at every gamma.  Each x tested is _word_scan's.
     """
+    if len(word.letters) == 1:
+        return _cell_crossings(word, gammas, q, betas, regime)
     cross, ends = [[] for _ in gammas], np.empty((len(gammas), 2))
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
-            if len(word.letters) == 1:  # x of one cell needs only its real diagonal
-                A, D = _cell_entries(gamma, betas[part], regime, tables[word.letters], True)
-                x = 0.5 * (A + D)
-            else:
-                x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
-            for t in (1.0, -1.0):
-                hi, lo = x > t, x < t
-                cross[i].append(start + np.nonzero((hi[1:] & lo[:-1]) | (lo[1:] & hi[:-1]))[0])
+            x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
+            cross[i] += (start + np.nonzero(_crosses(x[:-1], x[1:], t))[0] for t in (1.0, -1.0))
             ends[i] = x[0] if start == 0 else ends[i, 0], x[-1]
     return [np.concatenate(c) for c in cross], ends
+
+
+def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
+    """_x_crossings of one cell, with x evaluated only where it can cross +-1.
+
+    At each beta x is P + gamma*S up to rounding, P and S read from x at gamma
+    = 0 and beta (Bound: P = (inv + lam)/2, S = (inv - lam)/(4 beta);
+    Scattering: P = (ir + lc)/2, S = (ls - ii)/(4 beta)).
+    Pair (i, i + 1) can cross t only at gammas in the hull of its roots
+    (t - P -+ m)/S, m being 1e4 ulps of x's terms at the largest |gamma|, or
+    at any gamma if its slopes differ in sign or one is 0.  Only these are
+    tested.  x's terms peak at an extreme gamma, so x over each chunk at the
+    smallest and largest gamma raises every OverflowRisk any gamma would.
+    """
+    g = np.asarray(gammas, dtype=float)
+    order = np.argsort(g, kind="stable")
+    gs, ends, hits = g[order], np.empty((g.size, 2)), []
+    for start, part, tables in _chunks(word, q, betas, regime, seam=1):
+        beta, table = betas[part], tables[word.letters]
+
+        def x(gamma, k):  # at gamma and beta[k] from the chunk's table, as _word_scan computes it
+            A, D = _cell_entries(gamma, beta[k], regime, tuple(v[k] for v in table), diagonal=True)
+            return 0.5 * (A + D)
+
+        x(gs[0], slice(None)), x(gs[-1], slice(None))  # any gamma's OverflowRisk
+        if start == 0:
+            ends[:, 0] = x(g, 0)
+        P = x(0.0, slice(None))
+        S = (x(beta, slice(None)) - P) / beta  # delta/2 is 1/2 at gamma = beta
+        every = np.sign(S[1:]) * np.sign(S[:-1]) <= 0.0
+        S[S == 0.0] = 1.0
+        with np.errstate(over="ignore"):  # a root past float64 is +-inf, beyond every gamma
+            m = 1e4 * np.finfo(float).eps * (1.0 + 0.5 * max(abs(gs[0]), abs(gs[-1])) / beta)
+            m *= sum(np.abs(v) for v in table)
+        for t in (1.0, -1.0):
+            with np.errstate(over="ignore"):
+                lo, hi = (t - P - m) / S, (t - P + m) / S
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            k0 = np.where(every, 0, np.searchsorted(gs, np.minimum(lo[1:], lo[:-1])))
+            n = np.where(every, gs.size, np.searchsorted(gs, np.maximum(hi[1:], hi[:-1]), "right")) - k0
+            i = np.repeat(np.arange(n.size), n)
+            k = np.arange(i.size) + np.repeat(k0 + n - np.cumsum(n), n)
+            hit = _crosses(x(gs[k], i), x(gs[k], i + 1), t)
+            hits.append((order[k[hit]], start + i[hit]))
+    ends[:, 1] = x(g, -1)  # in the last chunk
+    row, index = (np.concatenate(v) for v in zip(*hits))
+    return np.split(index[np.lexsort((index, row))], np.cumsum(np.bincount(row, minlength=g.size))[:-1]), ends

@@ -309,9 +309,9 @@ def band_germs(
 def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime: Regime):
     """Yield band_germs at each gamma of a vector in turn, or the GridTooCoarse refusing it.
 
-    x is scanned on the x4 grid a chunk at a time, every gamma from the
-    chunk's cell tables (_x_crossings), keeping only the window ends and the
-    crossing indices.  The edge count, _isolate, the bracket-end x scan
+    _x_crossings finds x's crossings of +-1 on the x4 grid, and x at the
+    window ends: for one cell only where a screen lets x cross, for a longer
+    word at every gamma.  The edge count, _isolate, the bracket-end x scan
     and _bisect then run once over the pieces of all gammas, each piece
     carrying its row's gamma; the kernel works elementwise, so every germ
     is the one a query at its gamma alone returns, bit for bit.

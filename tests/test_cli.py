@@ -557,11 +557,15 @@ def _run_module(*argv):
         ["bands", "--word", "fib:m=15", "--gamma", "30", "--beta-max", "0.3"],
         ["scatter", "--word", "fib:m=14", "--gamma", "200", "--beta-min", "0.001",
          "--beta-max", "0.01", "--steps", "100"],
+        ["atlas", "--beta-min", "1e-300", "--gamma-min", "0", "--gamma-max", "1e10", "--gamma-steps", "5"],
+        ["atlas", "--beta-min", "1e-305", "--gamma-min", "-5", "--gamma-max", "5", "--gamma-steps", "5"],
     ],
 )
 def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
     # Entries that outgrow float64 used to leave a header-only file (bands)
-    # or rows of empty tokens (scatter) behind an exit status of 0.
+    # or rows of empty tokens (scatter) behind an exit status of 0.  The
+    # atlas's screened one-cell scan must refuse as the per-gamma scan does,
+    # and must not divide by a zero slope where lam == 1/lam == 1.0.
     out = tmp_path / "x.csv"
     proc = _run_module(*argv, "--out", str(out))
     assert proc.returncode == 1

@@ -449,17 +449,82 @@ def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
         assert (x_lo.hex(), x_hi.hex()) == (float(x[0]).hex(), float(x[-1]).hex()), gamma
 
 
+def _per_gamma_crossings(word, gammas, q, betas, regime):
+    """Per gamma, a per-gamma scan's sorted crossings of x = +-1 and the hex of x at both ends."""
+    rows = []
+    for gamma in gammas:
+        x = _word_scan(word, gamma, q, betas, regime, "x")
+        sides = [np.sign(x - t) for t in (1.0, -1.0)]
+        cross = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
+        rows.append((cross, float(x[0]).hex(), float(x[-1]).hex()))
+    return rows
+
+
+def _tabled_crossings(word, gammas, q, betas, regime):
+    cross, ends = _x_crossings(word, gammas, q, betas, regime)
+    return [(sorted(c.tolist()), lo.hex(), hi.hex()) for c, (lo, hi) in zip(cross, ends.tolist())]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    letter=st.sampled_from(["S", "L"]),
+    regime=st.sampled_from(Regime),
+    q=st.one_of(st.just(1.0), st.floats(0.3, 2.5)),
+    lo=st.one_of(st.just(1e-300), st.just(1e-17), st.floats(0.01, 3.0)),
+    span=st.floats(0.5, 20.0),
+    size=st.integers(401, 2 * _CHUNK + 500),
+    gammas=st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-12.0, 12.0), st.floats(-1e6, 1e6)), min_size=1, max_size=6
+    ),
+)
+def test_screened_cell_scan_is_the_per_gamma_scan(letter, regime, q, lo, span, size, gammas):
+    # x of one cell is evaluated only where the screen lets it cross +-1;
+    # the crossings and window-end bits must be the per-gamma scan's, for
+    # unsorted and repeated gammas, over windows from beta = 1e-300 up.
+    word, gammas, betas = Word(letter), gammas + gammas[:2], np.linspace(lo, lo + span, size)
+    assert _tabled_crossings(word, gammas, q, betas, regime) == _per_gamma_crossings(word, gammas, q, betas, regime)
+
+
+@pytest.mark.parametrize(
+    "letter, q, regime, lo, hi",
+    [
+        ("S", 1.0, Regime.SCATTERING, 3.0, 3.3),  # beta*ratio = pi: the slope S changes sign
+        ("S", 1.0, Regime.SCATTERING, 6.2, 6.4),  # 2 pi
+        ("L", TAU, Regime.SCATTERING, 2 * math.pi / TAU - 0.05, 2 * math.pi / TAU + 0.05),
+        ("S", 1.0, Regime.BOUND, 1e-17, 1.5),  # lam == inv == 1.0 at the first beta: S = 0
+        ("L", 0.3, Regime.BOUND, 1e-300, 0.7),
+    ],
+)
+def test_screened_cell_scan_where_the_slope_changes_sign_or_vanishes(letter, q, regime, lo, hi):
+    # Where the two slopes of a pair differ in sign or one is 0, every
+    # gamma is a candidate: near beta*ratio = k*pi x crosses +-1 there at
+    # every large |gamma|, and S = 0 must not be divided by.
+    word, betas = Word(letter), np.linspace(lo, hi, 4001)
+    gammas = [1e6, -50.0, 0.0, -0.0, 7.0, -3.5, 7.0, 1e3, -1e6]
+    table = _cell_table(betas, regime, CellKind(letter).ratio(q))
+    slope = np.sign(table[1] - table[0] if regime is Regime.BOUND else table[1] - table[3])
+    flips = np.flatnonzero(slope[1:] * slope[:-1] <= 0.0)
+    assert flips.size
+    want = _per_gamma_crossings(word, gammas, q, betas, regime)
+    assert _tabled_crossings(word, gammas, q, betas, regime) == want
+    if regime is Regime.SCATTERING:  # the flip pair crosses at the largest |gamma|
+        assert set(flips.tolist()) & set(want[0][0]) and set(flips.tolist()) & set(want[-1][0])
+
+
 def test_germ_rows_memory_stays_bounded_by_the_chunk():
     # 25 gammas on 40,001 points (5 chunks): the per-gamma scan peaked at
     # about 2.8 MB of traced memory, and the chunked scan does too.  A table
     # of the whole grid would add about 2.6 MB, and a gammas x grid array 8 MB.
-    tracemalloc.start()
-    try:
-        list(_germ_rows(Word("SL"), np.linspace(-6, 6, 25), TAU, (0.05, 6.0), 10000, Regime.SCATTERING))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5e6
+    # One cell at 401 gammas takes the screened scan, whose per-chunk arrays
+    # and candidate lists must stay within the same bound.
+    for word, count in ((Word("SL"), 25), (Word("S"), 401)):
+        tracemalloc.start()
+        try:
+            list(_germ_rows(word, np.linspace(-6, 6, count), TAU, (0.05, 6.0), 10000, Regime.SCATTERING))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, word
 
 
 @pytest.mark.parametrize("chunks", [1, 2])
