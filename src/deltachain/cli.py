@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .core import CellKind, ChainParams, Regime, TAU, cell_matrix, tunnel_matrix
-from .errors import ChainError, GridTooCoarse, ParseError
+from .errors import ChainError, ParseError
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
@@ -125,6 +125,8 @@ class RunConfig:
             raise ValueError("steps must be >= 100")
         if self.gamma_steps < 1:
             raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
+        if 8 * max(4 * self.steps + 1, self.gamma_steps) > sys.maxsize:  # float64 bytes of the largest grid
+            raise ValueError("steps or gamma_steps asks for a grid larger than numpy can index")
         if self.p_max < 1:
             raise ValueError(f"p_max must be >= 1, got {self.p_max}")
         if self.format not in ("csv", "json"):
@@ -286,22 +288,20 @@ def _cmd_atlas(config: RunConfig):
     beta_range = (config.beta_min, config.beta_max)
     cells = (("S", Word("S")), ("L", Word("L")))
     regimes = ((Regime.BOUND, 1.0), (Regime.SCATTERING, -1.0))
-    # One batched query per cell and regime, read row by row into each
-    # gamma's bucket, so the file keeps its (gamma, cell, regime) row order.
-    by_gamma, refused = [[] for _ in gammas], []
+    # One batched query per cell and regime; one stable sort on the gamma
+    # index gives the file its (gamma, cell, regime) row order.
+    edges, at, refused = [], [], []
     for name, word in cells:
         for regime, sign in regimes:
-            found = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
-            for i, (gamma, germs) in enumerate(zip(gammas.tolist(), found)):
-                if isinstance(germs, GridTooCoarse):
-                    refused.append((i, germs))
-                    continue
-                for g in germs:
-                    by_gamma[i].append((gamma, name, g.edge_kind_lo.value, sign * g.beta_lo))
-                    by_gamma[i].append((gamma, name, g.edge_kind_hi.value, sign * g.beta_hi))
+            germs, row, failed = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
+            refused += ((i, len(at), err) for i, err in failed.items())  # in (gamma, query) order
+            at.append(np.repeat(row, 2))
+            for g, gamma in zip(germs, gammas[row].tolist()):
+                edges.append((gamma, name, g.edge_kind_lo.value, sign * g.beta_lo))
+                edges.append((gamma, name, g.edge_kind_hi.value, sign * g.beta_hi))
     if refused:  # the first refused query in (gamma, cell, regime) order
-        raise min(refused, key=lambda r: r[0])[1]
-    rows = [row for part in by_gamma for row in part]
+        raise min(refused)[2]
+    rows = [edges[k] for k in np.argsort(np.concatenate(at), kind="stable").tolist()]
     p = 1
     while TAU * p * math.pi <= config.beta_max:
         rows.append((None, "", "commuting_line", -TAU * p * math.pi))
@@ -403,8 +403,9 @@ def run(config: RunConfig) -> int:
     try:
         columns, rows, comment = _DISPATCH[config.command](config)
         _write_output(config, columns, rows, comment)
-    except (ChainError, OSError) as err:  # OSError: the output path cannot be written
-        token = err.token if isinstance(err, ChainError) else type(err).__name__
+    except (ChainError, OSError, MemoryError) as err:  # OSError: the output path cannot be written
+        kind = MemoryError if isinstance(err, MemoryError) else type(err)  # numpy raises a private MemoryError
+        token = err.token if isinstance(err, ChainError) else kind.__name__
         print(f"{token}: {err}", file=sys.stderr)
         return 1
     return 0

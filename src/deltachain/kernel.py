@@ -5,8 +5,9 @@ chunks.  _chunks tables the gamma-free terms of each letter's cell once per
 chunk (_cell_table: lam and 1/lam) and a gamma step makes the entries from
 a table (_cell_entries).  _scan makes each chunk's cells once and hands
 them, not the table, to one fill, which reads all it needs from them.
-_x_crossings alone keeps the tables: it steps a word's at every gamma, and
-evaluates one cell's x only where a screen finds it can cross +-1.
+_x_crossings alone keeps the tables: it steps a word's at every gamma, or
+evaluates one cell's x only where a screen finds it can cross +-1, and
+returns the crossings of all gammas as one flat (row, index) table.
 In the Bound regime the kernel multiplies real float64 entries, with the
 np.exp that tunnel_matrix also takes; in the Scattering regime it
 multiplies (re, im) float64 pairs with CPython's complex formulas.  In
@@ -67,29 +68,24 @@ def _cell_table(betas: np.ndarray, regime: Regime, ratio: float) -> tuple:
     return (lc, ls, *_pair_quot((1.0, 0.0), (lc, ls)))
 
 
-def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple, diagonal=False):
+def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple):
     """Cell-matrix entries over a beta slice from its _cell_table, equal to cell_matrix bit for bit.
 
     Real float64 in the Bound regime; in the Scattering regime (re, im) pairs of
     float64 arrays, from the float operations of cell_matrix's complex arithmetic
     (numpy's complex multiply and divide round differently in the last bit).  The
     zero terms of the scalar product are kept where they fix the sign of a zero
-    entry (gamma = 0), as 0.0 - v and v + 0.0.  diagonal=True returns the real
-    parts of a and d only, all that x and d of one cell read.
+    entry (gamma = 0), as 0.0 - v and v + 0.0.
     """
     if regime is Regime.BOUND:
         lam, inv = table
         h = (gamma / betas) / 2
-        a, d = (1 + h) * inv, lam * (1 - h)
-        return (a, d) if diagonal else (a, h * lam + 0.0, 0.0 - h * inv, d)
+        return (1 + h) * inv, h * lam + 0.0, 0.0 - h * inv, lam * (1 - h)
     lc, ls, ir, ii = table
     h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
-    h_ii, h_ls = h * ii, h * ls
-    re_a, re_d = ir - h_ii, lc + h_ls  # the scalar lc - (0.0 - h)*ls, as lc = cos(t) is never 0
-    if diagonal:
-        return re_a, re_d
-    h_ir, mh = h * ir, 0.0 - h
-    a, d = (re_a, ii + h_ir), (re_d, ls + mh * lc)
+    h_ii, h_ls, h_ir, mh = h * ii, h * ls, h * ir, 0.0 - h
+    # re d is the scalar lc - (0.0 - h)*ls, as lc = cos(t) is never 0
+    a, d = (ir - h_ii, ii + h_ir), (lc + h_ls, ls + mh * lc)
     # c is (0.0 - mh*ii, mh*ir + 0.0), from the products a already took
     return a, (0.0 - h_ls, h * lc + 0.0), (h_ii + 0.0, 0.0 - h_ir), d
 
@@ -187,22 +183,25 @@ def _crosses(x0, x1, t: float):
 
 @_finite
 def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
-    """Per gamma, the indices i where x crosses +-1 between betas i and i+1, and x at both ends.
+    """Flat (row, index, ends): x crosses +-1 between betas index and index + 1 at gammas[row].
 
-    Chunks share a seam point, so a crossing there is found once.  One cell
-    is screened (_cell_crossings); a longer word, whose x is a polynomial in
-    gamma, is scanned chunk-outer, gamma-inner, each chunk tabled once per
-    letter and stepped at every gamma.  Each x tested is _word_scan's.
+    ends holds x at both window ends per gamma.  The pairs come unordered,
+    one per crossing of +1 and one per crossing of -1.  Chunks share a seam
+    point, so a crossing there is found once.  One cell is screened
+    (_cell_crossings); a longer word, whose x is a polynomial in gamma, is
+    scanned chunk-outer, gamma-inner, each chunk tabled once per letter and
+    stepped at every gamma.  Each x tested is _word_scan's.
     """
     if len(word.letters) == 1:
         return _cell_crossings(word, gammas, q, betas, regime)
-    cross, ends = [[] for _ in gammas], np.empty((len(gammas), 2))
+    hits, ends = [], np.empty((len(gammas), 2))
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
             x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
-            cross[i] += (start + np.nonzero(_crosses(x[:-1], x[1:], t))[0] for t in (1.0, -1.0))
+            index = start + np.concatenate([np.flatnonzero(_crosses(x[:-1], x[1:], t)) for t in (1.0, -1.0)])
+            hits.append((np.full(index.size, i), index))
             ends[i] = x[0] if start == 0 else ends[i, 0], x[-1]
-    return [np.concatenate(c) for c in cross], ends
+    return (*(np.concatenate(v) for v in zip(*hits)), ends)
 
 
 def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
@@ -224,8 +223,8 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
         beta, table = betas[part], tables[word.letters]
 
         def x(gamma, k):  # at gamma and beta[k] from the chunk's table, as _word_scan computes it
-            A, D = _cell_entries(gamma, beta[k], regime, tuple(v[k] for v in table), diagonal=True)
-            return 0.5 * (A + D)
+            cell = _cell_entries(gamma, beta[k], regime, tuple(v[k] for v in table))
+            return _word_value(word, {word.letters: cell}, regime, "x")
 
         x(gs[0], slice(None)), x(gs[-1], slice(None))  # any gamma's OverflowRisk
         if start == 0:
@@ -248,5 +247,4 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
             hit = _crosses(x(gs[k], i), x(gs[k], i + 1), t)
             hits.append((order[k[hit]], start + i[hit]))
     ends[:, 1] = x(g, -1)  # in the last chunk
-    row, index = (np.concatenate(v) for v in zip(*hits))
-    return np.split(index[np.lexsort((index, row))], np.cumsum(np.bincount(row, minlength=g.size))[:-1]), ends
+    return (*(np.concatenate(v) for v in zip(*hits)), ends)

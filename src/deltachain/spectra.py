@@ -297,32 +297,36 @@ def band_germs(
     The edge count (_edge_count) is taken at the window ends and at both
     ends of every x = +-1 crossing interval of the x4 grid; _isolate splits
     the pieces between them until each edge sits alone, its kind taken from
-    the count, and _bisect refines it on x.  GridTooCoarse names where the
-    count rises or x misses a counted edge.  This is _germ_rows at one gamma.
+    the count, and _bisect refines it on x.  This is _germ_rows at one
+    gamma; its refusal, a GridTooCoarse, names where the count rises or x
+    misses a counted edge.
     """
-    [germs] = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
-    if isinstance(germs, GridTooCoarse):
-        raise germs
+    germs, _, refused = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
+    if refused:
+        raise refused[0]
     return germs
 
 
 def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime: Regime):
-    """Yield band_germs at each gamma of a vector in turn, or the GridTooCoarse refusing it.
+    """(germs, row, refused): band_germs at every gamma of a vector, in one pass.
 
-    _x_crossings finds x's crossings of +-1 on the x4 grid, and x at the
-    window ends: for one cell only where a screen lets x cross, for a longer
-    word at every gamma.  The edge count, _isolate, the bracket-end x scan
-    and _bisect then run once over the pieces of all gammas, each piece
-    carrying its row's gamma; the kernel works elementwise, so every germ
-    is the one a query at its gamma alone returns, bit for bit.
+    germs lists all gammas' BandGerms by gamma index, then beta; row holds
+    each one's gamma index, and refused maps a refused gamma's index to its
+    GridTooCoarse (it has no germs).  The count points of all gammas are one
+    sorted, unique table over row * n + index: the window ends and both ends
+    of every crossing interval of _x_crossings.  The edge count, _isolate,
+    the bracket-end x scan and _bisect run once over the pieces of all
+    gammas, each carrying its gamma.  The kernel works elementwise, so every
+    germ is the one a query at its gamma alone returns, bit for bit.
     """
     gammas = np.asarray(gammas, dtype=float)
     lo, hi = _check_scan_inputs(word, gammas, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
-    cross, x_ends = _x_crossings(word, gammas.tolist(), q, betas, regime)
-    p = [np.array(sorted({0, betas.size - 1, *c.tolist(), *(c + 1).tolist()})) for c in cross]
-    row = np.repeat(np.arange(gammas.size), [v.size for v in p])
-    p = np.concatenate(p)
+    n, every = betas.size, np.arange(gammas.size)
+    row, index, x_ends = _x_crossings(word, gammas.tolist(), q, betas, regime)
+    point = np.sort(np.concatenate([row * n + index, row * n + index + 1, every * n, every * n + n - 1]))
+    # unique by hand: np.unique imports numpy.ma, about 8 ms and 1.3 MB in a fresh process
+    row, p = np.divmod(point[np.append(True, point[1:] != point[:-1])], n)
     c = _edge_count(word, gammas[row], q, betas[p], regime)
 
     # An isolated interval keeps its first edge if its low end is in a gap
@@ -343,28 +347,24 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     miss = one & ((x_lo - target) * (x_hi - target) >= 0.0)
     _refuse(failed, miss, r, a, b, "x does not cross +-1 at a counted edge")
     roots = _bisect(word, gammas[r], q, regime, "x", a, b, x_lo - target, target)
-    roots, target, edges = roots.tolist(), target.tolist(), [[] for _ in x_ends]
-    for k, i in enumerate(r.tolist()):
-        edges[i].append(k)
-    first = (c[p == 0] % 2 == 0).tolist()  # the window starts in a gap
 
-    # Bands and gaps alternate from the window start, in band if its count
-    # is odd.  A clipped germ takes the nearer edge kind from the sign of x.
-    def kind(value: float) -> EdgeKind:
-        return EdgeKind.X_PLUS_ONE if value >= 0.0 else EdgeKind.X_MINUS_ONE
-
-    for i, gamma in enumerate(gammas.tolist()):
-        if i in failed:
-            yield GridTooCoarse(f"{failed[i]} (word {word}, gamma = {gamma!r}, {regime.value} regime)")
-            continue
-        found = sorted(edges[i], key=roots.__getitem__)  # stable
-        bounds = [float(betas[0]), *(roots[k] for k in found), float(betas[-1])]
-        kinds = [kind(v) for v in (x_ends[i, 0], *(target[k] for k in found), x_ends[i, 1])]
-        last = len(bounds) - 1
-        yield [
-            BandGerm(bounds[k], bounds[k + 1], kinds[k], kinds[k + 1], k == 0, k + 1 == last)
-            for k in range(int(first[i]), last, 2)
-        ]
+    # Each gamma's bounds are the window start, its edges in beta order and
+    # the window end; a stable sort keeps that order, as every root lies in
+    # the window.  Bands and gaps alternate from the start, in band if its
+    # count is odd.  A clipped germ takes the nearer edge kind from the sign of x.
+    at = np.concatenate([every, r, every])
+    bound = np.concatenate([np.full(every.size, betas[0]), roots, np.full(every.size, betas[-1])])
+    plus = np.concatenate([x_ends[:, 0], target, x_ends[:, 1]]) >= 0.0
+    order = np.lexsort((bound, at))
+    at, bound, kind = at[order], bound[order], np.where(plus[order], EdgeKind.X_PLUS_ONE, EdgeKind.X_MINUS_ONE)
+    pos, start, stop = np.arange(at.size), np.searchsorted(at, at), np.searchsorted(at, at, "right")
+    first = c[p == 0] % 2 == 0  # the window starts in a gap
+    k = np.flatnonzero((pos + 1 < stop) & ((pos - start) % 2 == first[at]) & ~np.isin(at, list(failed)))
+    fields = bound[k], bound[k + 1], kind[k], kind[k + 1], k == start[k], k + 2 == stop[k]
+    germs = [BandGerm(*v) for v in zip(*(v.tolist() for v in fields))]
+    refused = {i: GridTooCoarse(f"{why} (word {word}, gamma = {float(gammas[i])!r}, {regime.value} regime)")
+               for i, why in failed.items()}
+    return germs, at[k], refused
 
 
 def bound_states(

@@ -597,6 +597,26 @@ def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "size, code, token",
+    [
+        # Exabytes of grid: above any address space, so the allocator
+        # refuses at once and nothing is allocated.
+        (10**17, 1, "MemoryError: "),
+        # More bytes than intp holds: refused before anything runs.
+        (10**30, 2, "InvalidConfig: steps or gamma_steps asks for a grid larger than numpy can index"),
+    ],
+)
+@pytest.mark.parametrize("command", ["bands", "bound", "scatter", "dos", "binding", "atlas"])
+def test_absurd_grid_sizes_exit_with_token_and_no_file(command, size, code, token, tmp_path, capsys):
+    # Each used to end in numpy's _ArrayMemoryError or ValueError traceback.
+    out = tmp_path / "x.csv"
+    flag = "--gamma-steps" if command == "atlas" else "--steps"
+    assert main([command, flag, str(size), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(token)
+    assert not out.exists()
+
+
 # The flags each command would ignore, and so refuses: --regime everywhere
 # but in bands and wave, and each flag of a field the command does not read.
 IGNORED = {

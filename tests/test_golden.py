@@ -16,7 +16,9 @@ BOUND_GOLDEN pins a ``bound`` run with many roots: W_6's 8 roots at
 gamma = 10 go through the node count, its isolation and the d bisection.
 
 ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
-batched with the others in one band-germ pass per cell and regime.
+batched with the others in one band-germ pass per cell and regime.  At
+q = 1 the S and L germs coincide, so the second entry pins the stable
+(gamma, cell, regime) order of the rows.
 """
 
 import hashlib
@@ -61,6 +63,7 @@ BOUND_GOLDEN = {
 
 ATLAS_GOLDEN = {
     "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "f9caa01414352860988932a34307821555202c89c6bcb646f383e43cfde300c0",
+    "--q 1 --gamma-steps 9": "f0409aaff79b99359e67504932b715e1100867ae8e441ef0f811c0e974978eba",
 }
 
 

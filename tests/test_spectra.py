@@ -439,13 +439,13 @@ def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
     word, gammas = Word(letters), [4.0, 0.0, -2.5, 11.0, -0.0, -6.0]
     edge = band_germs(word, gammas[0], TAU, (0.05, 6.0), 2000, regime)[0].beta_hi
     betas = 0.05 + (edge - 0.05) / (_CHUNK - 0.5) * np.arange(2 * _CHUNK + 777)
-    cross, ends = _x_crossings(word, gammas, TAU, betas, regime)
-    assert _CHUNK - 1 in cross[0].tolist()
-    for gamma, got, (x_lo, x_hi) in zip(gammas, cross, ends.tolist()):
+    row, index, ends = _x_crossings(word, gammas, TAU, betas, regime)
+    assert _CHUNK - 1 in index[row == 0].tolist()
+    for k, (gamma, (x_lo, x_hi)) in enumerate(zip(gammas, ends.tolist())):
         x = _word_scan(word, gamma, TAU, betas, regime, "x")
         sides = [np.sign(x - t) for t in (1.0, -1.0)]
         want = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
-        assert sorted(got.tolist()) == want, gamma
+        assert sorted(index[row == k].tolist()) == want, gamma
         assert (x_lo.hex(), x_hi.hex()) == (float(x[0]).hex(), float(x[-1]).hex()), gamma
 
 
@@ -461,8 +461,8 @@ def _per_gamma_crossings(word, gammas, q, betas, regime):
 
 
 def _tabled_crossings(word, gammas, q, betas, regime):
-    cross, ends = _x_crossings(word, gammas, q, betas, regime)
-    return [(sorted(c.tolist()), lo.hex(), hi.hex()) for c, (lo, hi) in zip(cross, ends.tolist())]
+    row, index, ends = _x_crossings(word, gammas, q, betas, regime)
+    return [(sorted(index[row == k].tolist()), lo.hex(), hi.hex()) for k, (lo, hi) in enumerate(ends.tolist())]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -520,7 +520,7 @@ def test_germ_rows_memory_stays_bounded_by_the_chunk():
     for word, count in ((Word("SL"), 25), (Word("S"), 401)):
         tracemalloc.start()
         try:
-            list(_germ_rows(word, np.linspace(-6, 6, count), TAU, (0.05, 6.0), 10000, Regime.SCATTERING))
+            _germ_rows(word, np.linspace(-6, 6, count), TAU, (0.05, 6.0), 10000, Regime.SCATTERING)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -793,6 +793,24 @@ def test_only_the_kernel_touches_cell_tables():
         assert not names & private, (path.name, sorted(names & private))
 
 
+def test_every_module_import_is_used():
+    # No linter runs on the package, so an import that a change leaves
+    # behind, a name the module never reads, fails here.  __init__ only
+    # re-exports.
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_energy_gauge_reads_in_band_as_the_edge_count_does():
     # Both read x from the word's root and take |x| <= 1 + BAND_TOL as in
     # band.  At the closed gaps of S^4 (q = 1, x_S = cos(k*pi/4)) the
@@ -1062,6 +1080,42 @@ def test_germ_rows_are_band_germs_at_each_gamma(letters, gammas, q, regime):
         ]
 
     word, window = Word(letters), (0.05, 6.0)
-    rows = _germ_rows(word, gammas, q, window, 2000, regime)
+    germs, row, refused = _germ_rows(word, gammas, q, window, 2000, regime)
     alone = [band_germs(word, gamma, q, window, 2000, regime) for gamma in gammas]
-    assert [key(r) for r in rows] == [key(g) for g in alone]
+    assert not refused
+    assert key(germs) == [k for g in alone for k in key(g)]
+    assert row.tolist() == [i for i, g in enumerate(alone) for _ in g]
+
+
+@pytest.mark.parametrize("letters, regime", [("L", Regime.SCATTERING), ("SL", Regime.BOUND)])
+def test_a_refused_gamma_leaves_the_other_germ_rows_as_band_germs(letters, regime, monkeypatch):
+    # A count rising with beta is injected at one gamma of a batch; a rise
+    # of 8 keeps each count's parity and edge kind, so that gamma still has
+    # germs to leave out.  It alone is refused, with band_germs' message
+    # there, and every other gamma keeps, bit for bit, the germs of a query
+    # on its own.
+    def key(germs):
+        return [
+            (g.beta_lo.hex(), g.beta_hi.hex(), g.edge_kind_lo, g.edge_kind_hi, g.clipped_lo, g.clipped_hi)
+            for g in germs
+        ]
+
+    real = spectra._edge_count
+
+    def count(word, gamma, q, betas, regime):
+        return real(word, gamma, q, betas, regime) + 8 * ((gamma == 2.5) & (betas > 3.0))
+
+    monkeypatch.setattr(spectra, "_edge_count", count)
+    word, gammas, window = Word(letters), [-2.0, 1.0, 2.5, 4.0, 0.0], (0.05, 6.0)
+    germs, row, refused = _germ_rows(word, gammas, TAU, window, 400, regime)
+    assert germs and list(refused) == [2] and 2 not in row.tolist()
+    message = str(refused[2])
+    assert message.startswith("the band-edge count rises with beta on [")
+    assert message.endswith(f"(word {letters}, gamma = 2.5, {regime.value} regime)")
+    with pytest.raises(GridTooCoarse) as err:
+        band_germs(word, 2.5, TAU, window, 400, regime)
+    assert str(err.value) == message
+    for k, gamma in enumerate(gammas):
+        if k != 2:
+            alone = band_germs(word, gamma, TAU, window, 400, regime)
+            assert key([g for g, i in zip(germs, row.tolist()) if i == k]) == key(alone), gamma
