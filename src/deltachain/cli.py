@@ -38,6 +38,7 @@ from .errors import ChainError, ParseError
 from .spectra import (
     DEFAULT_BETA_RANGE,
     DEFAULT_GRID_STEPS,
+    EdgeKind,
     _germ_rows,
     band_germs,
     bound_states,
@@ -290,18 +291,18 @@ def _cmd_atlas(config: RunConfig):
     regimes = ((Regime.BOUND, 1.0), (Regime.SCATTERING, -1.0))
     # One batched query per cell and regime; one stable sort on the gamma
     # index gives the file its (gamma, cell, regime) row order.
-    edges, at, refused = [], [], []
+    tables, refused = [], []
     for name, word in cells:
         for regime, sign in regimes:
-            germs, row, failed = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
-            refused += ((i, len(at), err) for i, err in failed.items())  # in (gamma, query) order
-            at.append(np.repeat(row, 2))
-            for g, gamma in zip(germs, gammas[row].tolist()):
-                edges.append((gamma, name, g.edge_kind_lo.value, sign * g.beta_lo))
-                edges.append((gamma, name, g.edge_kind_hi.value, sign * g.beta_hi))
+            (row, bound, plus, _), failed = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
+            refused += ((i, len(tables), err) for i, err in failed.items())  # in (gamma, query) order
+            tables.append((row, np.full(row.size, name), plus, sign * bound))
     if refused:  # the first refused query in (gamma, cell, regime) order
         raise min(refused)[2]
-    rows = [edges[k] for k in np.argsort(np.concatenate(at), kind="stable").tolist()]
+    row, name, plus, beta = (np.concatenate(v) for v in zip(*tables))
+    kind = np.where(plus, EdgeKind.X_PLUS_ONE.value, EdgeKind.X_MINUS_ONE.value)
+    order = np.argsort(row, kind="stable")
+    rows = list(zip(*(v[order].tolist() for v in (gammas[row], name, kind, beta))))
     p = 1
     while TAU * p * math.pi <= config.beta_max:
         rows.append((None, "", "commuting_line", -TAU * p * math.pi))

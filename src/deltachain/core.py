@@ -233,9 +233,16 @@ def power_closed(M: TransferMatrix, n: int) -> TransferMatrix:
     )
 
 
+def _finite_matrix(M: TransferMatrix) -> TransferMatrix:
+    """M, raising OverflowRisk where an entry has overflowed to inf or NaN."""
+    if not all(map(cmath.isfinite, M.entries())):
+        raise OverflowRisk("transfer-matrix entries are not finite")
+    return M
+
+
 def commutator(A: TransferMatrix, B: TransferMatrix) -> TransferMatrix:
-    """K(A, B) = A B A^-1 B^-1, inverses taken via the adjugate."""
-    return compose(compose(compose(A, B), A.adjugate()), B.adjugate())
+    """K(A, B) = A B A^-1 B^-1, inverses taken via the adjugate; OverflowRisk if it overflows."""
+    return _finite_matrix(compose(compose(compose(A, B), A.adjugate()), B.adjugate()))
 
 
 def commutator_invariant(params: ChainParams) -> float:

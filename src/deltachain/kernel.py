@@ -7,7 +7,7 @@ a table (_cell_entries).  _scan makes each chunk's cells once and hands
 them, not the table, to one fill, which reads all it needs from them.
 _x_crossings alone keeps the tables: it steps a word's at every gamma, or
 evaluates one cell's x only where a screen finds it can cross +-1, and
-returns the crossings of all gammas as one flat (row, index) table.
+returns only the crossings of all gammas, as flat (row, index) arrays.
 In the Bound regime the kernel multiplies real float64 entries, with the
 np.exp that tunnel_matrix also takes; in the Scattering regime it
 multiplies (re, im) float64 pairs with CPython's complex formulas.  In
@@ -183,29 +183,28 @@ def _crosses(x0, x1, t: float):
 
 @_finite
 def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
-    """Flat (row, index, ends): x crosses +-1 between betas index and index + 1 at gammas[row].
+    """Flat (row, index): x crosses +-1 between betas index and index + 1 at gammas[row].
 
-    ends holds x at both window ends per gamma.  The pairs come unordered,
-    one per crossing of +1 and one per crossing of -1.  Chunks share a seam
-    point, so a crossing there is found once.  One cell is screened
-    (_cell_crossings); a longer word, whose x is a polynomial in gamma, is
-    scanned chunk-outer, gamma-inner, each chunk tabled once per letter and
-    stepped at every gamma.  Each x tested is _word_scan's.
+    The pairs come unordered, one per crossing of +1 and one per crossing
+    of -1.  Chunks share a seam point, so a crossing there is found once.
+    One cell is screened (_cell_crossings); a longer word, whose x is a
+    polynomial in gamma, is scanned chunk-outer, gamma-inner, each chunk
+    tabled once per letter and stepped at every gamma.  Each x tested is
+    _word_scan's.
     """
     if len(word.letters) == 1:
         return _cell_crossings(word, gammas, q, betas, regime)
-    hits, ends = [], np.empty((len(gammas), 2))
+    hits = []
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
             x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
             index = start + np.concatenate([np.flatnonzero(_crosses(x[:-1], x[1:], t)) for t in (1.0, -1.0)])
             hits.append((np.full(index.size, i), index))
-            ends[i] = x[0] if start == 0 else ends[i, 0], x[-1]
-    return (*(np.concatenate(v) for v in zip(*hits)), ends)
+    return tuple(np.concatenate(v) for v in zip(*hits))
 
 
 def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
-    """_x_crossings of one cell, with x evaluated only where it can cross +-1.
+    """_x_crossings' (row, index) for one cell, with x evaluated only where it can cross +-1.
 
     At each beta x is P + gamma*S up to rounding, P and S read from x at gamma
     = 0 and beta (Bound: P = (inv + lam)/2, S = (inv - lam)/(4 beta);
@@ -218,7 +217,7 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
     """
     g = np.asarray(gammas, dtype=float)
     order = np.argsort(g, kind="stable")
-    gs, ends, hits = g[order], np.empty((g.size, 2)), []
+    gs, hits = g[order], []
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         beta, table = betas[part], tables[word.letters]
 
@@ -227,8 +226,6 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
             return _word_value(word, {word.letters: cell}, regime, "x")
 
         x(gs[0], slice(None)), x(gs[-1], slice(None))  # any gamma's OverflowRisk
-        if start == 0:
-            ends[:, 0] = x(g, 0)
         P = x(0.0, slice(None))
         S = (x(beta, slice(None)) - P) / beta  # delta/2 is 1/2 at gamma = beta
         every = np.sign(S[1:]) * np.sign(S[:-1]) <= 0.0
@@ -246,5 +243,4 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
             k = np.arange(i.size) + np.repeat(k0 + n - np.cumsum(n), n)
             hit = _crosses(x(gs[k], i), x(gs[k], i + 1), t)
             hits.append((order[k[hit]], start + i[hit]))
-    ends[:, 1] = x(g, -1)  # in the last chunk
-    return (*(np.concatenate(v) for v in zip(*hits)), ends)
+    return tuple(np.concatenate(v) for v in zip(*hits))

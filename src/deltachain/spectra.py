@@ -297,33 +297,36 @@ def band_germs(
     The edge count (_edge_count) is taken at the window ends and at both
     ends of every x = +-1 crossing interval of the x4 grid; _isolate splits
     the pieces between them until each edge sits alone, its kind taken from
-    the count, and _bisect refines it on x.  This is _germ_rows at one
-    gamma; its refusal, a GridTooCoarse, names where the count rises or x
-    misses a counted edge.
+    the count, and _bisect refines it on x.  The one builder of BandGerms,
+    it pairs the edges _germ_rows finds at one gamma; its refusal, a
+    GridTooCoarse, names where the count rises or x misses a counted edge.
     """
-    germs, _, refused = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
+    (_, bound, plus, clipped), refused = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
     if refused:
         raise refused[0]
-    return germs
+    kinds = np.where(plus, EdgeKind.X_PLUS_ONE, EdgeKind.X_MINUS_ONE).tolist()
+    edges = zip(bound.tolist(), kinds, clipped.tolist())  # zip(edges, edges) pairs consecutive edges
+    return [BandGerm(lo, hi, k_lo, k_hi, c_lo, c_hi) for (lo, k_lo, c_lo), (hi, k_hi, c_hi) in zip(edges, edges)]
 
 
 def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime: Regime):
-    """(germs, row, refused): band_germs at every gamma of a vector, in one pass.
+    """((row, bound, plus, clipped), refused): band_germs' edges at every gamma of a vector, in one pass.
 
-    germs lists all gammas' BandGerms by gamma index, then beta; row holds
-    each one's gamma index, and refused maps a refused gamma's index to its
-    GridTooCoarse (it has no germs).  The count points of all gammas are one
-    sorted, unique table over row * n + index: the window ends and both ends
-    of every crossing interval of _x_crossings.  The edge count, _isolate,
-    the bracket-end x scan and _bisect run once over the pieces of all
-    gammas, each carrying its gamma.  The kernel works elementwise, so every
-    germ is the one a query at its gamma alone returns, bit for bit.
+    One entry per edge, a germ's low edge then its high one, germs by gamma
+    index row, then beta: bound is the edge, plus marks x = +1 (else -1) and
+    clipped a window end; refused maps a refused gamma's index to its
+    GridTooCoarse.  The count points (window ends and both ends of every
+    crossing interval of _x_crossings) are one sorted table over row * n +
+    index, unique by a neighbour mask.  The edge count, _isolate, one x scan
+    (bracket ends, and window ends for clipped edges) and _bisect run once
+    over all gammas' pieces, each with its gamma; the kernel is elementwise,
+    so each edge is bit for bit a query's at its gamma alone.
     """
     gammas = np.asarray(gammas, dtype=float)
     lo, hi = _check_scan_inputs(word, gammas, q, beta_range, grid_steps, regime)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
     n, every = betas.size, np.arange(gammas.size)
-    row, index, x_ends = _x_crossings(word, gammas.tolist(), q, betas, regime)
+    row, index = _x_crossings(word, gammas.tolist(), q, betas, regime)
     point = np.sort(np.concatenate([row * n + index, row * n + index + 1, every * n, every * n + n - 1]))
     # unique by hand: np.unique imports numpy.ma, about 8 ms and 1.3 MB in a fresh process
     row, p = np.divmod(point[np.append(True, point[1:] != point[:-1])], n)
@@ -342,7 +345,9 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
     a, b, one, r = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1, r))
     t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
-    x_lo, x_hi = _word_scan(word, gammas[np.append(r, r)], q, np.append(a, b), regime, "x").reshape(2, -1)
+    ends = np.repeat(betas[[0, -1]], every.size)
+    x = _word_scan(word, gammas[np.concatenate([r, r, every, every])], q, np.concatenate([a, b, ends]), regime, "x")
+    x_lo, x_hi, x_first, x_last = np.split(x, np.cumsum([r.size, r.size, every.size]))
     target = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
     miss = one & ((x_lo - target) * (x_hi - target) >= 0.0)
     _refuse(failed, miss, r, a, b, "x does not cross +-1 at a counted edge")
@@ -353,18 +358,16 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     # the window.  Bands and gaps alternate from the start, in band if its
     # count is odd.  A clipped germ takes the nearer edge kind from the sign of x.
     at = np.concatenate([every, r, every])
-    bound = np.concatenate([np.full(every.size, betas[0]), roots, np.full(every.size, betas[-1])])
-    plus = np.concatenate([x_ends[:, 0], target, x_ends[:, 1]]) >= 0.0
+    bound = np.concatenate([ends[:every.size], roots, ends[every.size:]])
     order = np.lexsort((bound, at))
-    at, bound, kind = at[order], bound[order], np.where(plus[order], EdgeKind.X_PLUS_ONE, EdgeKind.X_MINUS_ONE)
+    at, bound, plus = at[order], bound[order], np.concatenate([x_first, target, x_last])[order] >= 0.0
     pos, start, stop = np.arange(at.size), np.searchsorted(at, at), np.searchsorted(at, at, "right")
     first = c[p == 0] % 2 == 0  # the window starts in a gap
     k = np.flatnonzero((pos + 1 < stop) & ((pos - start) % 2 == first[at]) & ~np.isin(at, list(failed)))
-    fields = bound[k], bound[k + 1], kind[k], kind[k + 1], k == start[k], k + 2 == stop[k]
-    germs = [BandGerm(*v) for v in zip(*(v.tolist() for v in fields))]
+    e = np.stack([k, k + 1], axis=1).ravel()  # each germ's low edge, then its high edge
     refused = {i: GridTooCoarse(f"{why} (word {word}, gamma = {float(gammas[i])!r}, {regime.value} regime)")
                for i, why in failed.items()}
-    return germs, at[k], refused
+    return (at[e], bound[e], plus[e], ((pos == start) | (pos + 1 == stop))[e]), refused
 
 
 def bound_states(
@@ -410,8 +413,8 @@ def bound_states(
 
 
 def bloch_label(x: float) -> float:
-    """Kb = arccos(x) on the principal branch [0, pi]."""
-    if abs(x) > 1.0 + BAND_TOL:
+    """Kb = arccos(x) on the principal branch [0, pi]; OutOfBand for |x| > 1 or NaN."""
+    if not abs(x) <= 1.0 + BAND_TOL:
         raise OutOfBand(f"|x| = {abs(x):.6g} > 1")
     return math.acos(min(1.0, max(-1.0, x)))
 
@@ -432,7 +435,7 @@ def supercell_label(kb: float, n: int) -> tuple[int, float]:
     """Fold Kb in [0, pi] into (mu, K_reduced) with K_reduced in [0, pi/n]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if kb < -1e-12 or kb > math.pi + 1e-12:
+    if not -1e-12 <= kb <= math.pi + 1e-12:  # NaN too
         raise ValueError(f"Kb must lie in [0, pi], got {kb}")
     kb = min(math.pi, max(0.0, kb))
     mu = min(int(kb * n / math.pi), n - 1)

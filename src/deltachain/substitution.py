@@ -9,7 +9,7 @@ deliberately separate so each can serve as the other's oracle.
 
 from dataclasses import dataclass
 
-from .core import EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
+from .core import EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, cell_matrix, compose
 from .errors import OrderTooLarge, OverflowRisk, TraceMapMismatch
 
 # f_24 = 46368 letters; deeper words are refused rather than built.
@@ -112,7 +112,7 @@ def guard_exponent(word: Word, beta: float, q: float, regime: Regime) -> None:
 
 
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
-    """Product of cell matrices in word order (leftmost letter leftmost)."""
+    """Product of cell matrices in word order (leftmost letter leftmost); OverflowRisk if it overflows."""
     guard_exponent(word, params.beta, params.q, params.regime)
     cell = {
         CellKind.S: cell_matrix(params, CellKind.S),
@@ -121,7 +121,7 @@ def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
     M = TransferMatrix.identity()
     for kind in word.kinds():
         M = compose(M, cell[kind])
-    return M
+    return _finite_matrix(M)
 
 
 def _row(m: int, M: TransferMatrix) -> RecursionRow:

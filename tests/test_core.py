@@ -236,6 +236,14 @@ def test_commutator_identity_when_cells_commute():
     assert commutator_invariant(p) == pytest.approx(1.0, abs=0.0)
 
 
+def test_commutator_refuses_entries_that_overflow():
+    # At beta(1) = tau*pi and gamma = 1e100 the commutator's entries reach
+    # inf; commute used to write an empty commutator_dev for them.
+    p = ChainParams(TAU * math.pi, 1e100, TAU, Regime.SCATTERING)
+    with pytest.raises(OverflowRisk, match="transfer-matrix entries are not finite"):
+        commutator(cell_matrix(p, CellKind.S), cell_matrix(p, CellKind.L))
+
+
 def test_transfer_matrix_helpers():
     M = TransferMatrix(1 + 2j, 3.0, -1j, 0.5)
     assert M.x == pytest.approx((1 + 2j + 0.5) / 2)

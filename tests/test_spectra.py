@@ -21,6 +21,7 @@ from deltachain.spectra import (
     _edge_count,
     _germ_rows,
     _node_count,
+    BandGerm,
     BoundState,
     EdgeKind,
     band_germs,
@@ -198,6 +199,13 @@ def test_bloch_label():
         bloch_label(1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_bloch_label_refuses_a_non_finite_x(x):
+    # NaN compares false against the range, and the clamp used to label it pi.
+    with pytest.raises(OutOfBand):
+        bloch_label(x)
+
+
 def test_rational_labels():
     labels = rational_labels(4)
     assert [lab.mu for lab in labels] == [0, 1, 2, 3, 4]
@@ -222,6 +230,13 @@ def test_supercell_label_folds():
     assert k == pytest.approx(math.pi / 3, abs=1e-12)
     with pytest.raises(ValueError):
         supercell_label(3.5, 2)
+
+
+@pytest.mark.parametrize("kb", [math.nan, math.inf, -math.inf])
+def test_supercell_label_refuses_a_non_finite_kb(kb):
+    # NaN compares false against the range, and the clamps used to fold it to (0, 0.0).
+    with pytest.raises(ValueError, match="Kb must lie in"):
+        supercell_label(kb, 3)
 
 
 def test_binding_equation_solves_at_bound_roots():
@@ -432,37 +447,36 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("letters", ["S", "L", "SLS"])
 def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
-    # The chunk-outer, gamma-inner scan keeps each gamma's crossings of
-    # x = +-1 and its window-end x, bit for bit those of a per-gamma scan.
-    # The grid spans three chunks, and the first gamma's first germ edge
-    # falls between samples _CHUNK - 1 and _CHUNK, on the shared seam point.
+    # The chunk-outer, gamma-inner scan finds each gamma's crossings of
+    # x = +-1 where a per-gamma scan does.  The grid spans three chunks, and
+    # the first gamma's first germ edge falls between samples _CHUNK - 1 and
+    # _CHUNK, on the shared seam point.
     word, gammas = Word(letters), [4.0, 0.0, -2.5, 11.0, -0.0, -6.0]
     edge = band_germs(word, gammas[0], TAU, (0.05, 6.0), 2000, regime)[0].beta_hi
     betas = 0.05 + (edge - 0.05) / (_CHUNK - 0.5) * np.arange(2 * _CHUNK + 777)
-    row, index, ends = _x_crossings(word, gammas, TAU, betas, regime)
+    row, index = _x_crossings(word, gammas, TAU, betas, regime)
     assert _CHUNK - 1 in index[row == 0].tolist()
-    for k, (gamma, (x_lo, x_hi)) in enumerate(zip(gammas, ends.tolist())):
+    for k, gamma in enumerate(gammas):
         x = _word_scan(word, gamma, TAU, betas, regime, "x")
         sides = [np.sign(x - t) for t in (1.0, -1.0)]
         want = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
         assert sorted(index[row == k].tolist()) == want, gamma
-        assert (x_lo.hex(), x_hi.hex()) == (float(x[0]).hex(), float(x[-1]).hex()), gamma
 
 
 def _per_gamma_crossings(word, gammas, q, betas, regime):
-    """Per gamma, a per-gamma scan's sorted crossings of x = +-1 and the hex of x at both ends."""
+    """Per gamma, a per-gamma scan's sorted crossings of x = +-1."""
     rows = []
     for gamma in gammas:
         x = _word_scan(word, gamma, q, betas, regime, "x")
         sides = [np.sign(x - t) for t in (1.0, -1.0)]
         cross = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
-        rows.append((cross, float(x[0]).hex(), float(x[-1]).hex()))
+        rows.append(cross)
     return rows
 
 
 def _tabled_crossings(word, gammas, q, betas, regime):
-    row, index, ends = _x_crossings(word, gammas, q, betas, regime)
-    return [(sorted(index[row == k].tolist()), lo.hex(), hi.hex()) for k, (lo, hi) in enumerate(ends.tolist())]
+    row, index = _x_crossings(word, gammas, q, betas, regime)
+    return [sorted(index[row == k].tolist()) for k in range(len(gammas))]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -479,8 +493,8 @@ def _tabled_crossings(word, gammas, q, betas, regime):
 )
 def test_screened_cell_scan_is_the_per_gamma_scan(letter, regime, q, lo, span, size, gammas):
     # x of one cell is evaluated only where the screen lets it cross +-1;
-    # the crossings and window-end bits must be the per-gamma scan's, for
-    # unsorted and repeated gammas, over windows from beta = 1e-300 up.
+    # the crossings must be the per-gamma scan's, for unsorted and repeated
+    # gammas, over windows from beta = 1e-300 up.
     word, gammas, betas = Word(letter), gammas + gammas[:2], np.linspace(lo, lo + span, size)
     assert _tabled_crossings(word, gammas, q, betas, regime) == _per_gamma_crossings(word, gammas, q, betas, regime)
 
@@ -508,7 +522,7 @@ def test_screened_cell_scan_where_the_slope_changes_sign_or_vanishes(letter, q, 
     want = _per_gamma_crossings(word, gammas, q, betas, regime)
     assert _tabled_crossings(word, gammas, q, betas, regime) == want
     if regime is Regime.SCATTERING:  # the flip pair crosses at the largest |gamma|
-        assert set(flips.tolist()) & set(want[0][0]) and set(flips.tolist()) & set(want[-1][0])
+        assert set(flips.tolist()) & set(want[0]) and set(flips.tolist()) & set(want[-1])
 
 
 def test_germ_rows_memory_stays_bounded_by_the_chunk():
@@ -1063,6 +1077,18 @@ def test_band_germs_alternate_with_gaps(letters, gamma, q, regime):
             assert abs(_exact_x(letters, gamma, q, 0.5 * (lo + hi), regime)) > 1, (lo, hi)
 
 
+def _germs_of(table):
+    """The BandGerms of a _germ_rows edge table, each with its gamma index."""
+    row, bound, plus, clipped = (v.tolist() for v in table)
+    kinds = EdgeKind.X_MINUS_ONE, EdgeKind.X_PLUS_ONE
+    assert row[::2] == row[1::2]  # a germ's two edges share their gamma
+    germs = [
+        BandGerm(bound[k], bound[k + 1], kinds[plus[k]], kinds[plus[k + 1]], clipped[k], clipped[k + 1])
+        for k in range(0, len(row), 2)
+    ]
+    return germs, np.array(row[::2], dtype=np.int64)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     letters=_words,
@@ -1080,7 +1106,8 @@ def test_germ_rows_are_band_germs_at_each_gamma(letters, gammas, q, regime):
         ]
 
     word, window = Word(letters), (0.05, 6.0)
-    germs, row, refused = _germ_rows(word, gammas, q, window, 2000, regime)
+    table, refused = _germ_rows(word, gammas, q, window, 2000, regime)
+    germs, row = _germs_of(table)
     alone = [band_germs(word, gamma, q, window, 2000, regime) for gamma in gammas]
     assert not refused
     assert key(germs) == [k for g in alone for k in key(g)]
@@ -1107,7 +1134,8 @@ def test_a_refused_gamma_leaves_the_other_germ_rows_as_band_germs(letters, regim
 
     monkeypatch.setattr(spectra, "_edge_count", count)
     word, gammas, window = Word(letters), [-2.0, 1.0, 2.5, 4.0, 0.0], (0.05, 6.0)
-    germs, row, refused = _germ_rows(word, gammas, TAU, window, 400, regime)
+    table, refused = _germ_rows(word, gammas, TAU, window, 400, regime)
+    germs, row = _germs_of(table)
     assert germs and list(refused) == [2] and 2 not in row.tolist()
     message = str(refused[2])
     assert message.startswith("the band-edge count rises with beta on [")
@@ -1119,3 +1147,35 @@ def test_a_refused_gamma_leaves_the_other_germ_rows_as_band_germs(letters, regim
         if k != 2:
             alone = band_germs(word, gamma, TAU, window, 400, regime)
             assert key([g for g, i in zip(germs, row.tolist()) if i == k]) == key(alone), gamma
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    letters=st.one_of(st.sampled_from(["S", "L"]), _words),
+    regime=st.sampled_from(Regime),
+    q=st.one_of(st.just(1.0), st.floats(0.3, 2.5)),
+    lo=st.floats(0.05, 3.0),
+    span=st.floats(0.2, 6.0),
+    gammas=st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-12.0, 12.0)), min_size=1, max_size=5),
+)
+def test_a_clipped_edge_takes_the_sign_of_x_at_its_window_end(letters, regime, q, lo, span, gammas):
+    # A germ clipped at a window end has no root there; its edge kind is
+    # the nearer of x = +-1, read from the sign of x at that end.  Every
+    # clipped edge of a batch, over repeated gammas, must carry the sign of
+    # _word_scan's x at its own end, and band_germs the matching EdgeKind.
+    word, gammas, window = Word(letters), gammas + gammas[:2], (lo, lo + span)
+    (row, bound, plus, clipped), refused = _germ_rows(word, gammas, q, window, 100, regime)
+    ends, kind = np.linspace(*window, 401)[[0, -1]], {True: EdgeKind.X_PLUS_ONE, False: EdgeKind.X_MINUS_ONE}
+    for k in np.flatnonzero(clipped).tolist():
+        end = ends[k % 2]  # a clipped low edge is the window start, a high edge its end
+        assert bound[k] == end
+        assert plus[k] == (_word_scan(word, gammas[row[k]], q, np.array([end]), regime, "x")[0] >= 0.0)
+    for i, gamma in enumerate(gammas):
+        if i in refused:
+            continue
+        germs = band_germs(word, gamma, q, window, 100, regime)
+        x_lo, x_hi = _word_scan(word, gamma, q, ends, regime, "x").tolist()
+        if germs and germs[0].clipped_lo:
+            assert germs[0].edge_kind_lo is kind[x_lo >= 0.0], gamma
+        if germs and germs[-1].clipped_hi:
+            assert germs[-1].edge_kind_hi is kind[x_hi >= 0.0], gamma

@@ -86,6 +86,13 @@ def test_word_matrix_overflow_guard():
         word_matrix(fibonacci_word(10), ChainParams(20.0, 1.0))
 
 
+def test_word_matrix_refuses_entries_that_overflow():
+    # Under the exponent guard, yet the letter product of W_15 at strong
+    # coupling outgrows float64: it used to return a matrix of NaN.
+    with pytest.raises(OverflowRisk, match="transfer-matrix entries are not finite"):
+        word_matrix(fibonacci_word(15), ChainParams(0.05, 30.0))
+
+
 def test_cross_path_agreement_both_regimes():
     # Letter product vs matrix recursion, m = 1..10, relative 1e-12.
     for regime in (Regime.BOUND, Regime.SCATTERING):
