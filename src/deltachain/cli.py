@@ -442,8 +442,32 @@ def _config_from_args(args: argparse.Namespace, extra: list[str]) -> RunConfig:
     return RunConfig(**values)
 
 
+def _joined_numbers(argv: list[str]) -> list[str]:
+    """argv with each float flag joined to a negative number after it, as --gamma=-1e-3.
+
+    argparse reads only -<digits> and -<digits>.<digits> as negative numbers,
+    and takes a token such as -1e-3 for a flag.
+    """
+    floats = {flag for flag, kwargs in FLAGS.values() if kwargs.get("type") is float}
+    out = []
+    for token in argv:
+        if out and out[-1] in floats and token.startswith("-") and _is_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
+    args, extra = _build_parser().parse_known_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from_args(args, extra)
     except (ChainError, ValueError) as err:

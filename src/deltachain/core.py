@@ -10,8 +10,8 @@ to the dimensionless energy variable ``beta`` (``kappa*b`` below threshold,
 (Scattering) and are unimodular: SL(2,R) in the Bound regime, SU(1,1) form
 (``d = conj(a)``, ``c = conj(b)``) in the Scattering regime.
 
-Only exponential-basis matrices are constructed here; position-basis
-propagators never appear as runtime objects.
+Only exponential-basis matrices are public; the scans multiply Scattering
+cells in the real basis (psi, psi'/beta) (_real_cell, _from_real).
 """
 
 import cmath
@@ -185,6 +185,20 @@ def cell_matrix(params: ChainParams, kind: CellKind) -> TransferMatrix:
     """
     ratio = kind.ratio(params.q)
     return compose(delta_matrix(params), tunnel_matrix(params, ratio))
+
+
+def _real_cell(delta, c, s):
+    """Scattering cell (A, B, C, D) on (psi, psi'/beta), c, s = cos, sin(beta*ratio); floats or arrays alike.
+
+    cell_matrix is T^-1 [[A, B], [C, D]] T, T = [[1, 1], [-i, i]] mapping (cm, cp) to (psi, psi'/beta).
+    """
+    return c, -s, s + delta * c, c - delta * s
+
+
+def _from_real(A, B, C, D):
+    """(a, b, c, d) of T^-1 [[A, B], [C, D]] T (_real_cell) as (re, im) pairs; d = conj(a), c = conj(b) exactly."""
+    re_a, im_a, re_b, im_b = 0.5 * (A + D), 0.5 * (C - B), 0.5 * (A - D), 0.5 * (B + C)
+    return (re_a, im_a), (re_b, im_b), (re_b, -im_b), (re_a, -im_a)
 
 
 def compose(A: TransferMatrix, B: TransferMatrix) -> TransferMatrix:

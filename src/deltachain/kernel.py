@@ -2,113 +2,69 @@
 
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
 chunks.  _chunks tables the gamma-free terms of each letter's cell once per
-chunk (_cell_table: lam and 1/lam) and a gamma step makes the entries from
-a table (_cell_entries).  _scan makes each chunk's cells once and hands
-them, not the table, to one fill, which reads all it needs from them.
-_x_crossings alone keeps the tables: it steps a word's at every gamma, or
-evaluates one cell's x only where a screen finds it can cross +-1, and
-returns only the crossings of all gammas, as flat (row, index) arrays.
-In the Bound regime the kernel multiplies real float64 entries, with the
-np.exp that tunnel_matrix also takes; in the Scattering regime it
-multiplies (re, im) float64 pairs with CPython's complex formulas.  In
-both, each sample equals cell_matrix and word_matrix at that beta bit for
-bit.  Entries that overflow float64 raise OverflowRisk instead of leaving
-inf or NaN samples behind.
+chunk (_cell_table) and a gamma step makes the entries from a table
+(_cell_entries).  _scan makes each chunk's cells once and hands them, not
+the table, to one fill, which reads all it needs from them.  _x_crossings
+alone keeps the tables: it steps a word's at every gamma, or evaluates one
+cell's x only where a screen finds it can cross +-1, and returns only the
+crossings of all gammas, as flat (row, index) arrays.
+One real float64 product (_word_grid) serves both regimes: Bound cells are
+cell_matrix's, with the np.exp that tunnel_matrix also takes, and
+Scattering cells act on (psi, psi'/beta) (core._real_cell), where strong
+coupling does not cancel.  Each sample equals word_matrix's product at that
+beta bit for bit.  Entries that overflow float64 raise OverflowRisk instead
+of leaving inf or NaN samples behind.
 
 _scan broadcasts gamma, a scalar or one coupling per point, to the betas;
 the arithmetic is elementwise, so a point's value does not depend on the
 points scanned beside it.
 """
 
-import operator
-
 import numpy as np
 
-from .core import CellKind, Regime
+from .core import CellKind, Regime, _real_cell
 from .errors import OverflowRisk
 from .substitution import Word
-
-
-def _pair_mul(z, w):
-    """Product of two (re, im) float64 pairs, rounded as CPython's complex product."""
-    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-
-def _pair_add(z, w):
-    return z[0] + w[0], z[1] + w[1]
-
-
-def _pair_quot(z, w):
-    """Quotient z / w of (re, im) pairs by Smith's method, as CPython divides.
-
-    CPython's complex division scales by w's real part when |re w| >= |im w|
-    and by its imaginary part otherwise; both branches are taken elementwise
-    and chosen with np.where, with the operands in CPython's order.
-    """
-    m = np.abs(w[0]) >= np.abs(w[1])
-    num, den = np.where(m, w[1], w[0]), np.where(m, w[0], w[1])
-    ratio = num / den
-    den = den + num * ratio
-    x, y = np.where(m, z[0], z[1]), np.where(m, z[1], z[0])
-    xr = x * ratio
-    return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
 
 
 def _cell_table(betas: np.ndarray, regime: Regime, ratio: float) -> tuple:
     """The gamma-free terms of a cell with tunnel ratio ``ratio`` over a beta slice.
 
-    (lam, inv) = (exp(beta*ratio), 1/lam) in the Bound regime; (lc, ls) = lam =
-    cmath.exp(-1j*beta*ratio) and (ir, ii) = 1/lam, by Smith's method, in the Scattering one.
+    (lam, 1/lam) with lam = exp(beta*ratio) in the Bound regime, (cos t, sin t)
+    with t = beta*ratio in the Scattering one.
     """
     if regime is Regime.BOUND:
         lam = np.exp(betas * ratio)
         return lam, 1.0 / lam
-    t = betas * ratio
-    lc, ls = np.cos(t), -np.sin(t)
-    return (lc, ls, *_pair_quot((1.0, 0.0), (lc, ls)))
+    return np.cos(betas * ratio), np.sin(betas * ratio)
 
 
 def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple):
-    """Cell-matrix entries over a beta slice from its _cell_table, equal to cell_matrix bit for bit.
+    """A cell's real entries over a beta slice from its _cell_table.
 
-    Real float64 in the Bound regime; in the Scattering regime (re, im) pairs of
-    float64 arrays, from the float operations of cell_matrix's complex arithmetic
-    (numpy's complex multiply and divide round differently in the last bit).  The
-    zero terms of the scalar product are kept where they fix the sign of a zero
-    entry (gamma = 0), as 0.0 - v and v + 0.0.
+    Bound: cell_matrix's, bit for bit; the zero terms of its product are
+    kept where they fix the sign of a zero entry (gamma = 0), as 0.0 - v and
+    v + 0.0.  Scattering: core._real_cell's, on (psi, psi'/beta).
     """
     if regime is Regime.BOUND:
         lam, inv = table
         h = (gamma / betas) / 2
         return (1 + h) * inv, h * lam + 0.0, 0.0 - h * inv, lam * (1 - h)
-    lc, ls, ir, ii = table
-    h = ((gamma + 0.0) / betas) * 0.5  # delta/2; a zero gamma counts as +0.0
-    h_ii, h_ls, h_ir, mh = h * ii, h * ls, h * ir, 0.0 - h
-    # re d is the scalar lc - (0.0 - h)*ls, as lc = cos(t) is never 0
-    a, d = (ir - h_ii, ii + h_ir), (lc + h_ls, ls + mh * lc)
-    # c is (0.0 - mh*ii, mh*ir + 0.0), from the products a already took
-    return a, (0.0 - h_ls, h * lc + 0.0), (h_ii + 0.0, 0.0 - h_ir), d
+    return _real_cell(gamma / betas, *table)
 
 
-def _word_grid(word: Word, cells: dict, regime: Regime):
-    """Entries (a, b, c, d) of the word's transfer matrix from the _cells of its letters.
+def _word_grid(word: Word, cells: dict):
+    """Entries (A, B, C, D) of the product of the word's _cells, in word_matrix's order.
 
-    Real arrays in the Bound regime, (re, im) pairs in the Scattering
-    regime, multiplied in word_matrix's order, so each value equals
-    word_matrix's bit for bit.  The product starts from the first cell, not
+    One real product for both regimes' cells, so each value equals
+    word_matrix's product bit for bit (in the Scattering regime, its real
+    product before the basis change).  It starts from the first cell, not
     from the identity: for finite entries 1*a + 0*c == a, and the cell's
     zero entries already carry the sign that the identity product gives.
     """
-    mul, add = (operator.mul, operator.add) if regime is Regime.BOUND else (_pair_mul, _pair_add)
     A, B, C, D = cells[word.letters[0]]
-    for ch in word.letters[1:]:
-        a2, b2, c2, d2 = cells[ch]
-        A, B, C, D = (
-            add(mul(A, a2), mul(B, c2)),
-            add(mul(A, b2), mul(B, d2)),
-            add(mul(C, a2), mul(D, c2)),
-            add(mul(C, b2), mul(D, d2)),
-        )
+    for a2, b2, c2, d2 in (cells[ch] for ch in word.letters[1:]):
+        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
     return A, B, C, D
 
 
@@ -117,11 +73,9 @@ def _cells(gamma, betas: np.ndarray, regime: Regime, tables: dict) -> dict:
     return {ch: _cell_entries(gamma, betas, regime, table) for ch, table in tables.items()}
 
 
-def _word_value(word: Word, cells: dict, regime: Regime, which: str):
-    """Real x (which = "x") or d (which = "d") over a slice, from the _cells of its letters."""
-    A, _, _, D = _word_grid(word, cells, regime)
-    if regime is Regime.SCATTERING:
-        A, D = A[0], D[0]
+def _word_value(word: Word, cells: dict, which: str):
+    """x = (A + D)/2, in either basis (which = "x"), or the Bound d = D (which = "d"), from a slice's _cells."""
+    A, _, _, D = _word_grid(word, cells)
     return 0.5 * (A + D) if which == "x" else D
 
 
@@ -173,7 +127,7 @@ def _scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, fill, 
 
 def _word_scan(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime, which: str):
     """Real x(beta) (which = "x") or d(beta) (which = "d") of the word matrix; gamma scalar or per beta."""
-    return _scan(word, gamma, q, betas, regime, lambda beta, cells: _word_value(word, cells, regime, which))
+    return _scan(word, gamma, q, betas, regime, lambda beta, cells: _word_value(word, cells, which))
 
 
 def _crosses(x0, x1, t: float):
@@ -197,7 +151,7 @@ def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: 
     hits = []
     for start, part, tables in _chunks(word, q, betas, regime, seam=1):
         for i, gamma in enumerate(gammas):
-            x = _word_value(word, _cells(gamma, betas[part], regime, tables), regime, "x")
+            x = _word_value(word, _cells(gamma, betas[part], regime, tables), "x")
             index = start + np.concatenate([np.flatnonzero(_crosses(x[:-1], x[1:], t)) for t in (1.0, -1.0)])
             hits.append((np.full(index.size, i), index))
     return tuple(np.concatenate(v) for v in zip(*hits))
@@ -208,12 +162,12 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
 
     At each beta x is P + gamma*S up to rounding, P and S read from x at gamma
     = 0 and beta (Bound: P = (inv + lam)/2, S = (inv - lam)/(4 beta);
-    Scattering: P = (ir + lc)/2, S = (ls - ii)/(4 beta)).
-    Pair (i, i + 1) can cross t only at gammas in the hull of its roots
-    (t - P -+ m)/S, m being 1e4 ulps of x's terms at the largest |gamma|, or
-    at any gamma if its slopes differ in sign or one is 0.  Only these are
-    tested.  x's terms peak at an extreme gamma, so x over each chunk at the
-    smallest and largest gamma raises every OverflowRisk any gamma would.
+    Scattering: P = cos t, S = -sin t/(2 beta)).  Pair (i, i + 1) can cross t
+    only at gammas in the hull of its roots (t - P -+ m)/S, m being 1e4 ulps
+    of x's terms at the largest |gamma| (by the table's two terms), or at any
+    gamma if its slopes differ in sign or one is 0.  Only these are tested.
+    x's terms peak at an extreme gamma, so x over each chunk at the smallest
+    and largest gamma raises every OverflowRisk any gamma would.
     """
     g = np.asarray(gammas, dtype=float)
     order = np.argsort(g, kind="stable")
@@ -223,7 +177,7 @@ def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regim
 
         def x(gamma, k):  # at gamma and beta[k] from the chunk's table, as _word_scan computes it
             cell = _cell_entries(gamma, beta[k], regime, tuple(v[k] for v in table))
-            return _word_value(word, {word.letters: cell}, regime, "x")
+            return _word_value(word, {word.letters: cell}, "x")
 
         x(gs[0], slice(None)), x(gs[-1], slice(None))  # any gamma's OverflowRisk
         P = x(0.0, slice(None))

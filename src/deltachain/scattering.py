@@ -14,14 +14,14 @@ ResonancePole guard is defensive; poles live on the Bound-regime axis where
 d(beta) = 0, which is exactly the bound-state condition.
 
 s_matrix_grid evaluates these forms over a whole beta grid, and s_matrix is
-its one-point case.  The grid carries every complex number as a (re, im)
-pair of float64 arrays and applies the formulas CPython's complex type
-uses: the product as ar*br - ai*bi, ar*bi + ai*br, the quotient by Smith's
-method with both branches chosen elementwise, exp(-i t) as (cos t, -sin t)
-and abs as hypot.  numpy's own complex multiply and divide round
-differently in the last bit, so this arithmetic, not complex128 arrays,
-makes every value equal the scalar complex route (word_matrix, then the
-forms above in Python complex numbers) bit for bit.
+its one-point case.  M is the kernel's real product on (psi, psi'/beta) in
+the exponential basis (core._from_real: d = conj(a), c = conj(b) exactly).
+The forms take (re, im) pairs of float64 arrays with CPython's complex
+formulas: the product as ar*br - ai*bi, ar*bi + ai*br, the quotient by
+Smith's method with both branches chosen elementwise, exp(-i t) as (cos t,
+-sin t) and abs as hypot.  numpy's complex multiply and divide round
+differently in the last bit, so this arithmetic makes every value equal the
+scalar route (word_matrix, then the forms in Python complex) bit for bit.
 """
 
 import math
@@ -35,14 +35,36 @@ from .core import (
     Regime,
     TAU,
     TransferMatrix,
+    _from_real,
     cell_matrix,
     commutator,
     power_closed,
 )
 from .errors import ResonancePole
-from .kernel import _pair_mul, _pair_quot, _scan, _word_grid, _word_scan
+from .kernel import _scan, _word_grid, _word_scan
 from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _check_scan_inputs, bound_states
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
+
+
+def _pair_mul(z, w):
+    """Product of two (re, im) float64 pairs, rounded as CPython's complex product."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _pair_quot(z, w):
+    """Quotient z / w of (re, im) pairs by Smith's method, as CPython divides.
+
+    CPython's complex division scales by w's real part when |re w| >= |im w|
+    and by its imaginary part otherwise; both branches are taken elementwise
+    and chosen with np.where, with the operands in CPython's order.
+    """
+    m = np.abs(w[0]) >= np.abs(w[1])
+    num, den = np.where(m, w[1], w[0]), np.where(m, w[0], w[1])
+    ratio = num / den
+    den = den + num * ratio
+    x, y = np.where(m, z[0], z[1]), np.where(m, z[1], z[0])
+    xr = x * ratio
+    return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,7 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
     h = word.total_ratio(q)
 
     def fill(beta: np.ndarray, cells: dict) -> tuple:
-        _, b, c, d = _word_grid(word, cells, Regime.SCATTERING)
+        _, b, c, d = _from_real(*_word_grid(word, cells))
         abs_d = np.hypot(*d)
         low = np.flatnonzero(abs_d < 1e-12)
         if low.size:

@@ -10,19 +10,19 @@ depend on how the grid falls: by the Sturm oscillation theorem N(lo) -
 N(hi) bound roots (see _node_count), and from the Dirichlet count and x the
 number of band edges below each energy, twice the rotation number (see
 _edge_count).  One fold, _sturm, counts the zeros behind both, in either
-regime.  One isolation rule serves both: the exact count says how
+regime; Scattering cells act on (psi, psi'/beta), where strong coupling
+does not cancel.  One isolation rule serves both: the exact count says how
 many an interval holds, _isolate bisects on it until each sits alone, and
 _bisect refines each one to |dbeta| <= 1e-10 on the grid kernel, all
 brackets of a query in lockstep, one kernel call on the vector of midpoints
 per step.
 
 Each query makes one scan, on the x4 grid of grid_steps, with the
-vectorized kernel of kernel.py, whose samples equal cell_matrix and
-word_matrix bit for bit in both regimes.  Each count is a fill of
-kernel._scan; the edge count reads N and x from one chunk's cells.  gamma
-is broadcast to one value per point or bracket, so band germs at many
-gammas (_germ_rows) share one isolation and one bisection; each value is
-the one a single-gamma query computes.
+vectorized kernel of kernel.py, whose samples equal word_matrix's product
+bit for bit.  Each count is a fill of kernel._scan; the edge count reads N
+and x from one chunk's cells.  gamma is broadcast to one value per point
+or bracket, so band germs at many gammas (_germ_rows) share one isolation
+and one bisection; each value is the one a single-gamma query computes.
 """
 
 import math
@@ -122,36 +122,34 @@ def _sturm(word: Word, q: float, beta: np.ndarray, cells: dict, regime: Regime, 
     psi' > 0 and drops the tail: they then count the Dirichlet eigenvalues
     of one period below the energy (the rotation number).
 
-    The carry is (cm, cp) = ((psi - psi'/beta)/2, (psi + psi'/beta)/2), so
-    psi = cm + cp at a cell boundary (in the Bound regime, the
-    exponential-basis coefficients), divided by |cm| + |cp| after each cell
-    so that it never overflows.  A cell maps it by [[a, -c], [-b, d]]: its
-    own entries in the Bound regime, and in the Scattering regime the delta
-    shear and tunnel rotation (a_re - c_im, a_im + c_re, c_re - a_im, a_re +
-    c_im), as SU(1,1) gives d = conj(a) and b = conj(c).  A tunnel of phase
-    t = beta*ratio adds floor(t/pi) zeros (none in the Bound regime), and
-    one more where psi's sign at its end differs from (-1)**floor(t/pi)
-    times its sign at its start; the map is taken times (-1)**floor(t/pi),
-    so that reads as a plain sign change.  The tail adds one when psi*psi'
-    < 0 and |psi'| > beta*|psi|, i.e. cm*cp < 0 and |cm| > |cp|.
+    A cell maps the carry (cm, cp) by [[a, -c], [-b, d]], and the carry is
+    divided by |cm| + |cp| after each cell so that it never overflows.  In
+    the Bound regime the carry is the exponential-basis coefficients
+    ((psi - psi'/beta)/2, (psi + psi'/beta)/2), so psi = cm + cp; in the
+    Scattering regime it is (psi'/beta, psi) under the real cells, so psi =
+    cp.  A tunnel of phase t = beta*ratio adds floor(t/pi) zeros (none in
+    the Bound regime), and one more where psi's sign at its end differs from
+    (-1)**floor(t/pi) times its sign at its start; the map is taken times
+    (-1)**floor(t/pi), so that reads as a plain sign change.  The tail
+    (Bound regime) adds one when psi*psi' < 0 and |psi'| > beta*|psi|, i.e.
+    cm*cp < 0 and |cm| > |cp|.
     """
     n = np.zeros(beta.size, dtype=np.int64)
-    if regime is Regime.SCATTERING:  # turns counted once per chunk and letter
-        maps = {}
-        for ch, ((a_re, a_im), _, (c_re, c_im), _) in cells.items():
-            turns = np.floor(beta * CellKind(ch).ratio(q) / np.pi)
-            n += word.letters.count(ch) * turns.astype(np.int64)
-            sign = (-1.0) ** turns
-            maps[ch] = sign * (a_re - c_im), sign * (a_im + c_re), sign * (c_re - a_im), sign * (a_re + c_im)
-        cells = maps
-    cm, cp = np.full(beta.size, -1.0 if dirichlet else 0.0), np.ones(beta.size)
+    bound = regime is Regime.BOUND
+    if not bound:  # turns counted, and each map taken times (-1)**turns, once per chunk and letter
+        turns = {ch: np.floor(beta * CellKind(ch).ratio(q) / np.pi) for ch in cells}
+        n += sum(word.letters.count(ch) * t.astype(np.int64) for ch, t in turns.items())
+        sign = {ch: (-1.0) ** t for ch, t in turns.items()}
+        cells = {ch: tuple(sign[ch] * v for v in cell) for ch, cell in cells.items()}
+    start = np.full(beta.size, 0.0 if dirichlet else 1.0)  # psi
+    cm, cp = (start - 1.0, np.ones(beta.size)) if bound else (np.ones(beta.size), start)
     positive = np.ones(beta.size, dtype=bool)
     for ch in word.letters:
         a, b, c, d = cells[ch]
         cm, cp = a * cm - c * cp, d * cp - b * cm
         norm = np.abs(cm) + np.abs(cp)
         cm, cp = cm / norm, cp / norm
-        now = cm + cp > 0.0
+        now = (cm + cp if bound else cp) > 0.0
         n += now != positive
         positive = now
     if not dirichlet:
@@ -183,7 +181,7 @@ def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
 
     def fill(beta: np.ndarray, cells: dict) -> np.ndarray:
         n = _sturm(word, q, beta, cells, regime, dirichlet=True)
-        x = _word_value(root, cells, regime, "x")
+        x = _word_value(root, cells, "x")
         k = n + ((n % 2 == 1) != ((x < 0.0) & odd))
         c = np.where(np.abs(x) <= 1.0 + BAND_TOL, 2 * n + 1, 2 * k)
         return c if bound else -c
@@ -348,8 +346,8 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     ends = np.repeat(betas[[0, -1]], every.size)
     x = _word_scan(word, gammas[np.concatenate([r, r, every, every])], q, np.concatenate([a, b, ends]), regime, "x")
     x_lo, x_hi, x_first, x_last = np.split(x, np.cumsum([r.size, r.size, every.size]))
-    target = np.where((x_lo - t) * (x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
-    miss = one & ((x_lo - target) * (x_hi - target) >= 0.0)
+    target = np.where(np.sign(x_lo - t) * np.sign(x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
+    miss = one & (np.sign(x_lo - target) * np.sign(x_hi - target) >= 0.0)  # signs: |x| may pass 1e154
     _refuse(failed, miss, r, a, b, "x does not cross +-1 at a counted edge")
     roots = _bisect(word, gammas[r], q, regime, "x", a, b, x_lo - target, target)
 

@@ -9,7 +9,10 @@ deliberately separate so each can serve as the other's oracle.
 
 from dataclasses import dataclass
 
-from .core import EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, cell_matrix, compose
+import numpy as np
+
+from .core import (EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, _from_real, _real_cell,
+                   cell_matrix, compose)
 from .errors import OrderTooLarge, OverflowRisk, TraceMapMismatch
 
 # f_24 = 46368 letters; deeper words are refused rather than built.
@@ -114,6 +117,13 @@ def guard_exponent(word: Word, beta: float, q: float, regime: Regime) -> None:
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
     """Product of cell matrices in word order (leftmost letter leftmost); OverflowRisk if it overflows."""
     guard_exponent(word, params.beta, params.q, params.regime)
+    if params.regime is Regime.SCATTERING:  # the kernel's real cells and product, in Python floats
+        t = {ch: params.beta * CellKind(ch).ratio(params.q) for ch in set(word.letters)}
+        cells = {ch: _real_cell(params.delta, float(np.cos(v)), float(np.sin(v))) for ch, v in t.items()}
+        A, B, C, D = cells[word.letters[0]]
+        for a, b, c, d in (cells[ch] for ch in word.letters[1:]):
+            A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+        return _finite_matrix(TransferMatrix(*(complex(*z) for z in _from_real(A, B, C, D))))
     cell = {
         CellKind.S: cell_matrix(params, CellKind.S),
         CellKind.L: cell_matrix(params, CellKind.L),

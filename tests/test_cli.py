@@ -745,3 +745,43 @@ def test_unwritable_out_exits_1_with_token_and_no_file(out, token, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith(token) and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+_FLOAT_FLAG_RUNS = {  # one command per float flag; -1e-3 is invalid for q, beta_min, beta_max and beta
+    "gamma": ["bands", "--word", "S", "--steps", "100"],
+    "q": ["bands", "--steps", "100"],
+    "beta_min": ["bands", "--steps", "100"],
+    "beta_max": ["bands", "--steps", "100"],
+    "beta": ["wave", "--regime", "scattering"],
+    "gamma_min": ["atlas", "--gamma-steps", "3", "--steps", "100"],
+    "gamma_max": ["atlas", "--gamma-steps", "3", "--steps", "100"],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_FLOAT_FLAG_RUNS))
+def test_float_flags_take_a_negative_number_in_exponent_notation(field, tmp_path, capsys):
+    # argparse takes -1e-3 for a flag ("expected one argument") unless it is
+    # written --flag=-1e-3; both forms must write the same bytes, or refuse
+    # with the same InvalidConfig token.
+    assert {f for f, (_, kw) in FLAGS.items() if kw.get("type") is float} == set(_FLOAT_FLAG_RUNS)
+    flag, argv = FLAGS[field][0], _FLOAT_FLAG_RUNS[field]
+    results = []
+    for i, value in enumerate(([flag, "-1e-3"], [f"{flag}=-1e-3"])):
+        out = tmp_path / f"{i}.csv"
+        code = main([*argv, *value, "--out", str(out)])
+        results.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+    code, err, data = results[0]
+    if field in ("gamma", "gamma_min", "gamma_max"):
+        assert code == 0 and data
+    else:
+        assert code == 2 and err.startswith("InvalidConfig: ") and data is None
+
+
+def test_a_negative_gamma_in_exponent_notation_from_the_shell(tmp_path):
+    # The same through sys.argv.
+    argv = ["bands", "--word", "S", "--steps", "100"]
+    proc = _run_module(*argv, "--gamma", "-1e-3", "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert main([*argv, "--gamma=-1e-3", "--out", str(tmp_path / "y.csv")]) == 0
+    assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()

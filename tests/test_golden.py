@@ -34,8 +34,8 @@ GOLDEN = {
     ("bound", "json"): "990ed2618f40721f5cd5a6338a7a1829f26d693f8d7ba74e69a0de0ec9047e09",
     ("atlas", "csv"): "bdd6f087eccd9b1e624367c826fb56e3cf8f6246f211936654156537b2c91c4e",
     ("atlas", "json"): "3edaa26a3d913ee6cd40380bcecbb1fe38e7383bc6de69c70d8e968c93c73287",
-    ("scatter", "csv"): "78c322daa34ec24a2ac61d29fee41fd03ca2e7582ea60482d210166e18f5e962",
-    ("scatter", "json"): "47adea11a3b4752df8e018716d6d81b184c288205a32eb7eabd205452e3dfa5e",
+    ("scatter", "csv"): "b623a33d5baced0196a51b229a39ca46e1bf92e00e02db6eb09a41c89e1d2640",
+    ("scatter", "json"): "b61003838bff9471d343a94b6a8a9ad4ff5059b5cd942d13a0c5e17c8c5a3280",
     ("wave", "csv"): "c9138960c899767acbb0145bc54acb28c3722f7da3cac8bd4aa7515f0dba3d02",
     ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
     ("dos", "csv"): "3dd9e961cdb8c19839cb42684ca44369eeca104bf5b036f67f5093ccda7a0002",

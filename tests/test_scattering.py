@@ -227,9 +227,10 @@ def scalar_s_columns(word, gamma, q, beta):
     ]
 
 
-# t = pi/4 + k*pi/2 is where |cos t| = |sin t|, so Smith's quotient switches
-# branch for 1/lam; the grid takes each flip point and both float neighbours,
-# for the S tunnel (t = beta) and the L tunnel (t = q*beta).
+# t = pi/4 + k*pi/2 is where |cos t| = |sin t|, so Smith's quotient by a
+# phase exp(-i t) (d of a free cell) switches branch; the grid takes each flip
+# point and both float neighbours, for the S tunnel (t = beta) and the L
+# tunnel (t = q*beta).
 _S_FLIPS = np.pi / 4 + np.arange(12) * np.pi / 2
 _FLIPS = np.concatenate([_S_FLIPS, _S_FLIPS / TAU])
 _NEAR_FLIPS = np.concatenate([np.nextafter(_FLIPS, 0.0), _FLIPS, np.nextafter(_FLIPS, 99.0)])
@@ -277,23 +278,22 @@ def test_s_matrix_grid_rejects_bad_grids():
 
 def _inject_pole(monkeypatch, beta0):
     """Stand-ins for kernel._cells, where _scan makes each chunk's cells, and
-    _word_grid, whose d entry has |d| = 5e-13 * k at the k-th grid point from
-    beta0 on (k = 1, 2, ...)."""
-    real_cells, real_grid, chunk = kernel._cells, scattering._word_grid, []
+    scattering._from_real, whose d entry has |d| = 5e-13 * k at the k-th grid
+    point from beta0 on (k = 1, 2, ...)."""
+    real_cells, real_from_real, chunk = kernel._cells, scattering._from_real, []
 
     def cells(gamma, betas, regime, tables):
         chunk[:] = [betas]
         return real_cells(gamma, betas, regime, tables)
 
-    def word_grid(word, cells, regime):
-        a, b, c, (dr, di) = real_grid(word, cells, regime)
+    def from_real(*entries):
+        a, b, c, (dr, di) = real_from_real(*entries)
         k = np.cumsum(chunk[0] >= beta0)
         hit = k > 0
-        dr[hit], di[hit] = 3e-13 * k[hit], 4e-13 * k[hit]
-        return a, b, c, (dr, di)
+        return a, b, c, (np.where(hit, 3e-13 * k, dr), np.where(hit, 4e-13 * k, di))
 
     monkeypatch.setattr(kernel, "_cells", cells)
-    monkeypatch.setattr(scattering, "_word_grid", word_grid)
+    monkeypatch.setattr(scattering, "_from_real", from_real)
 
 
 def test_resonance_pole_still_fires(monkeypatch, tmp_path, capsys):
@@ -315,3 +315,37 @@ def test_s_matrix_grid_overflow_raises_token():
     betas = np.linspace(0.001, 0.01, 2 * _CHUNK + 1)
     with pytest.raises(OverflowRisk, match="not finite"):
         s_matrix_grid(fibonacci_word(14), 200.0, TAU, betas)
+
+
+def _exact_s_columns(word, gamma, q, beta):
+    """s_pp, s_pm, s_mp, s_mm of the word in 50-digit arithmetic, from exponential-basis cells."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        beta, h = mp.mpf(beta), mp.mpf(gamma) / mp.mpf(beta) / 2
+        cells = {}
+        for ch, ratio in (("S", mp.mpf(1)), ("L", mp.mpf(q))):
+            lam = mp.exp(-1j * beta * ratio)
+            cells[ch] = ((1 + 1j * h) / lam, 1j * h * lam, -1j * h / lam, lam * (1 - 1j * h))
+        A, B, C, D = cells[word.letters[0]]
+        for ch in word.letters[1:]:
+            a, b, c, d = cells[ch]
+            A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+        ph = mp.exp(-1j * beta * word.total_ratio(q))
+        return [complex(v) for v in (ph / D, B * ph * ph / D, -C / D, ph / D)]
+
+
+def test_benchmark_scatter_run_is_unitary_and_exact():
+    # The scatter benchmark's configuration: W_12 at gamma = 4 over 20,001
+    # betas on (0.05, 6).  Multiplied in the exponential basis, the largest
+    # unitarity defect was 3.5e-11 (19 rows above 1e-12); the real product
+    # keeps every row within 1e-12, and 41 sampled rows lie within 1e-12 of
+    # the 50-digit S-matrix.
+    word, betas = fibonacci_word(12), np.linspace(0.05, 6.0, 20001)
+    cols = s_matrix_grid(word, 4.0, TAU, betas)
+    s = cols[0:8:2] + 1j * cols[1:8:2]  # s_pp, s_pm, s_mp, s_mm
+    S = np.moveaxis(s.reshape(2, 2, -1), -1, 0)
+    defect = np.abs(S @ S.conj().transpose(0, 2, 1) - np.eye(2)).max(axis=(1, 2))
+    assert defect.max() <= 1e-12
+    for k in range(0, betas.size, 500):
+        want = _exact_s_columns(word, 4.0, TAU, float(betas[k]))
+        assert np.abs(s[:, k] - want).max() <= 1e-12, float(betas[k])

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltachain import kernel, spectra
-from deltachain.core import TAU, CellKind, ChainParams, Regime, TransferMatrix, cell_matrix, compose
+from deltachain.cli import main
+from deltachain.core import TAU, CellKind, ChainParams, Regime, TransferMatrix, _from_real, _real_cell, cell_matrix, compose
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_grid, _word_scan, _x_crossings
 from deltachain.spectra import (
@@ -403,45 +404,51 @@ def test_single_cell_helpers_raise_out_of_band_without_a_germ():
 
 @pytest.mark.parametrize("gamma", [10.0, 4.0, -2.0, 0.3, 0.0, -0.0, 5e-324, -5e-324])
 def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
-    # In both regimes every grid value equals cell_matrix / word_matrix,
-    # signs of zeros included, so the grid brackets what the scalar
-    # bisection refines.  The grid spans three chunks and crosses the
-    # Smith-branch flips of the Scattering 1/lam.
+    # Every grid value equals the scalar route's, signs of zeros included, so
+    # the grid brackets what the scalar bisection refines.  Bound regime:
+    # cell_matrix and word_matrix.  Scattering regime: the real cells and the
+    # real product that word_matrix takes before its basis change.  The grid
+    # spans three chunks.
     flips = np.pi / 4 + np.arange(8) * np.pi / 2
     betas = np.concatenate([np.linspace(0.05, 12.0, 2 * _CHUNK + 1), flips])
+
+    def bits(*entries):  # float64 arrays, or object arrays of Python floats
+        return np.array([np.array(v, dtype=complex).real for v in entries]).view(np.int64)
+
     for regime in Regime:
         bound = regime is Regime.BOUND
-
-        def kernel_bits(entries):  # real arrays (Bound) or (re, im) pairs (Scattering)
-            return np.array(entries if bound else [p for z in entries for p in z]).view(np.int64)
-
-        def scalar_bits(*entries):  # object arrays of Python floats or complex numbers
-            values = [np.array(v, dtype=complex) for v in entries]
-            parts = [p for v in values for p in ((v.real,) if bound else (v.real, v.imag))]
-            return np.array(parts).view(np.int64)
-
         points = [ChainParams(b, gamma, TAU, regime) for b in betas.tolist()]
         cells, tables = {}, {}
-        for kind, ratio in ((CellKind.S, 1.0), (CellKind.L, TAU)):
-            entries = np.array([cell_matrix(p, kind).entries() for p in points], dtype=object)
-            cells[kind] = TransferMatrix(*entries.T)
+        for kind in CellKind:
+            ratio = kind.ratio(TAU)
+            if bound:
+                entries = [cell_matrix(p, kind).entries() for p in points]
+            else:  # word_matrix's scalar real cells, cos and sin as it takes them
+                entries = [_real_cell(p.delta, float(np.cos(p.beta * ratio)), float(np.sin(p.beta * ratio)))
+                           for p in points]
+            cells[kind.value] = tuple(np.array(entries, dtype=object).T)
             tables[kind.value] = _cell_table(betas, regime, ratio)
-            got = kernel_bits(_cell_entries(gamma, betas, regime, tables[kind.value]))
-            assert np.array_equal(got, scalar_bits(*entries.T)), (regime, kind, gamma)
+            got = bits(*_cell_entries(gamma, betas, regime, tables[kind.value]))
+            assert np.array_equal(got, bits(*cells[kind.value])), (regime, kind, gamma)
         for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6)):
-            # word_matrix's product on all points at once: compose on object
-            # arrays takes CPython's arithmetic element by element.
-            M = TransferMatrix.identity()
-            for kind in word.kinds():
-                M = compose(M, cells[kind])
+            if bound:  # word_matrix's product on object arrays: CPython's arithmetic per element
+                M = TransferMatrix.identity()
+                for kind in word.kinds():
+                    M = compose(M, TransferMatrix(*cells[kind.value]))
+                want = M.entries()
+            else:  # the kernel's product order on object arrays of Python floats
+                want = _word_grid(word, cells)
+                M = TransferMatrix(*(np.array(list(map(complex, *z)), dtype=object) for z in _from_real(*want)))
             for k in range(0, betas.size, 1024):  # it is word_matrix's, repr for repr
-                want = word_matrix(word, points[k]).entries()
-                assert list(map(repr, want)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
-            got = kernel_bits(_word_grid(word, _cells(gamma, betas, regime, tables), regime))
-            assert np.array_equal(got, scalar_bits(*M.entries())), (regime, str(word), gamma)
-            x, d = (_word_scan(word, gamma, TAU, betas, regime, which) for which in ("x", "d"))
-            want = [np.array(v, dtype=complex).real for v in (M.x, M.d)]
-            assert np.array_equal(np.array([x, d]).view(np.int64), np.array(want).view(np.int64))
+                scalar = word_matrix(word, points[k]).entries()
+                assert list(map(repr, scalar)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
+            got = bits(*_word_grid(word, _cells(gamma, betas, regime, tables)))
+            assert np.array_equal(got, bits(*want)), (regime, str(word), gamma)
+            x = _word_scan(word, gamma, TAU, betas, regime, "x")
+            assert np.array_equal(bits(x), bits(M.x)), (regime, str(word), gamma)
+            if bound:
+                d = _word_scan(word, gamma, TAU, betas, regime, "d")
+                assert np.array_equal(bits(d), bits(M.d)), (str(word), gamma)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -516,7 +523,7 @@ def test_screened_cell_scan_where_the_slope_changes_sign_or_vanishes(letter, q, 
     word, betas = Word(letter), np.linspace(lo, hi, 4001)
     gammas = [1e6, -50.0, 0.0, -0.0, 7.0, -3.5, 7.0, 1e3, -1e6]
     table = _cell_table(betas, regime, CellKind(letter).ratio(q))
-    slope = np.sign(table[1] - table[0] if regime is Regime.BOUND else table[1] - table[3])
+    slope = np.sign(table[1] - table[0] if regime is Regime.BOUND else -table[1])
     flips = np.flatnonzero(slope[1:] * slope[:-1] <= 0.0)
     assert flips.size
     want = _per_gamma_crossings(word, gammas, q, betas, regime)
@@ -1179,3 +1186,111 @@ def test_a_clipped_edge_takes_the_sign_of_x_at_its_window_end(letters, regime, q
             assert germs[0].edge_kind_lo is kind[x_lo >= 0.0], gamma
         if germs and germs[-1].clipped_hi:
             assert germs[-1].edge_kind_hi is kind[x_hi >= 0.0], gamma
+
+
+def test_germ_sign_tests_do_not_overflow(monkeypatch):
+    # W_8 (Scattering) at gamma = 1e12: x at a bracket end passes 1e154, where
+    # the product (x_lo - t)*(x_hi - t) of _germ_rows' sign tests overflowed
+    # to a RuntimeWarning.  The query answers or refuses with a token.
+    ends, real = [], spectra._word_scan
+
+    def spy(*args):
+        x = real(*args)
+        ends.append(float(np.abs(x).max(initial=0.0)))
+        return x
+
+    monkeypatch.setattr(spectra, "_word_scan", spy)
+    try:
+        band_germs(fibonacci_word(8), 1e12, TAU, (0.05, 6.0), 2000, Regime.SCATTERING)
+    except GridTooCoarse:
+        pass
+    assert ends[0] > 1e154  # the first x scan is the one at the bracket ends
+
+
+# Offsets from beta*ratio = k*pi, where the Dirichlet eigenvalues of a cell
+# sit at strong coupling.
+_NEAR_PI = np.logspace(-15, -1, 400)
+
+
+@pytest.mark.parametrize("gamma", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+def test_strong_coupling_dirichlet_count_is_the_pruefer_count(gamma):
+    # Within about 1e-17*gamma of beta*ratio = k*pi (k = 1, 2), exponential-
+    # basis cells cancel: a fold on them disagreed with the Pruefer angle at
+    # 2 to 1,146 of the 1,600 points per cell and gamma here.  The fold on
+    # the real cells must agree at every point.
+    for word in (Word("S"), Word("L"), fibonacci_word(5), fibonacci_word(9)):
+        ratios = sorted({CellKind(ch).ratio(TAU) for ch in word.letters})
+        betas = np.concatenate([k * np.pi / r + s * _NEAR_PI for r in ratios for k in (1, 2) for s in (-1.0, 1.0)])
+        got = _scattering_dirichlet_count(word, gamma, TAU, betas)
+        assert np.array_equal(got, _pruefer(word, TAU, betas, gamma)), (str(word), gamma)
+
+
+def test_strong_coupling_scattering_bands_answer_with_certified_edges(tmp_path):
+    # This run refused with "GridTooCoarse: the band-edge count rises with
+    # beta" while the count cancelled.  In 50 digits x -/+ 1 changes sign
+    # within ROOT_TOL of every edge it writes: across the edge's window, or
+    # at the extremum of x inside it, where germs closer than ROOT_TOL merge
+    # into one (near beta = pi, two germs within about 2e-15 of each other).
+    mp = pytest.importorskip("mpmath")
+    out = tmp_path / "bands.csv"
+    assert main(["bands", "--word", "fib:m=5", "--gamma", "1e8", "--regime", "scattering", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows
+    with mp.workdps(50):
+        for _, _, _, _, *edges in rows:
+            for beta, kind in zip(edges[:2], edges[2:]):
+                t = 1 if kind == "XPlusOne" else -1
+
+                def f(b):
+                    return _exact_x("SLLSL", 1e8, TAU, b, Regime.SCATTERING) - t
+
+                lo, hi = mp.mpf(float(beta)) - ROOT_TOL, mp.mpf(float(beta)) + ROOT_TOL
+                side = mp.sign(f(lo))
+                if side * mp.sign(f(hi)) > 0:  # both ends on one side: seek x's extremum toward the other
+                    for _ in range(80):
+                        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                        lo, hi = (lo, m2) if side * f(m1) < side * f(m2) else (m1, hi)
+                    assert side * f((lo + hi) / 2) <= 0, (beta, kind)
+
+
+def _product_error_bound(word, q, beta, gamma):
+    """4*n*eps times the largest entry of the product of the cells' absolute values, in each basis."""
+    p = ChainParams(beta, gamma, q, Regime.SCATTERING)
+    exp_abs, real_abs = np.eye(2), np.eye(2)
+    for kind in word.kinds():
+        t = beta * kind.ratio(q)
+        exp_abs = exp_abs @ np.abs(np.array(cell_matrix(p, kind).entries()).reshape(2, 2))
+        real_abs = real_abs @ np.abs(np.array(_real_cell(p.delta, math.cos(t), math.sin(t))).reshape(2, 2))
+    return 4 * len(word) * np.finfo(float).eps * (exp_abs.max() + real_abs.max())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    word=st.one_of(
+        st.integers(1, 8).map(fibonacci_word), st.text("SL", min_size=1, max_size=21).map(Word)
+    ),
+    q=st.one_of(st.just(1.0), st.floats(0.2, 3.0)),
+    gamma=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-30.0, 30.0), st.floats(-1e3, 1e3)),
+    betas=st.lists(st.one_of(st.floats(1e-3, 30.0), st.floats(1e-6, 1e-3)), min_size=1, max_size=12),
+)
+def test_scattering_products_are_su11_and_match_compose(word, q, gamma, betas):
+    # The kernel's exponential-basis (a, b, c, d), from the real product by
+    # the basis change, satisfy d = conj(a) and c = conj(b) exactly, and they
+    # match compose of cell_matrix within the textbook error bound of a
+    # product of n matrices, taken for each basis (_product_error_bound).
+    betas = np.array(betas)
+
+    def fill(beta, cells):
+        return [v for z in _from_real(*_word_grid(word, cells)) for v in z]
+
+    ar, ai, br, bi, cr, ci, dr, di = kernel._scan(word, gamma, q, betas, Regime.SCATTERING, fill, rows=(8,))
+    assert np.array_equal(dr, ar) and np.array_equal(di, -ai)
+    assert np.array_equal(cr, br) and np.array_equal(ci, -bi)
+    for k, beta in enumerate(betas.tolist()):
+        p = ChainParams(beta, gamma, q, Regime.SCATTERING)
+        M = TransferMatrix.identity()
+        for kind in word.kinds():
+            M = compose(M, cell_matrix(p, kind))
+        got = (complex(ar[k], ai[k]), complex(br[k], bi[k]), complex(cr[k], ci[k]), complex(dr[k], di[k]))
+        err = max(abs(u - v) for u, v in zip(got, M.entries()))
+        assert err <= _product_error_bound(word, q, beta, gamma), (str(word), q, gamma, beta)
