@@ -1,8 +1,10 @@
-"""Python's format(v, ".17g") over a float64 block, in numpy, byte for byte.
+"""The CLI's one table writer: format(v, ".17g") over float64 columns in numpy, byte for byte.
 
-block_text(block, fmt) renders a 2-D float64 block as CSV lines or as JSON
-row arrays joined by ",", exactly as the token-by-token writer would.  It
-works in two steps.
+blocks(columns, fmt, size) renders a table given column by column, size
+rows at a time, as CSV lines or as JSON row arrays joined by ",", exactly
+as a token-by-token writer would.  A column is a float64 array or a
+categorical pair (codes, tokens) whose tokens are encoded once.  Floats are
+written in two steps.
 
 Digits.  The correctly rounded 17 significant digits N (an int64 in
 [1e16, 1e17)) and the decimal exponent e10 of |v| come from the
@@ -16,15 +18,19 @@ ties occur: 1377037368961076.25 is one), or with |v| outside
 [1e-280, 1e280] (subnormals included), is "unsure" and is formatted by
 Python itself.
 
-Text.  Each value fills six 8-byte words of a buffer, each taken whole
-from a table of byte patterns, with NUL bytes where nothing is written:
+Text.  Each row of a block is a run of slots, one per column.  A float
+fills six 8-byte words (48 bytes), each taken whole from a table of byte
+patterns, with NUL bytes where nothing is written:
 the sign, the "0." and "0"s of fixed notation below 1 and the leading
 digit; four groups of four (digit, ".") pairs; the exponent "e+XXX" and
 the separator ("," between values, "\\n" or "],[" after a row).  The %g
 rules decide what is written: fixed notation for -4 <= e10 < 17, trailing
 zeros stripped, at least two exponent digits, one "." after the digit it
 follows.  Zeros print as "0" / "-0", and non-finite values as "" (CSV) or
-null (JSON).  bytes.translate then deletes the padding.
+null (JSON).  A categorical value's slot is copied from its column's
+table: the token's bytes, NUL padding to whole words, and the separator in
+the last three bytes.  One bytes.translate per block then deletes the
+padding.  The tables are built when the module is imported.
 """
 
 import numpy as np
@@ -154,18 +160,20 @@ def _digits(a):
 
 
 def _separators(cols: int, json: bool) -> np.ndarray:
-    """Word 5's separator bytes per column: "," between values, then "\\n" or "],[" after a row."""
+    """The last word's separator bytes per column: "," between values, then "\\n" or "],[" after a row."""
     sep = np.zeros((cols, 8), np.uint8)
     sep[:, 5] = ord(",")
     sep[-1, 5:] = list(b"],[" if json else b"\n\0\0")
     return _words(sep)
 
 
-def block_text(block: np.ndarray, fmt: str) -> bytes:
-    """The rows of a 2-D float64 block as CSV lines, or as JSON arrays joined by ","."""
-    rows, cols = block.shape
-    json = fmt == "json"
-    v = block.ravel()
+def _number_slots(v: np.ndarray, sep: np.ndarray, out: np.ndarray, json: bool):
+    """Fill out, a (v.size, 6) uint64 array, with the slots of the (rows, cols) float64 block v.
+
+    sep holds the separator word of each of v's columns.
+    """
+    rows, cols = v.shape
+    v = v.ravel()
     a = np.abs(v)
     sure = (a >= _TINY) & (a <= _HUGE)  # False for 0, subnormals and non-finite values
     n, e10, unsure = _digits(np.where(sure, a, 1.0))
@@ -184,29 +192,22 @@ def block_text(block: np.ndarray, fmt: str) -> bytes:
     keep = np.where(fixed, np.maximum(sig, e10 + 1), sig)  # digits written
     dot = np.where(fixed, e10, 0)  # the digit a "." follows, if any digit follows it
 
-    # Row 0 is a pad whose last byte opens the first JSON row.
-    out = np.zeros((v.size + 1, _WIDTH // 8), np.uint64)
-    body = out[1:]
     e = e10 + _E_OFF
-    body[:, 0] = _PREFIX[e] | _LEAD[head] | np.where(np.signbit(v), _MINUS, np.uint64(0))
+    out[:, 0] = _PREFIX[e] | _LEAD[head] | np.where(np.signbit(v), _MINUS, np.uint64(0))
     for i, g in enumerate((g1, g2, g3, g4)):
-        body[:, 1 + i] = _PAIRS4[g] & _KEEP[i, keep]
-    sep = _separators(cols, json)
-    body.reshape(rows, cols, -1)[..., 5] = _EXPONENT[e].reshape(rows, cols) | sep
-    text = out.view(np.uint8).reshape(-1)
-    if json:
-        text[_WIDTH - 1] = ord("[")
-        text[-2:] = 0  # rows are joined, not terminated, by ","
+        out[:, 1 + i] = _PAIRS4[g] & _KEEP[i, keep]
+    out.reshape(rows, cols, -1)[..., 5] = _EXPONENT[e].reshape(rows, cols) | sep
+    text = out.view(np.uint8).reshape(-1)  # _WIDTH bytes per value
     at = np.flatnonzero((dot >= 0) & (keep > dot + 1))
-    text[(at + 1) * _WIDTH + 7 + 2 * dot[at]] = ord(".")
+    text[at * _WIDTH + 7 + 2 * dot[at]] = ord(".")
 
     # Zeros, non-finite values and unsure values replace the number's bytes.
     special = np.flatnonzero(~sure)
     if special.size:
         x = v[special]
-        body[special, :5] = 0
-        body[special, 5] &= sep[special % cols]
-        base = (special + 1) * _WIDTH
+        out[special, :5] = 0
+        out[special, 5] &= sep[special % cols]
+        base = special * _WIDTH
         zero, finite = x == 0.0, np.isfinite(x)
         text[base[zero]] = np.signbit(x[zero]) * np.uint8(ord("-"))
         text[base[zero] + 6] = ord("0")
@@ -215,4 +216,55 @@ def block_text(block: np.ndarray, fmt: str) -> bytes:
         for start, value in zip(base[finite & ~zero].tolist(), x[finite & ~zero].tolist()):
             token = format(value, ".17g").encode()
             text[start : start + len(token)] = np.frombuffer(token, np.uint8)
-    return text.tobytes().translate(None, b"\0")
+
+
+def _token_slots(tokens: list[bytes], sep: np.ndarray) -> np.ndarray:
+    """One slot per token: its bytes, NUL padding, and the separator in the last word's last three bytes."""
+    if any(b"\0" in t for t in tokens):
+        raise ValueError("a token cannot hold a NUL byte")
+    words = (max(map(len, tokens), default=0) + 3 + 7) // 8
+    slots = np.zeros((len(tokens), 8 * words), np.uint8)
+    for i, token in enumerate(tokens):
+        slots[i, : len(token)] = np.frombuffer(token, np.uint8)
+    slots = slots.view(np.uint64)
+    slots[:, -1] |= sep
+    return slots
+
+
+def blocks(columns, fmt: str, size: int):
+    """The rows of a table, size rows at a time: CSV lines, or JSON arrays joined by ",".
+
+    A column is a float64 array, or a pair (codes, tokens): an int array of
+    indices into a list of encoded tokens holding no NUL byte.  All columns
+    have the same length.
+    """
+    json = fmt == "json"
+    seps = _separators(len(columns), json)
+    floats = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
+    tables = {j: _token_slots(c[1], seps[j]) for j, c in enumerate(columns) if isinstance(c, tuple)}
+    start = np.cumsum([0] + [tables[j].shape[1] if j in tables else _WIDTH // 8 for j in range(len(columns))])
+    length = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+    # One buffer serves every block, and each block writes every word of
+    # its rows.  Word 0 is a pad whose last byte opens the first JSON row.
+    buffer = np.zeros(1 + min(size, length) * start[-1], np.uint64)
+    buffer.view(np.uint8)[7] = ord("[") if json else 0
+    for k in range(0, length, size):
+        rows = min(size, length - k)
+        out = buffer[: 1 + rows * start[-1]]
+        body = out[1:].reshape(rows, start[-1])
+        if floats:
+            v = np.column_stack([columns[j][k : k + rows] for j in floats])
+            if len(floats) == len(columns):  # the slots fill the rows
+                _number_slots(v, seps, body.reshape(v.size, -1), json)
+            else:
+                slots = np.empty((v.size, _WIDTH // 8), np.uint64)
+                _number_slots(v, seps[floats], slots, json)
+                slots = slots.reshape(rows, len(floats), -1)
+                for i, j in enumerate(floats):
+                    body[:, start[j] : start[j + 1]] = slots[:, i]
+        for j, table in tables.items():
+            body[:, start[j] : start[j + 1]] = table[columns[j][0][k : k + rows]]
+        text = out.view(np.uint8)
+        if json:
+            text[-2:] = 0  # rows are joined, not terminated, by ","
+        yield text.tobytes().translate(None, b"\0")

@@ -8,14 +8,17 @@ share one envelope shape {command, config, columns, rows} described by
 docs/output_schema.json.  Non-finite values and missing ones are written as
 "" in CSV and null in JSON.
 
-Files are streamed 1,024 rows at a time.  The all-numeric commands
-(``wave``, ``scatter``, ``dos``, ``binding``) hand the writer a 2-D float64
-block, formatted in numpy by ``_g17.block_text``, which computes the
-correctly rounded 17 digits itself and writes the bytes format(v, ".17g")
-writes.  Only values within 1e-6 of a rounding tie, or with |v| outside
-[1e-280, 1e280], go through Python's format.  The mixed-type commands hand
-the writer a list of row tuples, written token by token.  A command runs to
-completion before its file is opened, so a failed command leaves no file.
+Each command returns its table as named columns: float64 arrays, int or
+bool arrays, and categorical columns given as codes into a few values, each
+value encoded once.  One writer streams the file 1,024 rows at a time and
+formats each block column by column in numpy (``_g17.blocks``): floats get
+the correctly rounded 17 digits ``_g17`` computes itself, the bytes
+format(v, ".17g") writes, and a categorical value's slot is copied from its
+token table.  Only values within 1e-6 of a rounding tie, or with |v| outside
+[1e-280, 1e280], go through Python's format.  Every command formats through
+``_g17``, so it is imported with the module, and its tables are built at
+set-up.  A command runs to completion before its file is opened, so a
+failed command leaves no file.
 
 Each command's parser declares the flags of the RunConfig fields it reads
 (``READS``) and refuses any other flag as an invalid configuration, so
@@ -33,6 +36,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import __version__
+from ._g17 import blocks
 from .core import CellKind, ChainParams, Regime, TAU, cell_matrix, tunnel_matrix
 from .errors import ChainError, ParseError
 from .spectra import (
@@ -193,40 +197,50 @@ def _token(value, fmt: str) -> str:
     return f'"{s}"'
 
 
-def _row_text(rows, fmt: str) -> str:
-    """Rows rendered token by token: CSV lines, or JSON arrays joined by ","."""
-    if fmt == "csv":
-        return "".join(",".join(_token(v, fmt) for v in row) + "\n" for row in rows)
-    return ",".join("[" + ",".join(_token(v, fmt) for v in row) + "]" for row in rows)
-
-
 # Rows per written slice: the text of a slice, and the formatting
-# temporaries of a float64 slice, stay a few hundred kB.
+# temporaries of its float64 columns, stay a few hundred kB.
 _BLOCK_ROWS = 1 << 10
 
 
-def _chunk_texts(table, fmt: str):
-    """The body of the file as bytes, _BLOCK_ROWS rows at a time.
+def _repeat(value, length: int):
+    """A categorical column holding one value length times."""
+    return np.zeros(length, np.intp), (value,)
 
-    A float64 table goes through block_text; a list of row tuples goes
-    token by token.
+
+def _run_columns(word: Word, config: RunConfig, length: int) -> dict:
+    """The word, gamma and q columns that bands and bound repeat on each row."""
+    values = (("word", str(word)), ("gamma", config.gamma), ("q", config.q))
+    return {name: _repeat(value, length) for name, value in values}
+
+
+def _encoded(column, fmt: str):
+    """A column as _g17.blocks takes it: a float64 array, or codes and tokens.
+
+    A column is a float64 array, an int or bool array, or a categorical
+    pair (codes, values): an int array of indices into a sequence of
+    values.  Each distinct value is encoded once, by _token.  An int column
+    within 2**53 of zero is written as float64, whose %.17g is the integer;
+    other int columns become categorical.
     """
-    if isinstance(table, np.ndarray):
-        # Imported here: its tables cost about 1 MB and 3 ms, which the
-        # commands without a float64 block do not pay.
-        from ._g17 import block_text as text
-    else:
-        def text(rows, fmt):
-            return _row_text(rows, fmt).encode()
-    for k in range(0, len(table), _BLOCK_ROWS):
-        yield text(table[k : k + _BLOCK_ROWS], fmt)
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            column = column.view(np.uint8), (False, True)
+        elif column.dtype.kind not in "iu":
+            return column
+        elif np.all((column >= -(2**53)) & (column <= 2**53)):
+            return column.astype(np.float64)
+        else:
+            values, codes = np.unique(column, return_inverse=True)
+            column = codes, values.tolist()
+    codes, values = column
+    return codes, [_token(v, fmt).encode() for v in values]
 
 
-def _write_output(config: RunConfig, columns, table, comment: str | None = None):
-    """Stream one output file; table is a 2-D float64 array or a list of row tuples."""
+def _write_output(config: RunConfig, table: dict, comment: str | None = None):
+    """Stream one output file, _BLOCK_ROWS rows at a time; table maps each name to its column (see _encoded)."""
     fmt = config.format
     if fmt == "csv":
-        head = (f"# {comment}\n" if comment else "") + ",".join(columns) + "\n"
+        head = (f"# {comment}\n" if comment else "") + ",".join(table) + "\n"
         sep, tail = b"", b""
     else:
         cfg_items = [(k, getattr(config, k)) for k in ("command", *_SCAN)]
@@ -234,19 +248,28 @@ def _write_output(config: RunConfig, columns, table, comment: str | None = None)
         if comment:
             cfg_items.append(("note", comment))
         cfg = ",".join(f'"{k}":{_token(v, fmt)}' for k, v in cfg_items)
-        cols = ",".join(_token(c, fmt) for c in columns)
+        cols = ",".join(_token(c, fmt) for c in table)
         head = (
             f'{{"command":{_token(config.command, fmt)},"config":{{{cfg}}},'
             f'"columns":[{cols}],"rows":['
         )
         sep, tail = b",", b"]}\n"
+    columns = [_encoded(column, fmt) for column in table.values()]
     with open(config.out_path, "wb") as fh:
         fh.write(head.encode())
-        for i, text in enumerate(_chunk_texts(table, fmt)):
+        for i, text in enumerate(blocks(columns, fmt, _BLOCK_ROWS)):
             if i:
                 fh.write(sep)
             fh.write(text)
         fh.write(tail)
+
+
+_KIND_VALUES = (EdgeKind.X_MINUS_ONE.value, EdgeKind.X_PLUS_ONE.value)
+
+
+def _edge_kinds(kinds):
+    """A categorical column of EdgeKinds."""
+    return np.array([k is EdgeKind.X_PLUS_ONE for k in kinds], np.intp), _KIND_VALUES
 
 
 def _cmd_bands(config: RunConfig):
@@ -255,21 +278,15 @@ def _cmd_bands(config: RunConfig):
         word, config.gamma, config.q, (config.beta_min, config.beta_max), config.steps,
         regime=config.regime,
     )
-    columns = ["word", "gamma", "q", "germ_index", "beta_lo", "beta_hi", "edge_kind_lo", "edge_kind_hi"]
-    rows = [
-        (
-            str(word),
-            config.gamma,
-            config.q,
-            i,
-            g.beta_lo,
-            g.beta_hi,
-            g.edge_kind_lo.value,
-            g.edge_kind_hi.value,
-        )
-        for i, g in enumerate(germs)
-    ]
-    return columns, rows, None
+    table = {
+        **_run_columns(word, config, len(germs)),
+        "germ_index": np.arange(len(germs)),
+        "beta_lo": np.array([g.beta_lo for g in germs], np.float64),
+        "beta_hi": np.array([g.beta_hi for g in germs], np.float64),
+        "edge_kind_lo": _edge_kinds(g.edge_kind_lo for g in germs),
+        "edge_kind_hi": _edge_kinds(g.edge_kind_hi for g in germs),
+    }
+    return table, None
 
 
 def _cmd_bound(config: RunConfig):
@@ -277,45 +294,53 @@ def _cmd_bound(config: RunConfig):
     roots = bound_states(
         word, config.gamma, config.q, (config.beta_min, config.beta_max), config.steps
     )
-    columns = ["word", "gamma", "q", "index", "beta_star"]
-    rows = [(str(word), config.gamma, config.q, r.index, r.beta_star) for r in roots]
-    return columns, rows, None
+    table = {
+        **_run_columns(word, config, len(roots)),
+        "index": np.array([r.index for r in roots], np.int64),
+        "beta_star": np.array([r.beta_star for r in roots], np.float64),
+    }
+    return table, None
 
 
 def _cmd_atlas(config: RunConfig):
     """Single-cell band edges over a gamma grid, both regimes, plus commuting lines."""
-    columns = ["gamma", "cell", "edge_kind", "beta"]
     gammas = np.linspace(config.gamma_min, config.gamma_max, config.gamma_steps)
     beta_range = (config.beta_min, config.beta_max)
-    cells = (("S", Word("S")), ("L", Word("L")))
+    cells = ("S", "L")
     regimes = ((Regime.BOUND, 1.0), (Regime.SCATTERING, -1.0))
     # One batched query per cell and regime; one stable sort on the gamma
     # index gives the file its (gamma, cell, regime) row order.
     tables, refused = [], []
-    for name, word in cells:
+    for code, name in enumerate(cells):
         for regime, sign in regimes:
-            (row, bound, plus, _), failed = _germ_rows(word, gammas, config.q, beta_range, config.steps, regime)
+            (row, bound, plus, _), failed = _germ_rows(Word(name), gammas, config.q, beta_range, config.steps, regime)
             refused += ((i, len(tables), err) for i, err in failed.items())  # in (gamma, query) order
-            tables.append((row, np.full(row.size, name), plus, sign * bound))
+            tables.append((row, np.full(row.size, code), plus, sign * bound))
     if refused:  # the first refused query in (gamma, cell, regime) order
         raise min(refused)[2]
-    row, name, plus, beta = (np.concatenate(v) for v in zip(*tables))
-    kind = np.where(plus, EdgeKind.X_PLUS_ONE.value, EdgeKind.X_MINUS_ONE.value)
+    row, cell, plus, beta = (np.concatenate(v) for v in zip(*tables))
     order = np.argsort(row, kind="stable")
-    rows = list(zip(*(v[order].tolist() for v in (gammas[row], name, kind, beta))))
+    lines = []  # commuting lines, after the edges: no gamma, no cell
     p = 1
     while TAU * p * math.pi <= config.beta_max:
-        rows.append((None, "", "commuting_line", -TAU * p * math.pi))
+        lines.append(-TAU * p * math.pi)
         p += 1
+    marks = np.full(len(lines), 2)
+    table = {
+        "gamma": np.concatenate([gammas[row[order]], np.full(len(lines), math.nan)]),
+        "cell": (np.concatenate([cell[order], marks]), (*cells, "")),
+        "edge_kind": (np.concatenate([plus[order], marks]), (*_KIND_VALUES, "commuting_line")),
+        "beta": np.concatenate([beta[order], lines]),
+    }
     comment = "scattering-regime band edges are serialized with negative beta (display convention)"
-    return columns, rows, comment
+    return table, comment
 
 
 def _cmd_scatter(config: RunConfig):
     word = parse_word_spec(config.word_spec)
     betas = np.linspace(config.beta_min, config.beta_max, config.steps + 1)
     S = s_matrix_grid(word, config.gamma, config.q, betas)
-    return ["beta", *S_COLUMNS], np.vstack([betas, S]).T, None  # one row per beta
+    return {"beta": betas, **dict(zip(S_COLUMNS, S))}, None  # one row per beta
 
 
 def _cmd_wave(config: RunConfig):
@@ -333,13 +358,10 @@ def _cmd_wave(config: RunConfig):
     else:
         psi0, dpsi0 = 1.0 + 0j, -kappa  # first-slot plane wave exp(-kappa xi)
     samples = sample_wavefunction(word, params, (psi0, dpsi0))
-    columns = ["position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi"]
     v, dv = samples.values, samples.derivative_values
     # np.hypot rounds like Python's abs(complex); np.abs can differ in the last bit
-    table = np.column_stack(
-        [samples.positions, v.real, v.imag, dv.real, dv.imag, np.hypot(v.real, v.imag)]
-    )
-    return columns, table, None
+    columns = (samples.positions, v.real, v.imag, dv.real, dv.imag, np.hypot(v.real, v.imag))
+    return dict(zip(("position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi"), columns)), None
 
 
 def _cmd_dos(config: RunConfig):
@@ -347,8 +369,8 @@ def _cmd_dos(config: RunConfig):
     if str(word) != "S":
         raise ParseError("dos supports only the single-cell word S", position=0)
     samples = dos_estimate(config.gamma, config.steps, (config.beta_min, config.beta_max))
-    table = np.column_stack([samples.beta, samples.energy, samples.kb, samples.density])
-    return ["beta", "energy", "kb", "density"], table, None
+    names = ("beta", "energy", "kb", "density")
+    return {name: getattr(samples, name) for name in names}, None
 
 
 def _cmd_binding(config: RunConfig):
@@ -359,31 +381,25 @@ def _cmd_binding(config: RunConfig):
     n = total
     germ = _single_cell_germ(config.gamma, (config.beta_min, config.beta_max), config.steps)
     betas = np.linspace(germ.beta_lo, germ.beta_hi, config.steps + 1)[1:-1]
-    table = np.column_stack([betas, _binding_terms(n, betas, config.gamma)])
-    return ["beta", "kb", "lhs", "rhs"], table, None
+    kb, lhs, rhs = _binding_terms(n, betas, config.gamma).T
+    return {"beta": betas, "kb": kb, "lhs": lhs, "rhs": rhs}, None
 
 
 def _cmd_fib_info(config: RunConfig):
     word = parse_word_spec(config.word_spec)
-    columns = ["m", "word", "length", "count_S", "count_L"]
-    if word.order_m is not None:
-        m = word.order_m
-        total, n_s, n_l = word_counts(m)
-        rows = [(m, str(word), total, n_s, n_l)]
-    else:
-        total, n_s, n_l = word.counts()
-        rows = [(None, str(word), total, n_s, n_l)]
-    return columns, rows, None
+    m = word.order_m
+    total, n_s, n_l = word.counts() if m is None else word_counts(m)
+    values = {"m": m, "word": str(word), "length": total, "count_S": n_s, "count_L": n_l}
+    return {name: _repeat(value, 1) for name, value in values.items()}, None
 
 
 def _cmd_commute(config: RunConfig):
-    points = commuting_points(config.p_max, config.gamma)
-    columns = ["p", "beta", "proportional", "in_overlap", "commutator_dev", "proportionality_dev"]
-    rows = []
-    for point, proportional, in_overlap in points:
-        comm_dev, prop_dev = commuting_deviations(point.p, config.gamma)
-        rows.append((point.p, point.beta_p, proportional, in_overlap, comm_dev, prop_dev))
-    return columns, rows, None
+    rows = [
+        (point.p, point.beta_p, proportional, in_overlap, *commuting_deviations(point.p, config.gamma))
+        for point, proportional, in_overlap in commuting_points(config.p_max, config.gamma)
+    ]
+    names = ("p", "beta", "proportional", "in_overlap", "commutator_dev", "proportionality_dev")
+    return {name: np.array(column) for name, column in zip(names, zip(*rows))}, None
 
 
 _DISPATCH = {
@@ -402,8 +418,8 @@ _DISPATCH = {
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
-        columns, rows, comment = _DISPATCH[config.command](config)
-        _write_output(config, columns, rows, comment)
+        table, comment = _DISPATCH[config.command](config)
+        _write_output(config, table, comment)
     except (ChainError, OSError, MemoryError) as err:  # OSError: the output path cannot be written
         kind = MemoryError if isinstance(err, MemoryError) else type(err)  # numpy raises a private MemoryError
         token = err.token if isinstance(err, ChainError) else kind.__name__
@@ -412,7 +428,8 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The command-line parser, with a subparser for each of commands."""
     parser = argparse.ArgumentParser(
         prog="deltachain",
         description="Band germs, bound states, wavefunctions, and scattering data "
@@ -420,9 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fields in READS.items():
+    for name in commands:
         p = sub.add_parser(name, allow_abbrev=False, argument_default=argparse.SUPPRESS)
-        for field in (*fields, "out_path", "format"):
+        for field in (*READS[name], "out_path", "format"):
             flag, kwargs = FLAGS[field]
             p.add_argument(flag, dest=field, **kwargs)
     return parser
@@ -467,7 +484,11 @@ def _is_float(text: str) -> bool:
 
 
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
+    argv = _joined_numbers(sys.argv[1:] if argv is None else argv)
+    # A named command needs only its own subparser; --help, --version and an
+    # unknown command get the full parser.
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in READS else COMMANDS)
+    args, extra = parser.parse_known_args(argv)
     try:
         config = _config_from_args(args, extra)
     except (ChainError, ValueError) as err:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltachain import kernel, spectra
-from deltachain._g17 import _digits, block_text
+from deltachain import cli, kernel, spectra
+from deltachain._g17 import _digits, blocks
 from deltachain.cli import (
     COMMANDS,
     FLAGS,
@@ -96,6 +96,15 @@ def test_value_formatting():
     assert _token(None, "json") == "null"
 
 
+def _assert_same_text(text, want, *context):
+    # Compare through the first differing character: a failure then shows a
+    # short excerpt instead of pytest's diff of two 1 MB strings.
+    at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), None)
+    if at is None and len(text) != len(want):
+        at = min(len(text), len(want))
+    assert at is None, (*context, at, text[max(at - 40, 0) : at + 40], want[max(at - 40, 0) : at + 40])
+
+
 SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
 
 
@@ -116,7 +125,7 @@ def test_block_writer_matches_the_token_function(fmt, tmp_path):
         table[-1, :4] = (math.inf, -math.inf, math.nan, -0.0)[:cols]
         columns = [f"c{j}" for j in range(cols)]
         out = tmp_path / f"block{cols}.{fmt}"
-        _write_output(RunConfig(command="scatter", out_path=str(out), format=fmt), columns, table)
+        _write_output(RunConfig(command="scatter", out_path=str(out), format=fmt), dict(zip(columns, table.T)))
         tokens = [[_token(v, fmt) for v in row] for row in table.tolist()]
         assert tokens[0][:4] == [
             "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-4.9406564584124654e-324"
@@ -130,17 +139,86 @@ def test_block_writer_matches_the_token_function(fmt, tmp_path):
             body = ",".join("[" + ",".join(row) + "]" for row in tokens)
             want = text[: text.index('"rows":[')] + '"rows":[' + body + "]}\n"
             assert want.startswith('{"command":"scatter","config":{"command":"scatter",')
-        # Compare through the first differing character: a failure then shows a
-        # short excerpt instead of pytest's diff of two 1 MB strings.
-        at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b), None)
-        if at is None and len(text) != len(want):
-            at = min(len(text), len(want))
-        assert at is None, (cols, at, text[max(at - 40, 0) : at + 40], want[max(at - 40, 0) : at + 40])
+        _assert_same_text(text, want, cols)
         if fmt == "json":
             rows = json.loads(text)["rows"]
             assert len(rows) == len(table) and all(len(row) == cols for row in rows)
             assert rows[_BLOCK_ROWS + 3][cols // 2] is None
             assert rows[-1][:4] == [None, None, None, -0.0][:cols]
+
+
+def _row_text(rows, fmt: str) -> str:
+    """The reference writer: rows rendered token by token, CSV lines or JSON arrays joined by ","."""
+    if fmt == "csv":
+        return "".join(",".join(_token(v, fmt) for v in row) + "\n" for row in rows)
+    return ",".join("[" + ",".join(_token(v, fmt) for v in row) + "]" for row in rows)
+
+
+# The values of the categorical column: missing ones, strings that need
+# escaping in JSON, and a number and a bool among them.
+MIXED_VALUES = (None, "", 'a"b', "c\\d", '\\"', "SLLSL", math.nan, 3, -2.5, True)
+
+
+def _mixed_table(rng, n):
+    """A table of n rows with every kind of column, and the same rows as Python values."""
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = np.array([*SPECIALS, -0.0, *_ties(rng, 8)])
+    at = rng.random(n) < 0.3
+    floats[at] = rng.choice(specials, n)[at]
+    table = {
+        "float": floats,
+        "gap": np.where(rng.random(n) < 0.5, math.nan, rng.standard_normal(n)),  # missing as NaN
+        "small": rng.integers(-(10**6), 10**6, n),
+        "near": rng.choice([-1, 1], n) * (2**53 + rng.integers(-3, 4, n)),  # either side of 2**53
+        "wide": rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True),
+        "flag": rng.random(n) < 0.5,
+        "mixed": (rng.integers(0, len(MIXED_VALUES), n), MIXED_VALUES),
+    }
+    table["wide"][:2] = (np.iinfo(np.int64).min, np.iinfo(np.int64).max)[:n]
+    codes, values = table["mixed"]
+    cols = [c.tolist() for c in list(table.values())[:-1]] + [[values[i] for i in codes.tolist()]]
+    return table, list(zip(*cols)) if n else []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 7])
+def test_column_writer_matches_the_row_renderer(n, fmt, tmp_path):
+    # Float64, int (within 2**53 and past it), bool and categorical columns,
+    # with specials, -0.0, exact ties, and missing values as None and NaN,
+    # write the bytes the token-by-token renderer writes.
+    table, rows = _mixed_table(np.random.default_rng(n), n)
+    out = tmp_path / f"mixed.{fmt}"
+    _write_output(RunConfig(command="bands", out_path=str(out), format=fmt), table)
+    text = out.read_text()
+    if fmt == "csv":
+        _assert_same_text(text, ",".join(table) + "\n" + _row_text(rows, fmt))
+        return
+    head = text[: text.index('"rows":[') + len('"rows":[')]
+    _assert_same_text(text, head + _row_text(rows, fmt) + "]}\n")
+    finite = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
+    assert json.loads(text)["rows"] == [list(row) for row in finite]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["bound", "--word", "S", "--gamma", "-4"], "word,gamma,q,index,beta_star"),
+        (["bands", "--word", "S", "--gamma", "4", "--beta-min", "3.2", "--beta-max", "3.3"],
+         "word,gamma,q,germ_index,beta_lo,beta_hi,edge_kind_lo,edge_kind_hi"),
+    ],
+    ids=["bound", "bands"],
+)
+def test_a_table_without_rows_writes_the_header_alone(argv, header, fmt, tmp_path):
+    out = tmp_path / f"empty.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "csv":
+        assert text == header + "\n"
+    else:
+        columns = ",".join(f'"{c}"' for c in header.split(","))
+        assert text.endswith(f'"columns":[{columns}],"rows":[]}}\n')
+        assert json.loads(text)["rows"] == []
 
 
 def _ties(rng, count):
@@ -186,7 +264,7 @@ def test_block_text_matches_python_format():
     ])
     assert np.isfinite(values).all()
     want = "".join(format(v, ".17g") + "\n" for v in values.tolist())
-    got = block_text(values[:, None], "csv").decode()
+    got = b"".join(blocks([values], "csv", values.size)).decode()
     if got != want:
         bad = next(i for i, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
         pytest.fail(f"{values[bad]!r}: {got.split()[bad]} != {want.split()[bad]}")
@@ -405,6 +483,32 @@ def test_main_surfaces_parse_errors(tmp_path, capsys):
     code = main(["bound", "--word", "SLX", "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("ParseError:")
+
+
+def test_main_builds_the_named_commands_parser_alone(tmp_path, monkeypatch, capsys):
+    # A named command gets its own subparser; --help, --version and an
+    # unknown command get all nine, so their text lists every command.
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda commands=COMMANDS: built.append(tuple(commands)) or real(commands))
+    assert main(["fib-info", "--out", str(tmp_path / "x.csv")]) == 0
+    for argv, code in ((["--help"], 0), (["--version"], 0), (["bogus"], 2)):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == code
+    assert built == [("fib-info",), COMMANDS, COMMANDS, COMMANDS]
+    out, err = capsys.readouterr()
+    assert all(c in out and c in err for c in COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_one_command_parser_helps_as_the_full_one(command, capsys):
+    helps = []
+    for commands in (COMMANDS, (command,)):
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser(commands).parse_known_args([command, "--help"])
+        helps.append((exit_.value.code, capsys.readouterr().out))
+    assert helps[0] == helps[1] and helps[0][0] == 0
 
 
 def test_module_entry_point(tmp_path):

@@ -18,7 +18,14 @@ gamma = 10 go through the node count, its isolation and the d bisection.
 ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
 batched with the others in one band-germ pass per cell and regime.  At
 q = 1 the S and L germs coincide, so the second entry pins the stable
-(gamma, cell, regime) order of the rows.
+(gamma, cell, regime) order of the rows.  The JSON entry pins five blocks
+of mixed float and string columns with missing values.
+
+FIB_INFO_GOLDEN pins a row of one int, one 46,368-letter token and three
+counts, in both formats.
+
+The JSON entries of BANDS_GOLDEN, ATLAS_GOLDEN and FIB_INFO_GOLDEN were
+recorded from the token-by-token writer that preceded the column writer.
 """
 
 import hashlib
@@ -55,6 +62,7 @@ BANDS_GOLDEN = {
     "--word S^3 --q 1": "3ed29ba5270ce314d77a980c989f85c21fa3fb925b9788574e45f8e36bdf96dc",
     "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
     "--regime scattering --word fib:m=12 --gamma 4": "ce8a5cb914f9438b70e48e930c8ef45eb075bc9381e3e0b001a6e1ea07699b9e",
+    "--regime scattering --word fib:m=12 --gamma 4 --format json": "2562d111eda6ad752c1c8cea4e8cf900bac5968bd5b65df351a9c12e39f815c8",
 }
 
 BOUND_GOLDEN = {
@@ -64,6 +72,12 @@ BOUND_GOLDEN = {
 ATLAS_GOLDEN = {
     "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "f9caa01414352860988932a34307821555202c89c6bcb646f383e43cfde300c0",
     "--q 1 --gamma-steps 9": "f0409aaff79b99359e67504932b715e1100867ae8e441ef0f811c0e974978eba",
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "9652328fbc2978e01bd7c2507d271ceae20904ad1f6ce59af224603ebd7fb9fc",
+}
+
+FIB_INFO_GOLDEN = {
+    "--word fib:m=24": "525aa221229d4e587a4cc20d80705148251611af4a1b4a17cbd06e5409716395",
+    "--word fib:m=24 --format json": "9467c616c9696778d8b2cb64b86ddaa33496c8ed2889d98cb5ac5752e3d9419a",
 }
 
 
@@ -101,3 +115,11 @@ def test_atlas_output_digest(args, tmp_path):
     assert main(["atlas", *args.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == ATLAS_GOLDEN[args], f"atlas {args} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(FIB_INFO_GOLDEN))
+def test_fib_info_output_digest(args, tmp_path):
+    out = tmp_path / "fib-info.out"
+    assert main(["fib-info", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FIB_INFO_GOLDEN[args], f"fib-info {args} output changed"
