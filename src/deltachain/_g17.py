@@ -1,10 +1,10 @@
 """The CLI's one table writer: format(v, ".17g") over float64 columns in numpy, byte for byte.
 
-blocks(columns, fmt, size) renders a table given column by column, size
-rows at a time, as CSV lines or as JSON row arrays joined by ",", exactly
-as a token-by-token writer would.  A column is a float64 array or a
-categorical pair (codes, tokens) whose tokens are encoded once.  Floats are
-written in two steps.
+blocks(parts, fmt, size) renders a table given column by column, as one
+or more consecutive parts, size rows at a time, as CSV lines or as JSON
+row arrays joined by ",", exactly as a token-by-token writer would.  A
+column is a float64 array or a categorical pair (codes, tokens) whose
+tokens are encoded once.  Floats are written in two steps.
 
 Digits.  The correctly rounded 17 significant digits N (an int64 in
 [1e16, 1e17)) and the decimal exponent e10 of |v| come from the
@@ -231,40 +231,49 @@ def _token_slots(tokens: list[bytes], sep: np.ndarray) -> np.ndarray:
     return slots
 
 
-def blocks(columns, fmt: str, size: int):
-    """The rows of a table, size rows at a time: CSV lines, or JSON arrays joined by ",".
+def blocks(parts, fmt: str, size: int):
+    """The rows of a table given as consecutive parts, size rows at a time: CSV lines, or JSON arrays joined by ",".
 
-    A column is a float64 array, or a pair (codes, tokens): an int array of
-    indices into a list of encoded tokens holding no NUL byte.  All columns
-    have the same length.
+    A part is a list of columns of one length.  A column is a float64
+    array, or a pair (codes, tokens): an int array of indices into a list
+    of encoded tokens holding no NUL byte.  The first part fixes the
+    separators, each column's kind and the token tables: a later part has
+    columns of the same kinds, and its categorical columns index the first
+    part's tokens.  A block never spans two parts.
     """
     json = fmt == "json"
-    seps = _separators(len(columns), json)
-    floats = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
-    tables = {j: _token_slots(c[1], seps[j]) for j, c in enumerate(columns) if isinstance(c, tuple)}
-    start = np.cumsum([0] + [tables[j].shape[1] if j in tables else _WIDTH // 8 for j in range(len(columns))])
-    length = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
-    # One buffer serves every block, and each block writes every word of
-    # its rows.  Word 0 is a pad whose last byte opens the first JSON row.
-    buffer = np.zeros(1 + min(size, length) * start[-1], np.uint64)
-    buffer.view(np.uint8)[7] = ord("[") if json else 0
-    for k in range(0, length, size):
-        rows = min(size, length - k)
-        out = buffer[: 1 + rows * start[-1]]
-        body = out[1:].reshape(rows, start[-1])
-        if floats:
-            v = np.column_stack([columns[j][k : k + rows] for j in floats])
-            if len(floats) == len(columns):  # the slots fill the rows
-                _number_slots(v, seps, body.reshape(v.size, -1), json)
-            else:
-                slots = np.empty((v.size, _WIDTH // 8), np.uint64)
-                _number_slots(v, seps[floats], slots, json)
-                slots = slots.reshape(rows, len(floats), -1)
-                for i, j in enumerate(floats):
-                    body[:, start[j] : start[j + 1]] = slots[:, i]
-        for j, table in tables.items():
-            body[:, start[j] : start[j + 1]] = table[columns[j][0][k : k + rows]]
-        text = out.view(np.uint8)
-        if json:
-            text[-2:] = 0  # rows are joined, not terminated, by ","
-        yield text.tobytes().translate(None, b"\0")
+    seps = None
+    # One buffer, grown to the largest block, serves every block of every
+    # part, and each block writes every word of its rows.  Word 0 is a pad
+    # whose last byte opens the first JSON row.
+    buffer = np.zeros(0, np.uint64)
+    for columns in parts:
+        if seps is None:
+            seps = _separators(len(columns), json)
+            floats = [j for j, c in enumerate(columns) if not isinstance(c, tuple)]
+            tables = {j: _token_slots(c[1], seps[j]) for j, c in enumerate(columns) if isinstance(c, tuple)}
+            start = np.cumsum([0] + [tables[j].shape[1] if j in tables else _WIDTH // 8 for j in range(len(columns))])
+        length = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+        if buffer.size < 1 + min(size, length) * start[-1]:
+            buffer = np.zeros(1 + min(size, length) * start[-1], np.uint64)
+            buffer.view(np.uint8)[7] = ord("[") if json else 0
+        for k in range(0, length, size):
+            rows = min(size, length - k)
+            out = buffer[: 1 + rows * start[-1]]
+            body = out[1:].reshape(rows, start[-1])
+            if floats:
+                v = np.column_stack([columns[j][k : k + rows] for j in floats])
+                if len(floats) == len(columns):  # the slots fill the rows
+                    _number_slots(v, seps, body.reshape(v.size, -1), json)
+                else:
+                    slots = np.empty((v.size, _WIDTH // 8), np.uint64)
+                    _number_slots(v, seps[floats], slots, json)
+                    slots = slots.reshape(rows, len(floats), -1)
+                    for i, j in enumerate(floats):
+                        body[:, start[j] : start[j + 1]] = slots[:, i]
+            for j, table in tables.items():
+                body[:, start[j] : start[j + 1]] = table[columns[j][0][k : k + rows]]
+            text = out.view(np.uint8)
+            if json:
+                text[-2:] = 0  # rows are joined, not terminated, by ","
+            yield text.tobytes().translate(None, b"\0")

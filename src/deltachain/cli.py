@@ -17,8 +17,11 @@ format(v, ".17g") writes, and a categorical value's slot is copied from its
 token table.  Only values within 1e-6 of a rounding tie, or with |v| outside
 [1e-280, 1e280], go through Python's format.  Every command formats through
 ``_g17``, so it is imported with the module, and its tables are built at
-set-up.  A command runs to completion before its file is opened, so a
-failed command leaves no file.
+set-up.  A command computes everything that can refuse its input before
+its file is opened; ``wave`` then hands the writer its rows in parts,
+sampled while the file is written, so it never holds its whole table.  A
+run that fails after the file is opened closes and removes it, so a failed
+run leaves no file (a device or FIFO named by --out is left in place).
 
 Each command's parser declares the flags of the RunConfig fields it reads
 (``READS``) and refuses any other flag as an invalid configuration, so
@@ -27,8 +30,11 @@ config holds them for the fields its command does not read.
 """
 
 import argparse
+import itertools
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -51,7 +57,8 @@ from .spectra import (
     _single_cell_germ,
 )
 from .scattering import S_COLUMNS, commuting_deviations, commuting_points, s_matrix_grid
-from .states import _local_kappa, bloch_eigensystem, sample_wavefunction
+from .kernel import _CHUNK
+from .states import _cell_samples, _local_kappa, bloch_eigensystem, cell_coefficients
 from .substitution import Word, fibonacci_word, word_counts
 
 # The RunConfig fields each command reads besides out_path and format.  Its
@@ -236,11 +243,22 @@ def _encoded(column, fmt: str):
     return codes, [_token(v, fmt).encode() for v in values]
 
 
-def _write_output(config: RunConfig, table: dict, comment: str | None = None):
-    """Stream one output file, _BLOCK_ROWS rows at a time; table maps each name to its column (see _encoded)."""
+def _write_output(config: RunConfig, parts, comment: str | None = None):
+    """Stream one output file, _BLOCK_ROWS rows at a time.
+
+    parts is a table, or an iterable of one or more tables whose rows
+    follow one another; a table maps each name to its column (see
+    _encoded).  Every part has the first part's names, and each of its
+    columns encodes as the first part's does: as float64, or as the same
+    categorical values.  A later part may be computed while the file is
+    written.  On any failure after the file is opened, the file is closed
+    and removed, if its descriptor shows a regular file.
+    """
+    parts = iter([parts] if isinstance(parts, dict) else parts)
+    first = next(parts)
     fmt = config.format
     if fmt == "csv":
-        head = (f"# {comment}\n" if comment else "") + ",".join(table) + "\n"
+        head = (f"# {comment}\n" if comment else "") + ",".join(first) + "\n"
         sep, tail = b"", b""
     else:
         cfg_items = [(k, getattr(config, k)) for k in ("command", *_SCAN)]
@@ -248,20 +266,27 @@ def _write_output(config: RunConfig, table: dict, comment: str | None = None):
         if comment:
             cfg_items.append(("note", comment))
         cfg = ",".join(f'"{k}":{_token(v, fmt)}' for k, v in cfg_items)
-        cols = ",".join(_token(c, fmt) for c in table)
+        cols = ",".join(_token(c, fmt) for c in first)
         head = (
             f'{{"command":{_token(config.command, fmt)},"config":{{{cfg}}},'
             f'"columns":[{cols}],"rows":['
         )
         sep, tail = b",", b"]}\n"
-    columns = [_encoded(column, fmt) for column in table.values()]
-    with open(config.out_path, "wb") as fh:
-        fh.write(head.encode())
-        for i, text in enumerate(blocks(columns, fmt, _BLOCK_ROWS)):
-            if i:
-                fh.write(sep)
-            fh.write(text)
-        fh.write(tail)
+    encoded = ([_encoded(column, fmt) for column in part.values()] for part in itertools.chain([first], parts))
+    fh, regular = open(config.out_path, "wb"), False
+    try:
+        with fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a device, FIFO or socket
+            fh.write(head.encode())
+            for i, text in enumerate(blocks(encoded, fmt, _BLOCK_ROWS)):
+                if i:
+                    fh.write(sep)
+                fh.write(text)
+            fh.write(tail)
+    except BaseException:
+        if regular:
+            os.remove(config.out_path)
+        raise
 
 
 _KIND_VALUES = (EdgeKind.X_MINUS_ONE.value, EdgeKind.X_PLUS_ONE.value)
@@ -343,7 +368,19 @@ def _cmd_scatter(config: RunConfig):
     return {"beta": betas, **dict(zip(S_COLUMNS, S))}, None  # one row per beta
 
 
+_WAVE_COLUMNS = ("position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi")
+# Cells per part of a wave file: 8,192 rows of the 64-point grid.
+_WAVE_CELLS = _CHUNK // 64
+
+
+def _wave_part(positions, v, dv):
+    # np.hypot rounds like Python's abs(complex); np.abs can differ in the last bit
+    columns = (positions, v.real, v.imag, dv.real, dv.imag, np.hypot(v.real, v.imag))
+    return dict(zip(_WAVE_COLUMNS, columns))
+
+
 def _cmd_wave(config: RunConfig):
+    """The initial row, then parts of _WAVE_CELLS cells, each sampled as it is written."""
     word = parse_word_spec(config.word_spec)
     beta = config.beta if config.beta is not None else TAU * math.pi
     params = ChainParams(beta, config.gamma, config.q, config.regime)
@@ -357,11 +394,11 @@ def _cmd_wave(config: RunConfig):
         dpsi0 = kappa * (-cm + cp)
     else:
         psi0, dpsi0 = 1.0 + 0j, -kappa  # first-slot plane wave exp(-kappa xi)
-    samples = sample_wavefunction(word, params, (psi0, dpsi0))
-    v, dv = samples.values, samples.derivative_values
-    # np.hypot rounds like Python's abs(complex); np.abs can differ in the last bit
-    columns = (samples.positions, v.real, v.imag, dv.real, dv.imag, np.hypot(v.real, v.imag))
-    return dict(zip(("position", "psi_re", "psi_im", "dpsi_re", "dpsi_im", "abs_psi"), columns)), None
+    # Raises OverflowRisk before the file is opened.
+    coeffs = cell_coefficients(word, params, (psi0, dpsi0))
+    initial = _wave_part(np.zeros(1), np.array([complex(psi0)]), np.array([complex(dpsi0)]))
+    parts = itertools.starmap(_wave_part, _cell_samples(word, params, coeffs, _WAVE_CELLS))
+    return itertools.chain([initial], parts), None
 
 
 def _cmd_dos(config: RunConfig):
@@ -418,8 +455,8 @@ _DISPATCH = {
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
-        table, comment = _DISPATCH[config.command](config)
-        _write_output(config, table, comment)
+        parts, comment = _DISPATCH[config.command](config)
+        _write_output(config, parts, comment)
     except (ChainError, OSError, MemoryError) as err:  # OSError: the output path cannot be written
         kind = MemoryError if isinstance(err, MemoryError) else type(err)  # numpy raises a private MemoryError
         token = err.token if isinstance(err, ChainError) else kind.__name__

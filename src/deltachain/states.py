@@ -249,6 +249,38 @@ def cell_coefficients(
     return out
 
 
+def _cell_samples(word: Word, params: ChainParams, coeffs, cells: int, grid_per_cell: int = 64):
+    """(positions, values, derivatives) of consecutive runs of ``cells`` whole cells.
+
+    coeffs are the word's cell_coefficients.  Each cell contributes
+    grid_per_cell samples from its delta (post jump) to its tunnel end; a
+    part holds cells * grid_per_cell of them (the last part fewer), and the
+    parts laid end to end are the samples of sample_wavefunction after its
+    first.  A sample's bytes do not depend on the part it falls in.
+    """
+    coeffs = np.array(coeffs, dtype=complex)
+    kappa = _local_kappa(params)
+    letters = np.array(list(word.letters))
+    ratio = _ratios(word, params.q)
+    # each cell starts where the running left-to-right sum of ratios ends
+    offsets = np.array(list(itertools.accumulate(map(ratio.get, word.letters[:-1]), initial=0.0)))
+    # one exp(-+kappa*xi) grid per letter, broadcast over its cells
+    grids = {ch: np.linspace(0.0, r, grid_per_cell) for ch, r in ratio.items()}
+    for start in range(0, len(letters), cells):
+        part = slice(start, start + cells)
+        here, pairs = letters[part], coeffs[part]
+        shape = (here.size, grid_per_cell)
+        positions = np.empty(shape)
+        values = np.empty(shape, dtype=complex)
+        derivs = np.empty(shape, dtype=complex)
+        for ch, xi in grids.items():
+            at = here == ch
+            cm, cp = pairs[at, 0, None], pairs[at, 1, None]
+            values[at], derivs[at] = _tunnel_samples(cm, cp, kappa, xi)
+            positions[at] = offsets[part][at, None] + xi
+        yield positions.ravel(), values.ravel(), derivs.ravel()
+
+
 def sample_wavefunction(
     word: Word,
     params: ChainParams,
@@ -260,29 +292,16 @@ def sample_wavefunction(
     The first sample carries the initial data just before the first delta;
     every cell then contributes grid_per_cell samples from its delta (post
     jump) to its tunnel end, duplicating interface positions so both
-    one-sided derivatives are available.
+    one-sided derivatives are available.  The cells are sampled as one
+    part of _cell_samples, which the CLI's ``wave`` runs a few cells at a
+    time so that it never holds the whole table.
     """
     if grid_per_cell < 2:
         raise ValueError(f"grid_per_cell must be >= 2, got {grid_per_cell}")
-    coeffs = np.array(cell_coefficients(word, params, initial), dtype=complex)
-    kappa = _local_kappa(params)
-    letters = np.array(list(word.letters))
-    ratio = _ratios(word, params.q)
-    # each cell starts where the running left-to-right sum of ratios ends
-    offsets = np.array(list(itertools.accumulate(map(ratio.get, word.letters[:-1]), initial=0.0)))
-    shape = (len(word.letters), grid_per_cell)
-    positions = np.empty(shape)
-    values = np.empty(shape, dtype=complex)
-    derivs = np.empty(shape, dtype=complex)
-    for ch, r in ratio.items():
-        cells = letters == ch
-        # one exp(-+kappa*xi) pair per letter, broadcast over its cells
-        xi = np.linspace(0.0, r, grid_per_cell)
-        cm, cp = coeffs[cells, 0, None], coeffs[cells, 1, None]
-        values[cells], derivs[cells] = _tunnel_samples(cm, cp, kappa, xi)
-        positions[cells] = offsets[cells, None] + xi
+    coeffs = cell_coefficients(word, params, initial)
+    positions, values, derivs = next(_cell_samples(word, params, coeffs, len(word.letters), grid_per_cell))
     return WaveSamples(
-        positions=np.concatenate(([0.0], positions.ravel())),
-        values=np.concatenate(([complex(initial[0])], values.ravel())),
-        derivative_values=np.concatenate(([complex(initial[1])], derivs.ravel())),
+        positions=np.concatenate(([0.0], positions)),
+        values=np.concatenate(([complex(initial[0])], values)),
+        derivative_values=np.concatenate(([complex(initial[1])], derivs)),
     )

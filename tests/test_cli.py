@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltachain import cli, kernel, spectra
+from deltachain import cli, kernel, spectra, states
 from deltachain._g17 import _digits, blocks
 from deltachain.cli import (
     COMMANDS,
@@ -32,7 +35,7 @@ from deltachain.cli import (
     run,
 )
 from deltachain.core import TAU, ChainParams, Regime
-from deltachain.errors import ParseError
+from deltachain.errors import OverflowRisk, ParseError
 from deltachain.scattering import S_COLUMNS, s_matrix
 from deltachain.substitution import fibonacci_word
 
@@ -200,6 +203,26 @@ def test_column_writer_matches_the_row_renderer(n, fmt, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_in_parts_writes_the_bytes_of_the_whole(fmt, tmp_path):
+    # Parts of 0, 1, 1,499 and 556 rows: the buffer grows after the first
+    # rows, and blocks end at part ends.  Every column kind but the ints
+    # past 2**53, whose categorical values differ from part to part.
+    n = 2 * _BLOCK_ROWS + 7
+    table, _ = _mixed_table(np.random.default_rng(9), n)
+    del table["near"], table["wide"]
+    cuts = (0, 0, 1, 1500, n)
+
+    def rows(column, lo, hi):
+        return (column[0][lo:hi], column[1]) if isinstance(column, tuple) else column[lo:hi]
+
+    parts = [{name: rows(c, lo, hi) for name, c in table.items()} for lo, hi in zip(cuts, cuts[1:])]
+    whole, split = tmp_path / f"whole.{fmt}", tmp_path / f"split.{fmt}"
+    _write_output(RunConfig(command="bands", out_path=str(whole), format=fmt), table)
+    _write_output(RunConfig(command="bands", out_path=str(split), format=fmt), parts)
+    _assert_same_text(split.read_text(), whole.read_text())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv, header",
     [
@@ -264,7 +287,7 @@ def test_block_text_matches_python_format():
     ])
     assert np.isfinite(values).all()
     want = "".join(format(v, ".17g") + "\n" for v in values.tolist())
-    got = b"".join(blocks([values], "csv", values.size)).decode()
+    got = b"".join(blocks([[values]], "csv", values.size)).decode()
     if got != want:
         bad = next(i for i, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
         pytest.fail(f"{values[bad]!r}: {got.split()[bad]} != {want.split()[bad]}")
@@ -849,6 +872,77 @@ def test_unwritable_out_exits_1_with_token_and_no_file(out, token, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith(token) and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _first_block_then(err, resumed):
+    """A _g17.blocks that yields the first block of a file, then raises err."""
+
+    def failing(parts, fmt, size):
+        yield next(blocks(parts, fmt, size))
+        resumed.append(True)  # the first block was written
+        raise err
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "err, token",
+    [(OSError(errno.ENOSPC, "No space left on device"), "OSError: [Errno 28] "), (MemoryError(), "MemoryError: ")],
+    ids=["enospc", "memory"],
+)
+def test_a_failure_after_the_first_block_leaves_no_file(err, token, tmp_path, capsys, monkeypatch):
+    # Both used to leave a truncated file behind an exit status of 1.
+    resumed = []
+    monkeypatch.setattr(cli, "blocks", _first_block_then(err, resumed))
+    assert main(["scatter", "--steps", "3000", "--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert resumed and captured.err.startswith(token) and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refusal_in_a_later_wave_part_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # W_12's 144 cells make two parts; the second refuses after the initial
+    # row and the first part's 8,192 rows are written.
+    sampled = []
+
+    def refusing(*args):
+        for part in states._cell_samples(*args):
+            sampled.append(part)
+            if len(sampled) == 2:
+                raise OverflowRisk("wavefunction samples are not finite")
+            yield part
+
+    monkeypatch.setattr(cli, "_cell_samples", refusing)
+    assert main(["wave", "--word", "fib:m=12", "--out", str(tmp_path / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert len(sampled) == 2 and captured.err.startswith("OverflowRisk: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_never_removes_what_is_not_a_regular_file(tmp_path, capsys, monkeypatch):
+    # --out may name a device or a FIFO (/dev/null, say), which a failed run
+    # must leave in place; a regular file reported as not regular stands in.
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(cli, "blocks", _first_block_then(OSError(errno.ENOSPC, "No space left on device"), []))
+    monkeypatch.setattr(stat, "S_ISREG", lambda mode: False)
+    assert main(["scatter", "--steps", "3000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("OSError: [Errno 28] ")
+    assert out.read_text().startswith("beta,s_pp_re,")
+
+
+def test_wave_memory_stays_bounded_by_the_part(tmp_path):
+    # W_19: 4,181 cells, 267,585 rows.  Holding the whole table peaked at
+    # 21.8 MB of traced memory; sampling 128 cells at a time while the file
+    # is written peaks at about 2.1 MB.
+    out = tmp_path / "wave.csv"
+    cfg = RunConfig(command="wave", word_spec="fib:m=19", regime=Regime.SCATTERING, out_path=str(out))
+    tracemalloc.start()
+    try:
+        assert run(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 _FLOAT_FLAG_RUNS = {  # one command per float flag; -1e-3 is invalid for q, beta_min, beta_max and beta

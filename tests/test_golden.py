@@ -24,6 +24,12 @@ of mixed float and string columns with missing values.
 FIB_INFO_GOLDEN pins a row of one int, one 46,368-letter token and three
 counts, in both formats.
 
+WAVE_GOLDEN pins ``wave`` files long enough to be written in more than one
+part of 8,192 rows: W_12 in the Scattering regime (9,217 rows) and W_13 in
+the Bound regime from a plane wave (14,913 rows, real kappa, so no field
+is blank), in both formats.  They were recorded from the writer that held
+the whole table.
+
 The JSON entries of BANDS_GOLDEN, ATLAS_GOLDEN and FIB_INFO_GOLDEN were
 recorded from the token-by-token writer that preceded the column writer.
 """
@@ -80,6 +86,13 @@ FIB_INFO_GOLDEN = {
     "--word fib:m=24 --format json": "9467c616c9696778d8b2cb64b86ddaa33496c8ed2889d98cb5ac5752e3d9419a",
 }
 
+WAVE_GOLDEN = {
+    "--word fib:m=12": "efff96725c9275d75e2962f549e475c83bae00d78fc82ccf85ab08c264d675ef",
+    "--word fib:m=12 --format json": "f0cc83ee609bbd815a83c2c76a897e7a2ddc85fa33674cf5e431ed173165b10a",
+    "--word fib:m=13 --regime bound --beta 0.5 --initial plane": "353271fcaf26e688b56b2312c0d79da1cf6741b2b7bee75ab7141543ac613a23",
+    "--word fib:m=13 --regime bound --beta 0.5 --initial plane --format json": "ca2dcadff147e1137c58d03d47190da4bbcd071cef1b9ca64f278af8c1e6f4b3",
+}
+
 
 def test_every_command_has_a_default_digest():
     assert sorted(GOLDEN) == sorted((c, fmt) for c in COMMANDS for fmt in ("csv", "json"))
@@ -123,3 +136,11 @@ def test_fib_info_output_digest(args, tmp_path):
     assert main(["fib-info", *args.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == FIB_INFO_GOLDEN[args], f"fib-info {args} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(WAVE_GOLDEN))
+def test_wave_output_digest(args, tmp_path):
+    out = tmp_path / "wave.out"
+    assert main(["wave", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == WAVE_GOLDEN[args], f"wave {args} output changed"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltachain.core import (
     TAU,
@@ -16,6 +17,7 @@ from deltachain.core import (
 )
 from deltachain.errors import DegenerateCell, OutOfBand
 from deltachain.states import (
+    _cell_samples,
     bloch_eigensystem,
     bloch_wavefunction,
     bound_companion_pair,
@@ -259,3 +261,36 @@ def test_sample_wavefunction_validates_grid():
     p = ChainParams(0.5, 1.0)
     with pytest.raises(ValueError):
         sample_wavefunction(Word("SL"), p, (1.0, 0.0), grid_per_cell=1)
+
+
+_WORDS = st.one_of(
+    st.text(alphabet="SL", min_size=1, max_size=40).map(Word),
+    st.integers(1, 9).map(fibonacci_word),
+)
+_INITIAL = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    word=_WORDS,
+    regime=st.sampled_from(Regime),
+    beta=st.floats(0.1, 3.0),
+    gamma=st.floats(-5.0, 5.0),
+    q=st.floats(1.0, 2.0),
+    initial=st.tuples(_INITIAL, _INITIAL),
+    grid=st.sampled_from([2, 3, 64]),
+    cells=st.sampled_from([1, 7, None]),  # None: one part of every cell
+)
+def test_cell_parts_are_the_whole_samples_bit_for_bit(word, regime, beta, gamma, q, initial, grid, cells):
+    # The CLI's wave samples a few cells at a time; laid end to end, the
+    # parts must hold the bytes sample_wavefunction computes, -0.0 included.
+    params = ChainParams(beta, gamma, q, regime)
+    whole = sample_wavefunction(word, params, initial, grid)
+    size = cells or len(word)
+    coeffs = cell_coefficients(word, params, initial)
+    parts = list(_cell_samples(word, params, coeffs, size, grid))
+    assert [p[0].size for p in parts[:-1]] == [size * grid] * (len(parts) - 1)
+    wants = (whole.positions[1:], whole.values[1:], whole.derivative_values[1:])
+    for got, want in zip(map(np.concatenate, zip(*parts)), wants):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
