@@ -135,6 +135,8 @@ class RunConfig:
             raise ValueError("beta_min must be < beta_max")
         if self.steps < 100:
             raise ValueError("steps must be >= 100")
+        if self.gamma_min > self.gamma_max:
+            raise ValueError("gamma_min must be <= gamma_max")
         if self.gamma_steps < 1:
             raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
         if 8 * max(4 * self.steps + 1, self.gamma_steps) > sys.maxsize:  # float64 bytes of the largest grid

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltachain import cli, kernel, spectra, states
+from deltachain import _g17, cli, kernel, spectra, states
 from deltachain._g17 import _digits, blocks
 from deltachain.cli import (
     COMMANDS,
@@ -291,6 +291,61 @@ def test_block_text_matches_python_format():
     if got != want:
         bad = next(i for i, (a, b) in enumerate(zip(got.split(), want.split())) if a != b)
         pytest.fail(f"{values[bad]!r}: {got.split()[bad]} != {want.split()[bad]}")
+
+
+def _layout_values():
+    """Positive floats at each edge of the float slot.
+
+    Every "." inside fixed notation (after integer digit 1 to 15) with every
+    count of stripped zeros after it: whole + odd / 2**d has exactly d
+    decimals.  Zeros of the integer part, either side of %g's switches at
+    e10 = -4 and 17, and unsure values whose Python text is the longest a
+    slot holds: 23 bytes in fixed notation, 24 in scientific notation.
+    """
+    rng = np.random.default_rng(24)
+    dotted = []
+    for e10 in range(1, 16):
+        for decimals in range(1, 17 - e10):
+            whole = int(rng.integers(10**e10, 2 * 10**e10))
+            odd = 2 * int(rng.integers(0, 2 ** (decimals - 1))) + 1
+            value = float(Fraction(whole) + Fraction(odd, 2**decimals))
+            text = format(value, ".17g")
+            assert text.index(".") == e10 + 1 and len(text) == e10 + 2 + decimals, text
+            dotted.append(value)
+    integers = [10.0, 1200.0, 100000.5, 1e15, 1e15 + 0.5, 2.0**53, 1e16, 12345678901234560.0, 1.5e16]
+    switches = [1e-5, 1.5e-5, 9.999e-5, 1e-4, 1.25e-4, 2.0**54, 1e17, 1.5e17, 123456789012345678.0]
+    unsure = [211 / 2**21, 43 / 2**22, 1.2345678901234567e-300, 1.2345678901234567e300, 5e-324]
+    assert [len(format(-v, ".17g")) for v in unsure] == [23, 23, 24, 24, 24]
+    assert _digits(np.array(unsure[:2]))[2].all()  # exact ties at the 17th digit
+    return np.array(dotted + integers + switches + unsure)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_slots_at_every_edge_of_the_layout(fmt, tmp_path):
+    # Alone, next to a categorical column and as a row's last column, in
+    # both signs, each float is written as format(v, ".17g") writes it.
+    values = _layout_values()
+    values = np.concatenate([values, -values])
+    want = "".join(format(v, ".17g") + "\n" for v in values.tolist())
+    if fmt == "csv":
+        _assert_same_text(b"".join(blocks([[values]], fmt, 64)).decode(), want)
+    codes = np.arange(values.size) % len(MIXED_VALUES)
+    table = {"x": values, "mixed": (codes, MIXED_VALUES), "y": values[::-1].copy()}
+    rows = list(zip(values.tolist(), [MIXED_VALUES[c] for c in codes.tolist()], values[::-1].tolist()))
+    out = tmp_path / f"edges.{fmt}"
+    _write_output(RunConfig(command="bands", out_path=str(out), format=fmt), table)
+    text = out.read_text()
+    if fmt == "csv":
+        _assert_same_text(text, "x,mixed,y\n" + _row_text(rows, fmt))
+    else:
+        head = text[: text.index('"rows":[') + len('"rows":[')]
+        _assert_same_text(text, head + _row_text(rows, fmt) + "]}\n")
+
+
+def test_the_writer_tables_stay_small():
+    # Every process that imports the CLI holds them, so they count in the
+    # peak memory of every command.
+    assert sum(t.nbytes for t in vars(_g17).values() if isinstance(t, np.ndarray)) <= 128 * 1024
 
 
 def test_bound_command_csv(tmp_path):
@@ -570,6 +625,15 @@ def test_atlas_rejects_fewer_than_one_gamma(gamma_steps, tmp_path, capsys):
     assert main(["atlas", "--gamma-steps", gamma_steps, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("InvalidConfig: gamma_steps must be >= 1")
     assert not out.exists()
+
+
+def test_atlas_rejects_a_reversed_gamma_window(tmp_path, capsys):
+    # As every beta window refuses lo >= hi; gamma_min = gamma_max is one gamma.
+    out = tmp_path / "x.csv"
+    assert main(["atlas", "--gamma-min", "2", "--gamma-max", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("InvalidConfig: gamma_min must be <= gamma_max")
+    assert not out.exists()
+    RunConfig(command="atlas", gamma_min=1.0, gamma_max=1.0)
 
 
 def test_non_finite_gamma_exits_2_without_traceback(tmp_path):
