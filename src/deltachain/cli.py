@@ -50,7 +50,6 @@ from .spectra import (
     DEFAULT_GRID_STEPS,
     EdgeKind,
     _germ_rows,
-    band_germs,
     bound_states,
     dos_estimate,
     _binding_terms,
@@ -294,24 +293,21 @@ def _write_output(config: RunConfig, parts, comment: str | None = None):
 _KIND_VALUES = (EdgeKind.X_MINUS_ONE.value, EdgeKind.X_PLUS_ONE.value)
 
 
-def _edge_kinds(kinds):
-    """A categorical column of EdgeKinds."""
-    return np.array([k is EdgeKind.X_PLUS_ONE for k in kinds], np.intp), _KIND_VALUES
-
-
 def _cmd_bands(config: RunConfig):
+    """band_germs' germs, written from _germ_rows' edge table as atlas writes it: low edges at even positions."""
     word = parse_word_spec(config.word_spec)
-    germs = band_germs(
-        word, config.gamma, config.q, (config.beta_min, config.beta_max), config.steps,
-        regime=config.regime,
-    )
+    beta_range = (config.beta_min, config.beta_max)
+    (_, bound, plus, _), refused = _germ_rows(word, [config.gamma], config.q, beta_range, config.steps, config.regime)
+    if refused:
+        raise refused[0]
+    kinds = plus.astype(np.intp)
     table = {
-        **_run_columns(word, config, len(germs)),
-        "germ_index": np.arange(len(germs)),
-        "beta_lo": np.array([g.beta_lo for g in germs], np.float64),
-        "beta_hi": np.array([g.beta_hi for g in germs], np.float64),
-        "edge_kind_lo": _edge_kinds(g.edge_kind_lo for g in germs),
-        "edge_kind_hi": _edge_kinds(g.edge_kind_hi for g in germs),
+        **_run_columns(word, config, bound.size // 2),
+        "germ_index": np.arange(bound.size // 2),
+        "beta_lo": bound[0::2],
+        "beta_hi": bound[1::2],
+        "edge_kind_lo": (kinds[0::2], _KIND_VALUES),
+        "edge_kind_hi": (kinds[1::2], _KIND_VALUES),
     }
     return table, None
 

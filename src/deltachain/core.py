@@ -196,9 +196,13 @@ def _real_cell(delta, c, s):
 
 
 def _from_real(A, B, C, D):
-    """(a, b, c, d) of T^-1 [[A, B], [C, D]] T (_real_cell) as (re, im) pairs; d = conj(a), c = conj(b) exactly."""
-    re_a, im_a, re_b, im_b = 0.5 * (A + D), 0.5 * (C - B), 0.5 * (A - D), 0.5 * (B + C)
-    return (re_a, im_a), (re_b, im_b), (re_b, -im_b), (re_a, -im_a)
+    """(a, b, c, d) of T^-1 [[A, B], [C, D]] T (_real_cell) as complex128; d = conj(a), c = conj(b) exactly.
+
+    Floats give 0-d arrays.  The parts are set, not summed, so a zero keeps its sign.
+    """
+    a, b = np.empty(np.shape(A), complex), np.empty(np.shape(A), complex)
+    a.real, a.imag, b.real, b.imag = 0.5 * (A + D), 0.5 * (C - B), 0.5 * (A - D), 0.5 * (B + C)
+    return a, b, b.conj(), a.conj()
 
 
 def compose(A: TransferMatrix, B: TransferMatrix) -> TransferMatrix:

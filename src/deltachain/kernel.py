@@ -3,11 +3,12 @@
 Cell and word matrix entries over a vector of betas, in _CHUNK-point
 chunks.  _chunks tables the gamma-free terms of each letter's cell once per
 chunk (_cell_table) and a gamma step makes the entries from a table
-(_cell_entries).  _scan makes each chunk's cells once and hands them, not
-the table, to one fill, which reads all it needs from them.  _x_crossings
-alone keeps the tables: it steps a word's at every gamma, or evaluates one
-cell's x only where a screen finds it can cross +-1, and returns only the
-crossings of all gammas, as flat (row, index) arrays.
+(_cell_entries).  _scan, the one dense chunk loop, makes each chunk's cells
+once and hands them, not the table, to one fill, which reads all it needs
+from them.  _x_crossings returns the crossings of +-1 at many gammas as
+flat (row, index) arrays: a word's x comes from one _word_scan per gamma,
+and one cell keeps its tables (_cell_crossings) to evaluate x only where a
+screen finds it can cross.
 One real float64 product (_word_grid) serves both regimes: Bound cells are
 cell_matrix's, with the np.exp that tunnel_matrix also takes, and
 Scattering cells act on (psi, psi'/beta) (core._real_cell), where strong
@@ -135,28 +136,24 @@ def _crosses(x0, x1, t: float):
     return ((x1 > t) & (x0 < t)) | ((x1 < t) & (x0 > t))
 
 
-@_finite
 def _x_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
     """Flat (row, index): x crosses +-1 between betas index and index + 1 at gammas[row].
 
     The pairs come unordered, one per crossing of +1 and one per crossing
-    of -1.  Chunks share a seam point, so a crossing there is found once.
-    One cell is screened (_cell_crossings); a longer word, whose x is a
-    polynomial in gamma, is scanned chunk-outer, gamma-inner, each chunk
-    tabled once per letter and stepped at every gamma.  Each x tested is
-    _word_scan's.
+    of -1.  One cell is screened (_cell_crossings); a longer word is scanned
+    (_word_scan) once per gamma, so each x tested is _word_scan's.
     """
     if len(word.letters) == 1:
         return _cell_crossings(word, gammas, q, betas, regime)
     hits = []
-    for start, part, tables in _chunks(word, q, betas, regime, seam=1):
-        for i, gamma in enumerate(gammas):
-            x = _word_value(word, _cells(gamma, betas[part], regime, tables), "x")
-            index = start + np.concatenate([np.flatnonzero(_crosses(x[:-1], x[1:], t)) for t in (1.0, -1.0)])
-            hits.append((np.full(index.size, i), index))
+    for i, gamma in enumerate(gammas):
+        x = _word_scan(word, gamma, q, betas, regime, "x")
+        index = np.concatenate([np.flatnonzero(_crosses(x[:-1], x[1:], t)) for t in (1.0, -1.0)])
+        hits.append((np.full(index.size, i), index))
     return tuple(np.concatenate(v) for v in zip(*hits))
 
 
+@_finite
 def _cell_crossings(word: Word, gammas: list, q: float, betas: np.ndarray, regime: Regime):
     """_x_crossings' (row, index) for one cell, with x evaluated only where it can cross +-1.
 

@@ -13,15 +13,11 @@ In the scattering regime |d| = |a| = sqrt(1 + |b|^2) >= 1, so the
 ResonancePole guard is defensive; poles live on the Bound-regime axis where
 d(beta) = 0, which is exactly the bound-state condition.
 
-s_matrix_grid evaluates these forms over a whole beta grid, and s_matrix is
-its one-point case.  M is the kernel's real product on (psi, psi'/beta) in
-the exponential basis (core._from_real: d = conj(a), c = conj(b) exactly).
-The forms take (re, im) pairs of float64 arrays with CPython's complex
-formulas: the product as ar*br - ai*bi, ar*bi + ai*br, the quotient by
-Smith's method with both branches chosen elementwise, exp(-i t) as (cos t,
--sin t) and abs as hypot.  numpy's complex multiply and divide round
-differently in the last bit, so this arithmetic makes every value equal the
-scalar route (word_matrix, then the forms in Python complex) bit for bit.
+s_matrix_grid evaluates these forms over a whole beta grid in numpy's
+complex128 arithmetic, and s_matrix is its one-point case.  M is the
+kernel's real product on (psi, psi'/beta), taken to the exponential basis
+by core._from_real (d = conj(a), c = conj(b) exactly).  The abs columns are
+hypot of the parts, as Python's abs rounds a complex.
 """
 
 import math
@@ -44,27 +40,6 @@ from .errors import ResonancePole
 from .kernel import _scan, _word_grid, _word_scan
 from .spectra import DEFAULT_BETA_RANGE, DEFAULT_GRID_STEPS, _check_scan_inputs, bound_states
 from .substitution import Word, fibonacci_number, fibonacci_word, word_matrix
-
-
-def _pair_mul(z, w):
-    """Product of two (re, im) float64 pairs, rounded as CPython's complex product."""
-    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-
-def _pair_quot(z, w):
-    """Quotient z / w of (re, im) pairs by Smith's method, as CPython divides.
-
-    CPython's complex division scales by w's real part when |re w| >= |im w|
-    and by its imaginary part otherwise; both branches are taken elementwise
-    and chosen with np.where, with the operands in CPython's order.
-    """
-    m = np.abs(w[0]) >= np.abs(w[1])
-    num, den = np.where(m, w[1], w[0]), np.where(m, w[0], w[1])
-    ratio = num / den
-    den = den + num * ratio
-    x, y = np.where(m, z[0], z[1]), np.where(m, z[1], z[0])
-    xr = x * ratio
-    return (x + y * ratio) / den, np.where(m, y - xr, xr - y) / den
 
 
 @dataclass(frozen=True)
@@ -133,16 +108,14 @@ def s_matrix_grid(word: Word, gamma: float, q: float, betas) -> np.ndarray:
 
     def fill(beta: np.ndarray, cells: dict) -> tuple:
         _, b, c, d = _from_real(*_word_grid(word, cells))
-        abs_d = np.hypot(*d)
+        abs_d = np.abs(d)
         low = np.flatnonzero(abs_d < 1e-12)
         if low.size:
             raise ResonancePole(f"|d| = {abs_d[low[0]]:.3g} below threshold")
-        t = beta * h
-        ph = (np.cos(t), -np.sin(t))  # cmath.exp(-1j * beta * h)
-        s_pp = _pair_quot(ph, d)
-        s_pm = _pair_quot(_pair_mul(_pair_mul(b, ph), ph), d)
-        s_mp = _pair_quot((-c[0], -c[1]), d)
-        return (*s_pp, *s_pm, *s_mp, *s_pp, np.hypot(*s_pp), np.hypot(*s_mp))
+        ph = np.exp(-1j * (beta * h))
+        s_pp, s_pm, s_mp = ph / d, b * ph * ph / d, -c / d
+        parts = [v for z in (s_pp, s_pm, s_mp, s_pp) for v in (z.real, z.imag)]
+        return (*parts, np.hypot(*parts[0:2]), np.hypot(*parts[4:6]))
 
     return _scan(word, gamma, q, betas, Regime.SCATTERING, fill, rows=(len(S_COLUMNS),))
 

@@ -117,9 +117,8 @@ def bloch_eigensystem(M: TransferMatrix, params: ChainParams) -> BlochEigensyste
     )
 
 
-def _tunnel_samples(cm, cp, kappa, xi, scale=1.0):
-    em = np.exp(-kappa * xi)
-    ep = np.exp(kappa * xi)
+def _tunnel_samples(cm, cp, kappa, em, ep, scale=1.0):
+    """psi and psi' of cm*em + cp*ep, with em, ep = exp(-+kappa*xi), times scale."""
     values = scale * (cm * em + cp * ep)
     derivs = scale * kappa * (-cm * em + cp * ep)
     return values, derivs
@@ -148,7 +147,7 @@ def bloch_wavefunction(
         cm, cp = cm.conjugate(), cp.conjugate()
     kappa = _local_kappa(params)
     scale = 1.0 / math.sqrt(2.0 * params.beta)
-    values, derivs = _tunnel_samples(cm, cp, kappa, xi, scale)
+    values, derivs = _tunnel_samples(cm, cp, kappa, np.exp(-kappa * xi), np.exp(kappa * xi), scale)
     return WaveSamples(positions=xi, values=values, derivative_values=derivs)
 
 
@@ -208,8 +207,9 @@ def bound_companion_pair(
     cm_psi1 = 1j * (eig.v.conjugate() * cm1 - eig.v * cm1.conjugate())
     cp_psi1 = 1j * (eig.v.conjugate() * cp1 - eig.v * cp1.conjugate())
 
-    v2, d2 = _tunnel_samples(cm_psi2, cp_psi2, kappa, xi, scale)
-    v1, d1 = _tunnel_samples(cm_psi1, cp_psi1, kappa, xi, scale)
+    waves = np.exp(-kappa * xi), np.exp(kappa * xi)
+    v2, d2 = _tunnel_samples(cm_psi2, cp_psi2, kappa, *waves, scale)
+    v1, d1 = _tunnel_samples(cm_psi1, cp_psi1, kappa, *waves, scale)
     psi1 = WaveSamples(positions=xi, values=v1, derivative_values=d1)
     psi2 = WaveSamples(positions=xi, values=v2, derivative_values=d2)
     return psi1, psi2
@@ -260,25 +260,19 @@ def _cell_samples(word: Word, params: ChainParams, coeffs, cells: int, grid_per_
     """
     coeffs = np.array(coeffs, dtype=complex)
     kappa = _local_kappa(params)
-    letters = np.array(list(word.letters))
     ratio = _ratios(word, params.q)
     # each cell starts where the running left-to-right sum of ratios ends
     offsets = np.array(list(itertools.accumulate(map(ratio.get, word.letters[:-1]), initial=0.0)))
-    # one exp(-+kappa*xi) grid per letter, broadcast over its cells
-    grids = {ch: np.linspace(0.0, r, grid_per_cell) for ch, r in ratio.items()}
-    for start in range(0, len(letters), cells):
+    # one row of xi and of exp(-+kappa*xi) per letter, gathered by each cell's letter code
+    names = sorted(ratio)
+    codes = np.searchsorted(names, np.array(list(word.letters)))
+    xi = np.array([np.linspace(0.0, ratio[ch], grid_per_cell) for ch in names])
+    em, ep = np.exp(-kappa * xi), np.exp(kappa * xi)
+    for start in range(0, codes.size, cells):
         part = slice(start, start + cells)
-        here, pairs = letters[part], coeffs[part]
-        shape = (here.size, grid_per_cell)
-        positions = np.empty(shape)
-        values = np.empty(shape, dtype=complex)
-        derivs = np.empty(shape, dtype=complex)
-        for ch, xi in grids.items():
-            at = here == ch
-            cm, cp = pairs[at, 0, None], pairs[at, 1, None]
-            values[at], derivs[at] = _tunnel_samples(cm, cp, kappa, xi)
-            positions[at] = offsets[part][at, None] + xi
-        yield positions.ravel(), values.ravel(), derivs.ravel()
+        rows = codes[part]
+        values, derivs = _tunnel_samples(coeffs[part, 0, None], coeffs[part, 1, None], kappa, em[rows], ep[rows])
+        yield (offsets[part, None] + xi[rows]).ravel(), values.ravel(), derivs.ravel()
 
 
 def sample_wavefunction(

@@ -123,7 +123,7 @@ def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
         A, B, C, D = cells[word.letters[0]]
         for a, b, c, d in (cells[ch] for ch in word.letters[1:]):
             A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-        return _finite_matrix(TransferMatrix(*(complex(*z) for z in _from_real(A, B, C, D))))
+        return _finite_matrix(TransferMatrix(*map(complex, _from_real(A, B, C, D))))
     cell = {
         CellKind.S: cell_matrix(params, CellKind.S),
         CellKind.L: cell_matrix(params, CellKind.L),

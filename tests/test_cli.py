@@ -702,6 +702,16 @@ def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("OutOfBand: expected one single-cell germ, found 0")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="_sturm's Dirichlet carry cancels to 0/0")
+def test_dos_at_strong_coupling_reports_no_germ(tmp_path, capsys):
+    # The single cell's germ lies near gamma/2, out of range, but the edge
+    # count refuses first with a false OverflowRisk (see
+    # test_strong_single_cell_has_no_germ_in_range).
+    code = main(["dos", "--gamma", "1e15", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("OutOfBand: expected one single-cell germ, found 0")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scatter_rows_are_the_scalar_s_matrix(fmt, tmp_path):
     # The whole-grid evaluation writes, row for row, the tokens of the

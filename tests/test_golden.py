@@ -47,8 +47,8 @@ GOLDEN = {
     ("bound", "json"): "990ed2618f40721f5cd5a6338a7a1829f26d693f8d7ba74e69a0de0ec9047e09",
     ("atlas", "csv"): "bdd6f087eccd9b1e624367c826fb56e3cf8f6246f211936654156537b2c91c4e",
     ("atlas", "json"): "3edaa26a3d913ee6cd40380bcecbb1fe38e7383bc6de69c70d8e968c93c73287",
-    ("scatter", "csv"): "b623a33d5baced0196a51b229a39ca46e1bf92e00e02db6eb09a41c89e1d2640",
-    ("scatter", "json"): "b61003838bff9471d343a94b6a8a9ad4ff5059b5cd942d13a0c5e17c8c5a3280",
+    ("scatter", "csv"): "5eedadd894989345a22a9d9b4c5f9382350c57aa066e8d2fe68f4c5bb7963cae",
+    ("scatter", "json"): "1d9c0a1270f8d73a9852ee045ff2be78ce483fa046b25c17d9a0c0c0ec1fbf84",
     ("wave", "csv"): "c9138960c899767acbb0145bc54acb28c3722f7da3cac8bd4aa7515f0dba3d02",
     ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
     ("dos", "csv"): "3dd9e961cdb8c19839cb42684ca44369eeca104bf5b036f67f5093ccda7a0002",

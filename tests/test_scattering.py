@@ -227,33 +227,27 @@ def scalar_s_columns(word, gamma, q, beta):
     ]
 
 
-# t = pi/4 + k*pi/2 is where |cos t| = |sin t|, so Smith's quotient by a
-# phase exp(-i t) (d of a free cell) switches branch; the grid takes each flip
-# point and both float neighbours, for the S tunnel (t = beta) and the L
+# t = pi/4 + k*pi/2 is where |cos t| = |sin t|, where a quotient by a phase
+# exp(-i t) (d of a free cell) may switch how it scales; the grid takes each
+# such point and both float neighbours, for the S tunnel (t = beta) and the L
 # tunnel (t = q*beta).
 _S_FLIPS = np.pi / 4 + np.arange(12) * np.pi / 2
 _FLIPS = np.concatenate([_S_FLIPS, _S_FLIPS / TAU])
 _NEAR_FLIPS = np.concatenate([np.nextafter(_FLIPS, 0.0), _FLIPS, np.nextafter(_FLIPS, 99.0)])
 
 
-def test_flip_neighbours_take_opposite_smith_branches():
-    def branch(t):
-        return np.abs(np.cos(t)) >= np.abs(np.sin(t))
-
-    assert (branch(np.nextafter(_S_FLIPS, 0.0)) != branch(np.nextafter(_S_FLIPS, 99.0))).all()
-
-
-@pytest.mark.parametrize("gamma", [0.7, 3.0, -2.0, 4.0, 0.0, -0.0])
-def test_s_matrix_grid_is_bitwise_the_scalar_route(gamma):
-    # Pair arithmetic must reproduce Python complex arithmetic exactly: all
-    # four entries and both abs columns, signs of zeros included.
-    for word, points in ((Word("S"), 1500), (Word("SLL"), 1500), (fibonacci_word(6), 800),
-                         (fibonacci_word(12), 200)):
+@pytest.mark.parametrize("gamma", [0.7, 3.0, -2.0, 4.0, 0.0, -0.0, 1e3])
+def test_s_matrix_grid_is_the_scalar_route_within_4_eps(gamma):
+    # numpy's complex product and quotient round differently from Python's in
+    # the last bit, so every value, both abs columns included, lies within
+    # 4 eps of the scalar route.  W_12 overflows at gamma = 1e3.
+    words = ((Word("S"), 1500), (Word("SLL"), 1500), (fibonacci_word(6), 800), (fibonacci_word(12), 200))
+    for word, points in words[:3] if gamma == 1e3 else words:
         betas = np.concatenate([np.linspace(0.05, 12.0, points), _NEAR_FLIPS])
         got = s_matrix_grid(word, gamma, TAU, betas)
         want = np.array([scalar_s_columns(word, gamma, TAU, b) for b in betas.tolist()]).T
         assert got.shape == (len(S_COLUMNS), betas.size)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (str(word), gamma)
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps, (str(word), gamma)
 
 
 def test_s_matrix_is_the_one_point_grid():
@@ -287,10 +281,9 @@ def _inject_pole(monkeypatch, beta0):
         return real_cells(gamma, betas, regime, tables)
 
     def from_real(*entries):
-        a, b, c, (dr, di) = real_from_real(*entries)
+        a, b, c, d = real_from_real(*entries)
         k = np.cumsum(chunk[0] >= beta0)
-        hit = k > 0
-        return a, b, c, (np.where(hit, 3e-13 * k, dr), np.where(hit, 4e-13 * k, di))
+        return a, b, c, np.where(k > 0, (3e-13 + 4e-13j) * k, d)
 
     monkeypatch.setattr(kernel, "_cells", cells)
     monkeypatch.setattr(scattering, "_from_real", from_real)

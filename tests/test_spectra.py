@@ -438,7 +438,7 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
                 want = M.entries()
             else:  # the kernel's product order on object arrays of Python floats
                 want = _word_grid(word, cells)
-                M = TransferMatrix(*(np.array(list(map(complex, *z)), dtype=object) for z in _from_real(*want)))
+                M = TransferMatrix(*(np.array(z.tolist(), dtype=object) for z in _from_real(*want)))
             for k in range(0, betas.size, 1024):  # it is word_matrix's, repr for repr
                 scalar = word_matrix(word, points[k]).entries()
                 assert list(map(repr, scalar)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
@@ -454,10 +454,10 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("letters", ["S", "L", "SLS"])
 def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
-    # The chunk-outer, gamma-inner scan finds each gamma's crossings of
-    # x = +-1 where a per-gamma scan does.  The grid spans three chunks, and
-    # the first gamma's first germ edge falls between samples _CHUNK - 1 and
-    # _CHUNK, on the shared seam point.
+    # The batched crossing scan, screened for one cell, finds each gamma's
+    # crossings of x = +-1 where a per-gamma scan does.  The grid spans three
+    # chunks, and the first gamma's first germ edge falls between samples
+    # _CHUNK - 1 and _CHUNK, on the seam point that one-cell chunks share.
     word, gammas = Word(letters), [4.0, 0.0, -2.5, 11.0, -0.0, -6.0]
     edge = band_germs(word, gammas[0], TAU, (0.05, 6.0), 2000, regime)[0].beta_hi
     betas = 0.05 + (edge - 0.05) / (_CHUNK - 0.5) * np.arange(2 * _CHUNK + 777)
@@ -559,6 +559,18 @@ def test_overflowing_scan_raises_token(chunks):
         band_germs(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), chunks * _CHUNK)
     assert _node_count(fibonacci_word(15), 30.0, TAU, np.array([0.05, 0.3])).tolist() == [610, 610]
     assert bound_states(fibonacci_word(15), 30.0, TAU, (0.05, 0.3), chunks * _CHUNK) == []
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowRisk, reason="_sturm's Dirichlet carry cancels to 0/0")
+@pytest.mark.parametrize("gamma", [1e15, 1e16])
+def test_strong_single_cell_has_no_germ_in_range(gamma):
+    # The cell's entries are finite (about 1e16 at beta = 0.05), and its one
+    # germ lies near gamma/2, far above the default range.  Once 1 + delta/2
+    # rounds to delta/2, a == -c and d == -b, so the Dirichlet start
+    # (cm, cp) = (-1, 1) maps to (0, 0) and the edge count's normalization
+    # divides 0 by 0: a false OverflowRisk.  A Bound fold that takes the
+    # delta first would answer [].
+    assert band_germs(Word("S"), gamma, 1.0) == []
 
 
 def _scalar_bisect(fn, lo, hi, flo, tol=ROOT_TOL):
@@ -830,6 +842,31 @@ def test_every_module_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_every_module_level_name_is_read():
+    # A function, class or assigned name that a change leaves behind with no
+    # reader fails here.  A read is a load of the name anywhere in the
+    # package, or an import of it (__init__'s re-exports included); the
+    # module protocol's dunder names are exempt.
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(spectra.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for name, tree in sorted(trees.items()):
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+        unread = sorted(n for n in defined - read if not (n.startswith("__") and n.endswith("__")))
+        assert not unread, (name, unread)
 
 
 def test_energy_gauge_reads_in_band_as_the_edge_count_does():
@@ -1281,9 +1318,10 @@ def test_scattering_products_are_su11_and_match_compose(word, q, gamma, betas):
     betas = np.array(betas)
 
     def fill(beta, cells):
-        return [v for z in _from_real(*_word_grid(word, cells)) for v in z]
+        return _from_real(*_word_grid(word, cells))
 
-    ar, ai, br, bi, cr, ci, dr, di = kernel._scan(word, gamma, q, betas, Regime.SCATTERING, fill, rows=(8,))
+    a, b, c, d = kernel._scan(word, gamma, q, betas, Regime.SCATTERING, fill, rows=(4,), dtype=complex)
+    ar, ai, br, bi, cr, ci, dr, di = (v for z in (a, b, c, d) for v in (z.real, z.imag))
     assert np.array_equal(dr, ar) and np.array_equal(di, -ai)
     assert np.array_equal(cr, br) and np.array_equal(ci, -bi)
     for k, beta in enumerate(betas.tolist()):
