@@ -9,11 +9,13 @@ A deliberate output change updates the digest and says why in CHANGES.md.
 
 BANDS_GOLDEN pins ``bands`` runs whose bytes depend on how band edges are
 bracketed: converged Fibonacci censuses, the Scattering regime (W_12's 245
-germs go through the Sturm fold's Scattering count), a five-letter word, and a power word
-whose gaps close at q = 1.
+germs go through the Sturm fold's Scattering count), a five-letter word, a power word
+whose gaps close at q = 1, and W_15 in the Scattering regime, whose x is
+multiplied in 4-letter blocks with repeats.
 
-BOUND_GOLDEN pins a ``bound`` run with many roots: W_6's 8 roots at
-gamma = 10 go through the node count, its isolation and the d bisection.
+BOUND_GOLDEN pins ``bound`` runs with many roots: W_6's 8 roots at
+gamma = 10 go through the node count, its isolation and the d bisection,
+and W_9's roots at gamma = 10 take their d from a product in 4-letter blocks.
 
 ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
 batched with the others in one band-germ pass per cell and regime.  At
@@ -69,10 +71,12 @@ BANDS_GOLDEN = {
     "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
     "--regime scattering --word fib:m=12 --gamma 4": "ce8a5cb914f9438b70e48e930c8ef45eb075bc9381e3e0b001a6e1ea07699b9e",
     "--regime scattering --word fib:m=12 --gamma 4 --format json": "2562d111eda6ad752c1c8cea4e8cf900bac5968bd5b65df351a9c12e39f815c8",
+    "--regime scattering --word fib:m=15 --gamma 4": "6fe187be59f267e509cde0828a2a98ad79d0f83dd4bc433c4b9d40e88af980c3",
 }
 
 BOUND_GOLDEN = {
     "--word fib:m=6 --gamma 10": "6e46d295560725eead3a34f32911c8f841452fc56dc03d7109206e764d6846af",
+    "--word fib:m=9 --gamma 10": "037cb3228fcb6f0ae9b16c9e75f68cdfca70d1565d63eccaa1cd82354c55c5fb",
 }
 
 ATLAS_GOLDEN = {
