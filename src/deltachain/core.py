@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -205,18 +206,40 @@ def _from_real(A, B, C, D):
     return a, b, b.conj(), a.conj()
 
 
+def _mul(X, Y):
+    """Product of two 2x2 matrices given as (a, b, c, d); floats or arrays alike."""
+    a, b, c, d = X
+    e, f, g, h = Y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def compose(A: TransferMatrix, B: TransferMatrix) -> TransferMatrix:
     """Ordinary matrix product A*B.
 
     Word concatenation maps to same-order composition:
     matrix(WV) = matrix(W) * matrix(V).
     """
-    return TransferMatrix(
-        A.a * B.a + A.b * B.c,
-        A.a * B.b + A.b * B.d,
-        A.c * B.a + A.d * B.c,
-        A.c * B.b + A.d * B.d,
-    )
+    return TransferMatrix(*_mul(A.entries(), B.entries()))
+
+
+# Letters per block of _fold.  A Sturmian word has n + 1 distinct factors of
+# length n, so W_m has at most 5 distinct blocks.
+_BLOCK = 4
+
+
+def _fold(letters: str, cells: dict, mul):
+    """Product of cells[ch] over letters by mul, each distinct _BLOCK-letter block multiplied once.
+
+    Each block is folded letter by letter from its first cell, then the
+    blocks in word order: a word of at most _BLOCK + 1 letters keeps the
+    letter fold's order, and no word takes more than its len(letters) - 1
+    products.  The right factor of every product is one cell or one block,
+    as in the letter fold; a deeper tree multiplies long sub-products, which
+    cancel.
+    """
+    blocks = [letters[i:i + _BLOCK] for i in range(0, len(letters), _BLOCK)]
+    memo = {s: reduce(mul, map(cells.__getitem__, s)) for s in dict.fromkeys(blocks)}
+    return reduce(mul, map(memo.__getitem__, blocks))
 
 
 def power_closed(M: TransferMatrix, n: int) -> TransferMatrix:

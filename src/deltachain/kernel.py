@@ -12,9 +12,10 @@ screen finds it can cross.
 One real float64 product (_word_grid) serves both regimes: Bound cells are
 cell_matrix's, with the np.exp that tunnel_matrix also takes, and
 Scattering cells act on (psi, psi'/beta) (core._real_cell), where strong
-coupling does not cancel.  Each sample equals word_matrix's product at that
-beta bit for bit.  Entries that overflow float64 raise OverflowRisk instead
-of leaving inf or NaN samples behind.
+coupling does not cancel.  Both multiply in core._fold's order, each
+distinct 4-letter block once, so each sample equals word_matrix's product
+at that beta bit for bit.  Entries that overflow float64 raise OverflowRisk
+instead of leaving inf or NaN samples behind.
 
 _scan broadcasts gamma, a scalar or one coupling per point, to the betas;
 the arithmetic is elementwise, so a point's value does not depend on the
@@ -23,7 +24,7 @@ points scanned beside it.
 
 import numpy as np
 
-from .core import CellKind, Regime, _real_cell
+from .core import CellKind, Regime, _fold, _mul, _real_cell
 from .errors import OverflowRisk
 from .substitution import Word
 
@@ -55,18 +56,13 @@ def _cell_entries(gamma, betas: np.ndarray, regime: Regime, table: tuple):
 
 
 def _word_grid(word: Word, cells: dict):
-    """Entries (A, B, C, D) of the product of the word's _cells, in word_matrix's order.
+    """Entries (A, B, C, D) of the product of the word's _cells, in word_matrix's block order (core._fold).
 
     One real product for both regimes' cells, so each value equals
     word_matrix's product bit for bit (in the Scattering regime, its real
-    product before the basis change).  It starts from the first cell, not
-    from the identity: for finite entries 1*a + 0*c == a, and the cell's
-    zero entries already carry the sign that the identity product gives.
+    product before the basis change).
     """
-    A, B, C, D = cells[word.letters[0]]
-    for a2, b2, c2, d2 in (cells[ch] for ch in word.letters[1:]):
-        A, B, C, D = A * a2 + B * c2, A * b2 + B * d2, C * a2 + D * c2, C * b2 + D * d2
-    return A, B, C, D
+    return _fold(word.letters, cells, _mul)
 
 
 def _cells(gamma, betas: np.ndarray, regime: Regime, tables: dict) -> dict:

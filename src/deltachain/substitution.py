@@ -1,18 +1,19 @@
 """Fibonacci words over {S, L} and the two independent routes to string matrices.
 
-Route one multiplies cell matrices letter by letter (:func:`word_matrix`);
-route two runs the matrix-valued recursion
-``M_{m+1} = tr(M_m) M_{m-1} - adj(M_{m-2})`` together with the standalone
-scalar trace map (:func:`trace_map_sequence`).  The two routes are kept
-deliberately separate so each can serve as the other's oracle.
+Route one multiplies cell matrices in word order, each distinct 4-letter
+block once (:func:`word_matrix`, ``core._fold``); route two runs the
+matrix-valued recursion ``M_{m+1} = tr(M_m) M_{m-1} - adj(M_{m-2})``
+together with the standalone scalar trace map (:func:`trace_map_sequence`).
+The two routes are kept deliberately separate so each can serve as the
+other's oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, _from_real, _real_cell,
-                   cell_matrix, compose)
+from .core import (EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, _fold, _from_real, _mul,
+                   _real_cell, cell_matrix, compose)
 from .errors import OrderTooLarge, OverflowRisk, TraceMapMismatch
 
 # f_24 = 46368 letters; deeper words are refused rather than built.
@@ -115,23 +116,13 @@ def guard_exponent(word: Word, beta: float, q: float, regime: Regime) -> None:
 
 
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
-    """Product of cell matrices in word order (leftmost letter leftmost); OverflowRisk if it overflows."""
+    """Product of cell matrices in word order (leftmost letter leftmost), by core._fold; OverflowRisk if it overflows."""
     guard_exponent(word, params.beta, params.q, params.regime)
     if params.regime is Regime.SCATTERING:  # the kernel's real cells and product, in Python floats
         t = {ch: params.beta * CellKind(ch).ratio(params.q) for ch in set(word.letters)}
         cells = {ch: _real_cell(params.delta, float(np.cos(v)), float(np.sin(v))) for ch, v in t.items()}
-        A, B, C, D = cells[word.letters[0]]
-        for a, b, c, d in (cells[ch] for ch in word.letters[1:]):
-            A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-        return _finite_matrix(TransferMatrix(*map(complex, _from_real(A, B, C, D))))
-    cell = {
-        CellKind.S: cell_matrix(params, CellKind.S),
-        CellKind.L: cell_matrix(params, CellKind.L),
-    }
-    M = TransferMatrix.identity()
-    for kind in word.kinds():
-        M = compose(M, cell[kind])
-    return _finite_matrix(M)
+        return _finite_matrix(TransferMatrix(*map(complex, _from_real(*_fold(word.letters, cells, _mul)))))
+    return _finite_matrix(_fold(word.letters, {k.value: cell_matrix(params, k) for k in CellKind}, compose))
 
 
 def _row(m: int, M: TransferMatrix) -> RecursionRow:

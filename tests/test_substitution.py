@@ -1,15 +1,16 @@
 """Fibonacci words and the two routes to string matrices.
 
-The letter-by-letter product and the matrix recursion are implemented
+The blocked cell product (core._fold) and the matrix recursion are implemented
 independently; these tests drive each against the other and against
 closed forms that hold in degenerate limits (gamma = 0, q = 1).
 """
 
+import itertools
 import math
 
 import pytest
 
-from deltachain.core import TAU, ChainParams, Regime, cell_matrix, CellKind, compose
+from deltachain.core import TAU, ChainParams, Regime, _fold, cell_matrix, CellKind, compose
 from deltachain.errors import OrderTooLarge, OverflowRisk
 from deltachain.substitution import (
     MAX_ORDER,
@@ -79,6 +80,36 @@ def test_word_matrix_is_left_to_right_product():
     want = compose(compose(S, L), L)
     got = word_matrix(Word("SLL"), p)
     assert got.max_abs_diff(want) == 0.0
+
+
+def test_fold_multiplies_each_distinct_block_once():
+    # W_m has at most 5 distinct 4-letter blocks: W_12 (144 letters) takes
+    # 5*3 + 35 = 50 products, not 143.  Sixteen distinct blocks take the
+    # letter fold's 63, so no word takes more than its N - 1.  With
+    # concatenation as the product, every plan must spell the word back.
+    def count(letters):
+        calls = []
+        got = _fold(letters, {"S": "S", "L": "L"}, lambda u, v: calls.append(1) or u + v)
+        assert got == letters
+        return len(calls)
+
+    every_block = "".join("".join(b) for b in itertools.product("SL", repeat=4))
+    assert len(every_block) == 64
+    assert count(fibonacci_word(12).letters) == 50
+    assert count(fibonacci_word(19).letters) == 1060
+    assert count("S" * 40) == 12
+    assert count(every_block) == 63
+
+
+def test_fold_order_letters_then_blocks():
+    # Up to five letters the plan is the letter fold; past that, 4-letter blocks.
+    def plan(letters):
+        return _fold(letters, {"S": "S", "L": "L"}, lambda u, v: f"({u}{v})")
+
+    assert plan("SLLSL") == "((((SL)L)S)L)"
+    assert plan("L") == "L"
+    assert plan(fibonacci_word(6).letters) == "((((LS)L)S)(((LL)S)L))"
+    assert plan("SLLSLLSLS") == "(((((SL)L)S)(((LL)S)L))S)"
 
 
 def test_word_matrix_overflow_guard():
