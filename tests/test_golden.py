@@ -23,6 +23,9 @@ q = 1 the S and L germs coincide, so the second entry pins the stable
 (gamma, cell, regime) order of the rows.  The JSON entry pins five blocks
 of mixed float and string columns with missing values.
 
+SCATTER_GOLDEN pins the benchmark's ``scatter`` job: the S-matrix of W_12
+over 20,001 betas, in both formats.
+
 FIB_INFO_GOLDEN pins a row of one int, one 46,368-letter token and three
 counts, in both formats.
 
@@ -85,6 +88,11 @@ ATLAS_GOLDEN = {
     "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "9652328fbc2978e01bd7c2507d271ceae20904ad1f6ce59af224603ebd7fb9fc",
 }
 
+SCATTER_GOLDEN = {
+    "--word fib:m=12 --steps 20000 --gamma 4": "646d74269fef9cf88434b4d969b3f6cc4f82784c8d63dabad07614b17d3188ba",
+    "--word fib:m=12 --steps 20000 --gamma 4 --format json": "d8460cb1bf2f5f00fd86dbab4dd0578257f4d46e4f229173e076c9952aee5f26",
+}
+
 FIB_INFO_GOLDEN = {
     "--word fib:m=24": "525aa221229d4e587a4cc20d80705148251611af4a1b4a17cbd06e5409716395",
     "--word fib:m=24 --format json": "9467c616c9696778d8b2cb64b86ddaa33496c8ed2889d98cb5ac5752e3d9419a",
@@ -132,6 +140,14 @@ def test_atlas_output_digest(args, tmp_path):
     assert main(["atlas", *args.split(), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == ATLAS_GOLDEN[args], f"atlas {args} output changed"
+
+
+@pytest.mark.parametrize("args", sorted(SCATTER_GOLDEN))
+def test_scatter_output_digest(args, tmp_path):
+    out = tmp_path / "scatter.out"
+    assert main(["scatter", *args.split(), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SCATTER_GOLDEN[args], f"scatter {args} output changed"
 
 
 @pytest.mark.parametrize("args", sorted(FIB_INFO_GOLDEN))
