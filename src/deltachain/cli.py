@@ -519,6 +519,11 @@ def _is_float(text: str) -> bool:
 
 
 def main(argv=None) -> int:
+    # Free one untouched 1 MB block.  Freeing an mmapped block above the mmap
+    # threshold (128 kB at start) raises it to the block's size and the trim
+    # threshold to twice that (glibc, mallopt(3)), so scan chunks and writer
+    # blocks reuse resident heap pages instead of trimming and refaulting them.
+    np.empty(1 << 17)
     argv = _joined_numbers(sys.argv[1:] if argv is None else argv)
     # A named command needs only its own subparser; --help, --version and an
     # unknown command get the full parser.

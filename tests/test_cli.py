@@ -5,6 +5,8 @@ import dataclasses
 import errno
 import json
 import math
+import os
+import platform
 import re
 import shlex
 import stat
@@ -1017,6 +1019,29 @@ def test_wave_memory_stays_bounded_by_the_part(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+_FAULT_PROBE = """
+import resource, sys
+from deltachain import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap trimming")
+def test_scatter_keeps_its_heap_pages(tmp_path):
+    # W_12 over 20,001 betas: with glibc's start-up thresholds the heap top is
+    # trimmed after each kernel chunk and writer block and faulted back in,
+    # about 7,100 minor faults in all; main's freed 1 MB block keeps it (about
+    # 1,400).
+    argv = ["scatter", "--word", "fib:m=12", "--steps", "20000", "--gamma", "4", "--out", str(tmp_path / "s.csv")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) < 3500
 
 
 _FLOAT_FLAG_RUNS = {  # one command per float flag; -1e-3 is invalid for q, beta_min, beta_max and beta
