@@ -14,7 +14,7 @@ whose gaps close at q = 1, and W_15 in the Scattering regime, whose x is
 multiplied in 4-letter blocks with repeats.
 
 BOUND_GOLDEN pins ``bound`` runs with many roots: W_6's 8 roots at
-gamma = 10 go through the node count, its isolation and the d bisection,
+gamma = 10 go through the node count, its isolation and the refinement of d,
 and W_9's roots at gamma = 10 take their d from a product in 4-letter blocks.
 
 ATLAS_GOLDEN pins the atlas at the benchmark's size: 401 gammas, each
@@ -46,20 +46,20 @@ import pytest
 from deltachain.cli import COMMANDS, main
 
 GOLDEN = {
-    ("bands", "csv"): "34183ebb07e6d0d70028ef09da208438b409d8b2a694f59802023e8e72685fb7",
-    ("bands", "json"): "5e5a59201f977156a5016990fe8f8e011977e3c60a150ed783110e0fa3987a43",
-    ("bound", "csv"): "caefeee7a08ebbcfd3be7fd34fe0aef77607b68e867c172cdfb8617e421d83c4",
-    ("bound", "json"): "990ed2618f40721f5cd5a6338a7a1829f26d693f8d7ba74e69a0de0ec9047e09",
-    ("atlas", "csv"): "bdd6f087eccd9b1e624367c826fb56e3cf8f6246f211936654156537b2c91c4e",
-    ("atlas", "json"): "3edaa26a3d913ee6cd40380bcecbb1fe38e7383bc6de69c70d8e968c93c73287",
+    ("bands", "csv"): "47c945838aa51c281b5a6c0283b6b64ebb30364c6d6f2321fa057663016c5e45",
+    ("bands", "json"): "8e3adc58170e07177861ad36ec32b73191d1597281e57fe0ea63cbdba5d4c9ee",
+    ("bound", "csv"): "484b19d5195ea1127158f14ea822c759641242f2463a33d5e902ff056841f701",
+    ("bound", "json"): "c6374dcf5bdb28b5c80a298267df835045960910c50eaf6d347d26fcf2b78bcf",
+    ("atlas", "csv"): "c4184f900b30638c0565aafa65ff41d193123a9db64ebd5a1c33fa69e4959e18",
+    ("atlas", "json"): "51d2921d4322331ff39c46b342cf39108d5ce8e23287337d68a9affca898ccf1",
     ("scatter", "csv"): "5eedadd894989345a22a9d9b4c5f9382350c57aa066e8d2fe68f4c5bb7963cae",
     ("scatter", "json"): "1d9c0a1270f8d73a9852ee045ff2be78ce483fa046b25c17d9a0c0c0ec1fbf84",
     ("wave", "csv"): "c9138960c899767acbb0145bc54acb28c3722f7da3cac8bd4aa7515f0dba3d02",
     ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
-    ("dos", "csv"): "3dd9e961cdb8c19839cb42684ca44369eeca104bf5b036f67f5093ccda7a0002",
-    ("dos", "json"): "104c37020aff04e500662ba05c192222a78f498d93bc600cf2d9a80ae73227f5",
-    ("binding", "csv"): "6b2f8318f9a7208ed5118f2ccca420ac4eafba33771f5f1e5f43bc1deebc1469",
-    ("binding", "json"): "1594d96c54b8e643b5e92b35cb06ef35d1535f7eb1e3173da246e47abf3ff839",
+    ("dos", "csv"): "31542df3bd9da523fc8c6180de784c3714d49a1888f4415cda88921486acc931",
+    ("dos", "json"): "a1fc695daf27689e9e4b2f7b78fe4b4c0d3d3184b8d72a4fc87dbc3d5da64ab0",
+    ("binding", "csv"): "3b80ba2013cb18a9ac84ebabde51b6f7363f98a44eabe37fbcae5fbd79723c24",
+    ("binding", "json"): "1721ac0f39e5b4b21966f6330090cc924ba95d6b15fd5ef11233ed73e3ce2f57",
     ("fib-info", "csv"): "7bcb068aac3dc4faf4b6de7b019eaeecf5e23d793b96713e0dbf249a903a7c8d",
     ("fib-info", "json"): "237c1d58c04de923215bcf31dd3312e9cf9777d07e9fdc9dc0101566453cd9d7",
     ("commute", "csv"): "60a2d7270521b80a0a04a748a5c9f740ba3513e7d686adf7c7db657b01dc5801",
@@ -67,25 +67,25 @@ GOLDEN = {
 }
 
 BANDS_GOLDEN = {
-    "--word fib:m=5 --gamma 10 --steps 32000": "78c97c36e03a0a614fead257d35573a13a8a67d9cee951c7b4ae0fd29af783b7",
-    "--regime scattering --word fib:m=5": "0bd64d130c6b2e650c10065a821415c5b80dabc24b59df03fa5c7fda291f074f",
-    "--word SLLSL --gamma 3": "90391007a759837fda207cba8bca3c0294b9a3dfefad2378a75a2c91b356248e",
-    "--word S^3 --q 1": "3ed29ba5270ce314d77a980c989f85c21fa3fb925b9788574e45f8e36bdf96dc",
-    "--word fib:m=6 --gamma 10 --steps 128000": "12013c69bd114cd80d0d716230dc7bbc758e0f49059534741392aa2142a6a712",
-    "--regime scattering --word fib:m=12 --gamma 4": "ce8a5cb914f9438b70e48e930c8ef45eb075bc9381e3e0b001a6e1ea07699b9e",
-    "--regime scattering --word fib:m=12 --gamma 4 --format json": "2562d111eda6ad752c1c8cea4e8cf900bac5968bd5b65df351a9c12e39f815c8",
-    "--regime scattering --word fib:m=15 --gamma 4": "6fe187be59f267e509cde0828a2a98ad79d0f83dd4bc433c4b9d40e88af980c3",
+    "--word fib:m=5 --gamma 10 --steps 32000": "20482661447b6f4fd80a8821096ea6d843052b656fa9abf4c3def5b3991ca36e",
+    "--regime scattering --word fib:m=5": "aec5c1a4ed50609d2c6a400c534ccd8bbd5b3af99adf615e66de1ae7f2fe305e",
+    "--word SLLSL --gamma 3": "8b42a288b1f16cd89249ab9be532ba36e2cdfab17d49eb624833cb57accb199e",
+    "--word S^3 --q 1": "1f634ee5dd811f1863ec7f788641c51e9bd8b287d6ccbb60fff0c4cfe7272770",
+    "--word fib:m=6 --gamma 10 --steps 128000": "d9514587bd3bfcbcd8249594efa52331d5bf1654d226d24d90858879408a795e",
+    "--regime scattering --word fib:m=12 --gamma 4": "9d17e5b72e07f7b063006fdc6481b31e10f170d709859b179351644a9f99d040",
+    "--regime scattering --word fib:m=12 --gamma 4 --format json": "9cd160125d736cdd65e2e1b3d2c62077c7029a79998e8a6d35264a8baf1ade58",
+    "--regime scattering --word fib:m=15 --gamma 4": "be1c8881e23b0a66606be12e92b238af32e8b8f96f0fc70541e0af3f4505ebe2",
 }
 
 BOUND_GOLDEN = {
-    "--word fib:m=6 --gamma 10": "6e46d295560725eead3a34f32911c8f841452fc56dc03d7109206e764d6846af",
-    "--word fib:m=9 --gamma 10": "037cb3228fcb6f0ae9b16c9e75f68cdfca70d1565d63eccaa1cd82354c55c5fb",
+    "--word fib:m=6 --gamma 10": "556f58d00932f11e96e7a6d3ae8bc3adf101c1d6510a749ddd54a1d97aee57c1",
+    "--word fib:m=9 --gamma 10": "27cbb2eab4ebb2fc5febb46b4590058d83eb160c48199e1c53c73143df367574",
 }
 
 ATLAS_GOLDEN = {
-    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "f9caa01414352860988932a34307821555202c89c6bcb646f383e43cfde300c0",
-    "--q 1 --gamma-steps 9": "f0409aaff79b99359e67504932b715e1100867ae8e441ef0f811c0e974978eba",
-    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "9652328fbc2978e01bd7c2507d271ceae20904ad1f6ce59af224603ebd7fb9fc",
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "6fb0acbc11362690c9efc93f160d21b314c21626c8d23571b7a7371c519d1d6a",
+    "--q 1 --gamma-steps 9": "70c722ad92ad3d8401d7d1eaa65ec93f15d6c8bc09622855777f7f85b9d58449",
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "2f4fea1c00a94f703a94a8451040b288fc743c06a6740d9fd33696226c9021cd",
 }
 
 SCATTER_GOLDEN = {

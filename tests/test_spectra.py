@@ -1,6 +1,7 @@
 """Band germs, bound-state roots, labels, censuses, and the DOS estimate."""
 
 import ast
+import csv
 import hashlib
 import math
 import tracemalloc
@@ -19,10 +20,10 @@ from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_
 from deltachain.spectra import (
     BAND_TOL,
     ROOT_TOL,
-    _bisect,
     _edge_count,
     _germ_rows,
     _node_count,
+    _refine,
     BandGerm,
     BoundState,
     EdgeKind,
@@ -571,28 +572,48 @@ def test_strong_single_cell_has_no_germ_in_range(gamma):
     assert band_germs(Word("S"), gamma, 1.0) == []
 
 
-def _scalar_bisect(fn, lo, hi, flo, tol=ROOT_TOL):
-    """The one-bracket bisection loop that lockstep _bisect replaced, kept as its oracle."""
+def _one_bracket_refine(fn, lo, hi, flo, fhi, steps=None):
+    """_refine's Chandrupatla step on one bracket in Python floats, its oracle; appends each step's t to steps."""
+    x1, x2, f1, f2, t = lo, hi, flo, fhi, 0.5
     for _ in range(200):
-        if hi - lo <= tol:
+        if f1 == 0.0:
+            x2 = x1
+        if f2 == 0.0:
+            x1 = x2
+        if abs(x2 - x1) <= ROOT_TOL:
             break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        tl = 0.5 * ROOT_TOL / abs(x2 - x1)
+        x = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        f = fn(x)
+        if steps is not None:
+            steps.append(t)
+        if (f > 0.0) == (f1 > 0.0):
+            x3, f3 = x1, f1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, f
+        xi, phi, alpha = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2), (x3 - x1) / (x2 - x1)
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) + alpha * f1 / (f3 - f1) * f2 / (f3 - f2)
+        else:
+            t = 0.5
+    return 0.5 * (x1 + x2)
+
+
+def _holds_a_sign_change(fn, root):
+    """f changes sign, or is 0, within ROOT_TOL/2 of root: the bracket _refine returns the midpoint of."""
+    below, above = fn(root - 0.5 * ROOT_TOL), fn(root + 0.5 * ROOT_TOL)
+    return below * above < 0.0 or below == 0.0 or above == 0.0
 
 
 @pytest.mark.parametrize("regime", [Regime.BOUND, Regime.SCATTERING])
-def test_lockstep_bisect_is_bitwise_the_scalar_loop(regime):
+def test_lockstep_refine_is_bitwise_the_one_bracket_loop(regime):
+    # Atlas batching rests on this: each bracket's root does not depend on
+    # the brackets refined beside it.
     word, gamma = Word("SL"), 4.0
 
-    def value(beta, which):
-        return _word_scan(word, gamma, TAU, np.array([beta]), regime, which)[0]
+    def value(beta):
+        return _word_scan(word, gamma, TAU, np.array([beta]), regime, "x")[0]
 
     betas = np.linspace(0.05, 6.0, 801)
     x = _word_scan(word, gamma, TAU, betas, regime, "x")
@@ -600,37 +621,89 @@ def test_lockstep_bisect_is_bitwise_the_scalar_loop(regime):
     for target in (1.0, -1.0):
         for i in np.nonzero(np.diff(np.sign(x - target)))[0]:
             brackets.append((betas[i], betas[i + 1], target))  # one grid spacing wide
-            brackets.append((betas[max(i - 40, 0)], betas[i + 1], target))  # 41 spacings wide
-    assert {t for _, _, t in brackets} == {1.0, -1.0}
+            if (x[max(i - 40, 0)] > target) != (x[i + 1] > target):
+                brackets.append((betas[max(i - 40, 0)], betas[i + 1], target))  # 41 spacings wide
+    assert {t for _, _, t in brackets} == {1.0, -1.0} and len(brackets) >= 8
     lo, hi = 1.3, 1.9
-    brackets.append((lo, hi, value(0.5 * (lo + hi), "x")))  # f(mid) == 0 at the first step
+    brackets.append((lo, hi, value(lo + 0.5 * (hi - lo))))  # f == 0 at the first step
+    brackets.append((lo, hi, value(hi)))  # f == 0 at the upper end
     brackets.append((lo, lo + 0.5 * ROOT_TOL, 0.0))  # already converged
     lo, hi, target = (np.array(v) for v in zip(*brackets))
-    flo = np.array([value(b, "x") for b in lo]) - target
+    flo, fhi = (np.array([value(b) for b in v]) - target for v in (lo, hi))
+    assert (np.sign(flo[:-1]) * np.sign(fhi[:-1]) <= 0.0).all()
 
-    got = _bisect(word, gamma, TAU, regime, "x", lo, hi, flo, target)
-    want = [
-        _scalar_bisect(lambda b, t=t: value(b, "x") - t, a, b, f)
-        for a, b, f, t in zip(lo.tolist(), hi.tolist(), flo.tolist(), target.tolist())
-    ]
+    got = _refine(word, gamma, TAU, regime, "x", lo, hi, flo, fhi, target)
+    fns = [lambda b, t=t: value(b) - t for t in target.tolist()]
+    want = [_one_bracket_refine(fn, *v) for fn, *v in zip(fns, lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-    assert got[-2] == 0.5 * (1.3 + 1.9)
-    assert _bisect(word, gamma, TAU, regime, "x", [], [], []).shape == (0,)
+    assert all(_holds_a_sign_change(fn, r) for fn, r in zip(fns[:-1], got.tolist()))
+    assert got[-3] == 1.3 + 0.5 * (1.9 - 1.3) and got[-2] == 1.9 and got[-1] == lo[-1] + 0.25 * ROOT_TOL
+    assert _refine(word, gamma, TAU, regime, "x", [], [], [], []).shape == (0,)
 
 
-def test_lockstep_bisect_refines_d_roots_as_the_scalar_loop():
+def test_lockstep_refine_finds_d_roots_as_the_one_bracket_loop():
     word = fibonacci_word(5)
     betas = np.linspace(0.05, 6.0, 2001)
     d = _word_scan(word, 10.0, TAU, betas, Regime.BOUND, "d")
     i = np.nonzero(np.diff(np.sign(d)))[0]
-    got = _bisect(word, 10.0, TAU, Regime.BOUND, "d", betas[i], betas[i + 1], d[i])
+    got = _refine(word, 10.0, TAU, Regime.BOUND, "d", betas[i], betas[i + 1], d[i], d[i + 1])
 
     def fd(beta):
         return _word_scan(word, 10.0, TAU, np.array([beta]), Regime.BOUND, "d")[0]
 
-    want = [_scalar_bisect(fd, betas[k], betas[k + 1], d[k]) for k in i]
+    want = [_one_bracket_refine(fd, betas[k], betas[k + 1], d[k], d[k + 1]) for k in i]
     assert i.size > 0
     assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+    assert all(_holds_a_sign_change(fd, r) for r in got.tolist())
+
+
+def test_refine_halves_where_interpolation_is_unsafe():
+    # x of S^3 at q = 1 touches +1 at the closed gap near beta = 1.4847 and
+    # is flat beside it; from there to past the band edge at 2.39936 the
+    # interpolant is not monotone on several steps, which halve instead.
+    # pyproject turns a RuntimeWarning (a division by 0 included) into an error.
+    s3 = Word("SSS")
+
+    def f(beta):
+        return _word_scan(s3, 4.0, 1.0, np.array([beta]), Regime.BOUND, "x")[0] - 1.0
+
+    lo, hi = 1.49469375, 2.45
+    steps = []
+    want = _one_bracket_refine(f, lo, hi, f(lo), f(hi), steps)
+    assert -1e-3 < f(lo) < 0.0 < f(hi)
+    assert steps.count(0.5) >= 3  # the first step and at least two fallbacks
+    [got] = _refine(s3, 4.0, 1.0, Regime.BOUND, "x", [lo], [hi], [f(lo)], [f(hi)], 1.0).tolist()
+    assert got == want and _holds_a_sign_change(f, got)
+    assert abs(got - band_germs(Word("S"), 4.0, 1.0)[0].beta_hi) < ROOT_TOL
+
+
+def test_refinement_takes_few_kernel_scans(monkeypatch, tmp_path):
+    # A scan is one walk of kernel._chunks (one per 8,192 points).  Halving
+    # each x4 grid bracket down to ROOT_TOL took 20-23 scans per _refine
+    # call, 230 scans for the census's eight queries and 176 for the atlas.
+    walks, per_call = [0], []
+    chunks, refine = kernel._chunks, spectra._refine
+
+    def counted_chunks(*args, **kwargs):
+        walks[0] += 1
+        return chunks(*args, **kwargs)
+
+    def counted_refine(*args, **kwargs):
+        before = walks[0]
+        roots = refine(*args, **kwargs)
+        per_call.append(walks[0] - before)
+        return roots
+
+    monkeypatch.setattr(kernel, "_chunks", counted_chunks)
+    monkeypatch.setattr(spectra, "_refine", counted_refine)
+    for m in range(3, 7):
+        assert len(band_germs(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
+        assert len(bound_states(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
+    assert walks[0] <= 95 and len(per_call) == 8 and max(per_call) <= 10, (walks, per_call)
+    walks[0], per_call[:] = 0, []
+    assert main(["atlas", "--gamma-steps", "401", "--gamma-min", "-6.00001", "--gamma-max", "6.00001",
+                 "--out", str(tmp_path / "atlas.csv")]) == 0
+    assert walks[0] <= 105 and len(per_call) == 4 and max(per_call) <= 10, (walks, per_call)
 
 
 def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
@@ -652,19 +725,19 @@ def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
 
 
 # sha256 (first 16 hex digits) of partial_band_census(n, 4.0) for n = 1..10,
-# every float as float.hex, recorded with the scalar word_matrix bisection
-# that the lockstep grid-kernel bisection replaced.
+# every float as float.hex, recorded with _refine's Chandrupatla step on the
+# grid kernel; the bisection before it gave boundaries at most 6.1e-11 away.
 _CENSUS_DIGESTS = {
-    1: "c6f788308ec99354",
-    2: "005dd2f029dd4309",
-    3: "21286b668a766fb2",
-    4: "adcf65282f19d126",
-    5: "a18a26c9fba615e6",
-    6: "150e14774179fa51",
-    7: "0c7f62c2934c2202",
-    8: "cb1c6b68fd31b608",
-    9: "ebb4873c689ee6a2",
-    10: "016ca7f708475eb5",
+    1: "12a9b6c25a3be286",
+    2: "f932ca9d5e333cd2",
+    3: "d3f2ee2f6370a41f",
+    4: "0bded610691ee092",
+    5: "86ab31cf29ff7ed5",
+    6: "c764fd9a8e05771a",
+    7: "3dcf9d72e40d0b38",
+    8: "2662815db70ab4ec",
+    9: "a09961c3bfcf83be",
+    10: "761bed43a495e163",
 }
 
 
@@ -877,8 +950,8 @@ def test_energy_gauge_reads_in_band_as_the_edge_count_does():
     [germ] = band_germs(s, 4.0, 1.0)
     t = np.array([math.cos(k * math.pi / 4) for k in (1, 2, 3)])
     lo, hi = np.full(3, germ.beta_lo), np.full(3, germ.beta_hi)
-    flo = _word_scan(s, 4.0, 1.0, lo, Regime.BOUND, "x") - t
-    closed = _bisect(s, 4.0, 1.0, Regime.BOUND, "x", lo, hi, flo, t)
+    flo, fhi = (_word_scan(s, 4.0, 1.0, v, Regime.BOUND, "x") - t for v in (lo, hi))
+    closed = _refine(s, 4.0, 1.0, Regime.BOUND, "x", lo, hi, flo, fhi, t)
     points = (closed[:, None] + np.arange(-50, 51) * 1e-12).ravel()
     assert np.any(np.abs(_word_scan(s4, 4.0, 1.0, points, Regime.BOUND, "x")) > 1.0)
 
@@ -920,8 +993,8 @@ def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
         bound_states(Word("S"), -1.0, 1.0, (0.05, 6.0), 100)
 
 
-def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND):
-    """Half trace of the word matrix in 50-digit arithmetic, in either regime."""
+def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND, which="x"):
+    """Half trace of the word matrix in 50-digit arithmetic, in either regime (which = "d": its D entry)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         beta = mp.mpf(beta)
@@ -938,7 +1011,43 @@ def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND):
         for ch in letters:
             a, b, c, d = cells[ch]
             A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-        return mp.re((A + D) / 2)
+        return mp.re((A + D) / 2 if which == "x" else D)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--word", "fib:m=6", "--gamma", "10", "--steps", "128000"],
+        ["atlas"],
+        ["bound", "--word", "fib:m=9", "--gamma", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_refined_cli_values_hold_a_sign_change_in_50_digits(argv, tmp_path):
+    # Every written edge (not clipped at the window) or root has x -/+ 1, or
+    # d, change sign within ROOT_TOL of it in exact arithmetic.
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    points = []  # (letters, gamma, written beta, edge kind, or None for a root of d)
+    for row in csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")):
+        if argv[0] == "bound":
+            points.append((row["word"], row["gamma"], row["beta_star"], None))
+        elif argv[0] == "bands":
+            points += [(row["word"], row["gamma"], row[f"beta_{e}"], row[f"edge_kind_{e}"]) for e in ("lo", "hi")]
+        elif row["edge_kind"] != "commuting_line":
+            points.append((row["cell"], row["gamma"], row["beta"], row["edge_kind"]))
+    checked = 0
+    for letters, gamma, beta, kind in points:
+        beta = float(beta)
+        if abs(beta) in (0.05, 6.0):
+            continue  # clipped at the window
+        regime = Regime.SCATTERING if beta < 0 else Regime.BOUND  # the atlas writes Scattering edges negative
+        t = 0 if kind is None else 1 if kind == EdgeKind.X_PLUS_ONE.value else -1
+        below, above = (_exact_x(letters, float(gamma), TAU, abs(beta) + step, regime, "d" if kind is None else "x") - t
+                        for step in (-ROOT_TOL, ROOT_TOL))
+        assert below * above <= 0, (letters, gamma, beta, below, above)
+        checked += 1
+    assert checked >= 16
 
 
 @pytest.mark.parametrize("m", range(3, 10))
