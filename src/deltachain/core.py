@@ -27,10 +27,6 @@ from .errors import OverflowRisk
 # Golden ratio, the default length ratio of the L cell to the S cell.
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
-# Exponent guard: roughly half the double-precision limit, leaving headroom
-# for products of grown entries.
-EXP_LIMIT = 300.0
-
 
 class Regime(Enum):
     """Energy-sign selector; beta stays positive in both regimes."""
@@ -162,17 +158,17 @@ def tunnel_matrix(params: ChainParams, length_ratio: float) -> TransferMatrix:
     Bound: diag(exp(-beta*r), exp(+beta*r)).  Scattering:
     diag(exp(+i beta r), exp(-i beta r)), so the d slot carries
     lambda = exp(-i beta r) and the S-cell half trace comes out as
-    cos(beta) - (delta/2) sin(beta).
+    cos(beta) - (delta/2) sin(beta).  OverflowRisk where exp(beta*r)
+    overflows float64 (beta*r > 709.78).
     """
     if not length_ratio > 0.0:
         raise ValueError(f"length_ratio must be positive, got {length_ratio}")
     t = params.beta * length_ratio
     if params.regime is Regime.BOUND:
-        if t > EXP_LIMIT:
-            raise OverflowRisk(
-                f"beta*ratio = {t:.3g} exceeds the exponent guard {EXP_LIMIT:g}"
-            )
-        lam = float(np.exp(t))
+        with np.errstate(over="ignore"):
+            lam = float(np.exp(t))
+        if lam == math.inf:
+            raise OverflowRisk(f"tunnel factor exp(beta*ratio) is not finite at beta*ratio = {t:.6g}")
         return TransferMatrix(1.0 / lam, 0.0, 0.0, lam)
     lam = cmath.exp(-1j * t)
     return TransferMatrix(1.0 / lam, 0.0, 0.0, lam)
@@ -250,28 +246,24 @@ def power_closed(M: TransferMatrix, n: int) -> TransferMatrix:
     recurrence U_{k+1} = 2x U_k - U_{k-1} in complex arithmetic.  Valid for
     all x; inside a band germ (|x| <= 1, x = cos Kb) it reduces to the
     sine-quotient forms sin(n Kb)/sin(Kb) without their edge singularity.
-    At n Kb = mu*pi the result is (-1)^mu times the identity.
+    At n Kb = mu*pi the result is (-1)^mu times the identity.  OverflowRisk
+    if an entry overflows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = M.x
-    ax = abs(x)
-    if ax > 1.0 and n * math.acosh(ax) > EXP_LIMIT:
-        raise OverflowRisk(
-            f"n*acosh|x| = {n * math.acosh(ax):.3g} exceeds the exponent guard"
-        )
     if n == 1:
         return M
     u_prev, u_cur = 1.0 + 0j, 2 * x  # U_0, U_1
     for _ in range(n - 2):
         u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
     # u_cur = U_{n-1}, u_prev = U_{n-2}
-    return TransferMatrix(
+    return _finite_matrix(TransferMatrix(
         u_cur * M.a - u_prev,
         u_cur * M.b,
         u_cur * M.c,
         u_cur * M.d - u_prev,
-    )
+    ))
 
 
 def _finite_matrix(M: TransferMatrix) -> TransferMatrix:

@@ -14,7 +14,7 @@ class ChainError(Exception):
 
 
 class OverflowRisk(ChainError):
-    """An exponent would exceed the double-precision safety guard (300)."""
+    """A transfer-matrix entry, tunnel factor or wavefunction value is not finite in float64."""
 
 
 class GridTooCoarse(ChainError):

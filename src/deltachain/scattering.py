@@ -161,7 +161,7 @@ def backscatter_scan(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     word = Word("S" * n)
-    lo, hi = _check_scan_inputs(word, gamma, 1.0, beta_range, grid_steps, Regime.SCATTERING)
+    lo, hi = _check_scan_inputs(gamma, 1.0, beta_range, grid_steps)
     betas = np.linspace(lo, hi, grid_steps + 1)
     x = _word_scan(Word("S"), gamma, 1.0, betas, Regime.SCATTERING, "x")
     s_mp_abs = s_matrix_grid(word, gamma, 1.0, betas)[S_COLUMNS.index("abs_s_mp")]

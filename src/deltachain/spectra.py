@@ -36,7 +36,7 @@ import numpy as np
 from .core import CellKind, ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
 from .kernel import _scan, _word_scan, _word_value, _x_crossings
-from .substitution import Word, guard_exponent
+from .substitution import Word
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
 DEFAULT_GRID_STEPS = 2000
@@ -191,7 +191,7 @@ def _edge_count(word: Word, gamma, q: float, betas: np.ndarray, regime: Regime):
     return _scan(word, gamma, q, betas, regime, fill, dtype=np.int64)
 
 
-def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int, regime: Regime):
+def _check_scan_inputs(gamma, q: float, beta_range, grid_steps: int):
     """Validate a scan's inputs (gamma a scalar or a vector); returns the finite range (lo, hi)."""
     if grid_steps < 100:
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
@@ -200,7 +200,6 @@ def _check_scan_inputs(word: Word, gamma, q: float, beta_range, grid_steps: int,
     lo, hi = beta_range
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"beta_range must satisfy 0 < lo < hi, got {beta_range}")
-    guard_exponent(word, hi, q, regime)
     return lo, hi
 
 
@@ -257,7 +256,6 @@ def energy_gauge(word: Word, gamma: float, q: float, beta: float) -> int:
     Repetition-invariant: S^n has the gauge of S.
     """
     ChainParams(beta, gamma, q, Regime.BOUND)  # validates beta, gamma and q
-    guard_exponent(word, beta, q, Regime.BOUND)
     return int(_edge_count(word, gamma, q, np.array([beta], dtype=float), Regime.BOUND)[0] % 2 == 0)
 
 
@@ -337,7 +335,7 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     so each edge is bit for bit a query's at its gamma alone.
     """
     gammas = np.asarray(gammas, dtype=float)
-    lo, hi = _check_scan_inputs(word, gammas, q, beta_range, grid_steps, regime)
+    lo, hi = _check_scan_inputs(gammas, q, beta_range, grid_steps)
     betas = np.linspace(lo, hi, 4 * grid_steps + 1)
     n, every = betas.size, np.arange(gammas.size)
     row, index = _x_crossings(word, gammas.tolist(), q, betas, regime)
@@ -408,7 +406,7 @@ def bound_states(
     roots are the S-matrix poles; ``scattering.bound_poles`` is that public
     alias.
     """
-    lo, hi = _check_scan_inputs(word, gamma, q, beta_range, grid_steps, Regime.BOUND)
+    lo, hi = _check_scan_inputs(gamma, q, beta_range, grid_steps)
     fine = np.linspace(lo, hi, 4 * grid_steps + 1)
     n = _node_count(word, gamma, q, fine)
 
@@ -475,7 +473,6 @@ def binding_equation_residual(n: int, beta: float, gamma: float) -> tuple[float,
     is _binding_terms at one beta.
     """
     ChainParams(beta, gamma, 1.0, Regime.BOUND)  # validates beta and gamma
-    guard_exponent(Word("S"), beta, 1.0, Regime.BOUND)
     [(_, lhs, rhs)] = _binding_terms(n, np.array([beta], dtype=float), gamma).tolist()
     return lhs, rhs
 

@@ -35,7 +35,7 @@ from .core import (
     tunnel_matrix,
 )
 from .errors import BoundOutsideGerm, DegenerateCell, OutOfBand, OverflowRisk
-from .substitution import Word, guard_exponent
+from .substitution import Word
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,15 @@ def cell_coefficients(
 
     ``initial`` is (psi, psi') at the left end, just before the first delta.
     Each cell's pair refers to the local basis exp(-+kappa*xi) with xi
-    measured from that cell's delta.  A pair that is not finite raises
-    OverflowRisk.
+    measured from that cell's delta.  A pair, or a tunnel factor
+    exp(-+kappa*ratio), that is not finite raises OverflowRisk.
     """
-    guard_exponent(word, params.beta, params.q, params.regime)
     kappa = _local_kappa(params)
     ratio = _ratios(word, params.q)  # one exp(-+kappa*ratio) pair per letter
-    tunnels = {ch: (cmath.exp(-kappa * r), cmath.exp(kappa * r)) for ch, r in ratio.items()}
+    try:
+        tunnels = {ch: (cmath.exp(-kappa * r), cmath.exp(kappa * r)) for ch, r in ratio.items()}
+    except OverflowError:
+        raise OverflowRisk("wavefunction tunnel factors exp(kappa*ratio) are not finite") from None
     psi, dpsi = complex(initial[0]), complex(initial[1])
     out = []
     for i, ch in enumerate(word.letters):
@@ -256,7 +258,8 @@ def _cell_samples(word: Word, params: ChainParams, coeffs, cells: int, grid_per_
     grid_per_cell samples from its delta (post jump) to its tunnel end; a
     part holds cells * grid_per_cell of them (the last part fewer), and the
     parts laid end to end are the samples of sample_wavefunction after its
-    first.  A sample's bytes do not depend on the part it falls in.
+    first.  A sample's bytes do not depend on the part it falls in.  A part
+    with a sample that is not finite raises OverflowRisk, naming its cells.
     """
     coeffs = np.array(coeffs, dtype=complex)
     kappa = _local_kappa(params)
@@ -271,7 +274,11 @@ def _cell_samples(word: Word, params: ChainParams, coeffs, cells: int, grid_per_
     for start in range(0, codes.size, cells):
         part = slice(start, start + cells)
         rows = codes[part]
-        values, derivs = _tunnel_samples(coeffs[part, 0, None], coeffs[part, 1, None], kappa, em[rows], ep[rows])
+        try:  # finite coefficients and waves: a sample that is not finite first overflows
+            with np.errstate(over="raise", invalid="raise"):
+                values, derivs = _tunnel_samples(coeffs[part, 0, None], coeffs[part, 1, None], kappa, em[rows], ep[rows])
+        except FloatingPointError:
+            raise OverflowRisk(f"wavefunction samples are not finite in cells {start}-{start + rows.size - 1}") from None
         yield (offsets[part, None] + xi[rows]).ravel(), values.ravel(), derivs.ravel()
 
 

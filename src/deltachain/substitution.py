@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP_LIMIT, CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, _fold, _from_real, _mul,
+from .core import (CellKind, ChainParams, Regime, TransferMatrix, _finite_matrix, _fold, _from_real, _mul,
                    _real_cell, cell_matrix, compose)
-from .errors import OrderTooLarge, OverflowRisk, TraceMapMismatch
+from .errors import OrderTooLarge, TraceMapMismatch
 
 # f_24 = 46368 letters; deeper words are refused rather than built.
 MAX_ORDER = 24
-
-ENTRY_LIMIT = 1e300
 
 _ALPHABET = {"S", "L"}
 
@@ -103,21 +101,8 @@ def fibonacci_word(m: int) -> Word:
     return Word(cur, order_m=m)
 
 
-def guard_exponent(word: Word, beta: float, q: float, regime: Regime) -> None:
-    """Raise OverflowRisk when beta*length exceeds EXP_LIMIT in the Bound regime.
-
-    Bound-regime entries of the word's matrix grow like exp(beta*length),
-    with length = count(S) + q*count(L) in units of b.
-    """
-    if regime is Regime.BOUND:
-        length = beta * word.total_ratio(q)
-        if length > EXP_LIMIT:
-            raise OverflowRisk(f"beta*length = {length:.3g} exceeds the exponent guard")
-
-
 def word_matrix(word: Word, params: ChainParams) -> TransferMatrix:
     """Product of cell matrices in word order (leftmost letter leftmost), by core._fold; OverflowRisk if it overflows."""
-    guard_exponent(word, params.beta, params.q, params.regime)
     if params.regime is Regime.SCATTERING:  # the kernel's real cells and product, in Python floats
         t = {ch: params.beta * CellKind(ch).ratio(params.q) for ch in set(word.letters)}
         cells = {ch: _real_cell(params.delta, float(np.cos(v)), float(np.sin(v))) for ch, v in t.items()}
@@ -136,7 +121,7 @@ def trace_map_sequence(params: ChainParams, m_max: int) -> list[RecursionRow]:
     follow M_{m+1} = tr(M_m) M_{m-1} - adj(M_{m-2}).  The scalar trace map
     x_{m+1} = 2 x_m x_{m-1} - x_{m-2} is run standalone alongside and must
     agree with the matrix route's half traces; disagreement raises
-    TraceMapMismatch.
+    TraceMapMismatch, and a row that overflows raises OverflowRisk.
     """
     if m_max < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
@@ -146,26 +131,21 @@ def trace_map_sequence(params: ChainParams, m_max: int) -> list[RecursionRow]:
     mats = [m1, m2, m3]
     while len(mats) < m_max:
         prev2, prev1, cur = mats[-3], mats[-2], mats[-1]
-        nxt = TransferMatrix(
+        mats.append(TransferMatrix(
             cur.trace * prev1.a - prev2.d,
             cur.trace * prev1.b + prev2.b,
             cur.trace * prev1.c + prev2.c,
             cur.trace * prev1.d - prev2.a,
-        )
-        if nxt.max_abs() > ENTRY_LIMIT:
-            raise OverflowRisk(f"entries exceed {ENTRY_LIMIT:g} at order {len(mats) + 1}")
-        mats.append(nxt)
+        ))
+    mats = list(map(_finite_matrix, mats))
     # standalone scalar trace map, seeded from the same three matrices
     xs = [m1.x, m2.x, m3.x]
     while len(xs) < m_max:
         xs.append(2 * xs[-1] * xs[-2] - xs[-3])
-    for k in range(min(m_max, len(mats))):
-        scale = max(1.0, abs(mats[k].x))
-        if abs(mats[k].x - xs[k]) > 1e-6 * scale:
-            raise TraceMapMismatch(
-                f"scalar trace map disagrees with the matrix recursion at m = {k + 1}"
-            )
-    return [_row(k + 1, M) for k, M in enumerate(mats[:m_max])]
+    for k, (M, x) in enumerate(zip(mats, xs)):
+        if abs(M.x - x) > 1e-6 * max(1.0, abs(M.x)):
+            raise TraceMapMismatch(f"scalar trace map disagrees with the matrix recursion at m = {k + 1}")
+    return [_row(k + 1, M) for k, M in enumerate(mats)]
 
 
 def word_counts(m: int) -> tuple[int, int, int]:

@@ -89,8 +89,8 @@ def test_criterion_02_power_identity_oracle():
 def test_criterion_03_fibonacci_cross_path_oracle():
     # word_matrix(W_m) vs trace_map_sequence row m, relative <= 1e-9,
     # m <= 12, both regimes.
-    # W_12 spans 199 units of b, so bound-regime betas stay below the
-    # 300-exponent guard (1.4 * 199 = 279).
+    # W_12 spans 199 units of b, so bound-regime entries grow to about
+    # exp(1.4 * 199) = exp(279), well inside float64.
     worst = 0.0
     for regime in (Regime.BOUND, Regime.SCATTERING):
         for beta, gamma in ((0.6, 2.0), (1.1, 5.0), (1.4, 0.7)):

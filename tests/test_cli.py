@@ -763,6 +763,7 @@ def _run_module(*argv):
         ["atlas", "--beta-min", "1e-300", "--gamma-min", "0", "--gamma-max", "1e10", "--gamma-steps", "5"],
         ["atlas", "--beta-min", "1e-305", "--gamma-min", "-5", "--gamma-max", "5", "--gamma-steps", "5"],
         ["commute", "--gamma", "1e100"],
+        ["bands", "--word", "fib:m=12", "--gamma", "10"],
     ],
 )
 def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
@@ -770,6 +771,7 @@ def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
     # or rows of empty tokens (scatter, commute) behind an exit status of 0.
     # The atlas's screened one-cell scan must refuse as the per-gamma scan
     # does, and must not divide by a zero slope where lam == 1/lam == 1.0.
+    # W_12's Bound entries at gamma = 10 reach about exp(1195) by beta = 6.
     out = tmp_path / "x.csv"
     proc = _run_module(*argv, "--out", str(out))
     assert proc.returncode == 1
@@ -787,12 +789,16 @@ def test_overflow_exits_1_with_token_and_no_file(argv, tmp_path):
         (["wave", "--word", "S", "--beta", "1e-320"], 2, "InvalidConfig: gamma and gamma/beta must be"),
         (["wave", "--word", "fib:m=14", "--regime", "scattering", "--beta", "1e-150",
           "--initial", "plane"], 1, "OverflowRisk: wavefunction coefficients are not finite"),
+        (["wave", "--word", "fib:m=10", "--gamma", "1", "--regime", "bound", "--beta", "9.39",
+          "--initial", "plane"], 1, "OverflowRisk: wavefunction samples are not finite in cells 0-54"),
     ],
 )
 def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code, token, tmp_path):
     # Each used to end in a ValueError traceback, or (wave) in blank rows
     # behind an exit status of 0: gamma/beta overflowed to inf (65 rows), or
-    # the wavefunction coefficients did (2,496 of 24,129 rows).
+    # the wavefunction coefficients did (2,496 of 24,129 rows).  In the Bound
+    # case the coefficients stay finite but the last cell's samples grow
+    # past float64 (beta*length is about 714) after the file is opened.
     out = tmp_path / "x.csv"
     proc = _run_module(*argv, "--out", str(out))
     assert proc.returncode == code

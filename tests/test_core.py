@@ -178,15 +178,22 @@ def test_power_closed_band_edge_sign():
 
 
 def test_power_closed_overflow_guard():
+    # n*acosh|x| is about 1,600, so U_{n-1}(x) overflows float64: the
+    # entries used to come back inf and NaN.
     M = cell_matrix(ChainParams(8.0, 1.0), CellKind.S)
     assert abs(M.x) > 1.0
-    with pytest.raises(OverflowRisk):
+    with pytest.raises(OverflowRisk, match="^transfer-matrix entries are not finite$"):
         power_closed(M, 200)
 
 
 def test_tunnel_matrix_overflow_guard():
-    with pytest.raises(OverflowRisk):
-        tunnel_matrix(ChainParams(200.0, 1.0), 2.0)
+    # exp(beta*ratio) is finite up to log(DBL_MAX) = 709.78 and refused
+    # past it, without a numpy RuntimeWarning.
+    assert tunnel_matrix(ChainParams(200.0, 1.0), 2.0).d == float(np.exp(400.0))
+    assert tunnel_matrix(ChainParams(709.78, 1.0), 1.0).d < math.inf
+    for beta, ratio in ((709.79, 1.0), (400.0, 2.0)):
+        with pytest.raises(OverflowRisk, match="^tunnel factor exp\\(beta\\*ratio\\) is not finite"):
+            tunnel_matrix(ChainParams(beta, 1.0), ratio)
 
 
 def test_delta_matrix_determinant_and_limits():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltachain import kernel, spectra
 from deltachain.cli import main
-from deltachain.core import (EXP_LIMIT, TAU, CellKind, ChainParams, Regime, TransferMatrix, _fold, _from_real, _mul,
+from deltachain.core import (TAU, CellKind, ChainParams, Regime, TransferMatrix, _fold, _from_real, _mul,
                              _real_cell, cell_matrix, compose)
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
 from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_grid, _word_scan, _x_crossings
@@ -428,25 +428,22 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
             got = bits(*_cell_entries(gamma, betas, regime, tables[kind.value]))
             assert np.array_equal(got, bits(*cells[kind.value])), (regime, kind, gamma)
         for word in (Word("S"), Word("L"), Word("SL"), fibonacci_word(5), fibonacci_word(6), fibonacci_word(9)):
-            # W_9 repeats 4-letter blocks; word_matrix refuses its Bound betas past EXP_LIMIT / length.
-            keep = np.flatnonzero((betas * word.total_ratio(TAU) <= EXP_LIMIT) | (not bound))
-            part = {ch: tuple(v[keep] for v in cell) for ch, cell in cells.items()}
+            # W_9 repeats 4-letter blocks.
             if bound:  # word_matrix's product on object arrays: CPython's arithmetic per element
-                M = _fold(word.letters, {ch: TransferMatrix(*cell) for ch, cell in part.items()}, compose)
+                M = _fold(word.letters, {ch: TransferMatrix(*cell) for ch, cell in cells.items()}, compose)
                 want = M.entries()
             else:  # the kernel's product order on object arrays of Python floats
-                want = _word_grid(word, part)
+                want = _word_grid(word, cells)
                 M = TransferMatrix(*(np.array(z.tolist(), dtype=object) for z in _from_real(*want)))
-            for k in range(0, keep.size, 1024):  # it is word_matrix's, repr for repr
-                scalar = word_matrix(word, points[keep[k]]).entries()
+            for k in range(0, betas.size, 1024):  # it is word_matrix's, repr for repr
+                scalar = word_matrix(word, points[k]).entries()
                 assert list(map(repr, scalar)) == [repr(v[k]) for v in M.entries()], (regime, str(word))
-            kept = {ch: tuple(v[keep] for v in table) for ch, table in tables.items()}
-            got = bits(*_word_grid(word, _cells(gamma, betas[keep], regime, kept)))
+            got = bits(*_word_grid(word, _cells(gamma, betas, regime, tables)))
             assert np.array_equal(got, bits(*want)), (regime, str(word), gamma)
-            x = _word_scan(word, gamma, TAU, betas[keep], regime, "x")
+            x = _word_scan(word, gamma, TAU, betas, regime, "x")
             assert np.array_equal(bits(x), bits(M.x)), (regime, str(word), gamma)
             if bound:
-                d = _word_scan(word, gamma, TAU, betas[keep], regime, "d")
+                d = _word_scan(word, gamma, TAU, betas, regime, "d")
                 assert np.array_equal(bits(d), bits(M.d)), (str(word), gamma)
 
 
@@ -550,7 +547,7 @@ def test_germ_rows_memory_stays_bounded_by_the_chunk():
 @pytest.mark.parametrize("chunks", [1, 2])
 def test_overflowing_scan_raises_token(chunks):
     # delta = gamma/beta up to 600 overflows the entries of W_15 although
-    # beta*length stays under EXP_LIMIT, whether the grid is one chunk or
+    # beta*length stays under 253, whether the grid is one chunk or
     # several.  The node count renormalizes its carry after every cell, so
     # it stays finite there: all 610 roots of W_15 lie near gamma/2, above
     # the range, and bound_states finds none.
@@ -915,6 +912,21 @@ def test_every_module_import_is_used():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_every_overflow_refusal_names_a_value_that_is_not_finite():
+    # OverflowRisk refuses a value that float64 did not hold, never an
+    # estimate made in advance: every raise says what is not finite.
+    messages = []
+    for path in sorted(Path(spectra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "OverflowRisk":
+                [message] = call.args  # a literal or an f-string: its literal parts
+                text = "".join(c.value for c in ast.walk(message) if isinstance(getattr(c, "value", None), str))
+                messages.append((path.name, node.lineno, text))
+    assert len(messages) >= 5
+    assert all("not finite" in text for _, _, text in messages), messages
+
+
 def test_every_module_level_name_is_read():
     # A function, class or assigned name that a change leaves behind with no
     # reader fails here.  A read is a load of the name anywhere in the
@@ -1026,10 +1038,34 @@ def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND, which="x"):
 def test_refined_cli_values_hold_a_sign_change_in_50_digits(argv, tmp_path):
     # Every written edge (not clipped at the window) or root has x -/+ 1, or
     # d, change sign within ROOT_TOL of it in exact arithmetic.
+    assert _certified_rows(argv, tmp_path)[1] >= 16
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["bands", "--word", "fib:m=10", "--gamma", "10"], 55),
+        (["bands", "--word", "fib:m=11", "--gamma", "10"], 89),
+        (["bound", "--word", "fib:m=10", "--gamma", "10"], 55),
+        (["bound", "--word", "fib:m=12", "--gamma", "4", "--beta-min", "0.5", "--beta-max", "3"], 144),
+    ],
+    ids=lambda v: f"{v[0]}-{v[2]}" if isinstance(v, list) else str(v),
+)
+def test_long_bound_words_answer_where_float64_holds_them(argv, count, tmp_path):
+    # beta*length reaches 456 to 738 on these windows, yet every entry the
+    # scans make is finite, so each run answers with f_m germs or roots.
+    # Each edge or root it writes is a sign change in 50 digits.
+    rows, checked = _certified_rows(argv, tmp_path)
+    assert rows == count and checked >= count
+
+
+def _certified_rows(argv, tmp_path):
+    """(rows written, edges or roots checked): a CLI run's unclipped edges and roots, each a sign change in 50 digits."""
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     points = []  # (letters, gamma, written beta, edge kind, or None for a root of d)
-    for row in csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")):
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    for row in rows:
         if argv[0] == "bound":
             points.append((row["word"], row["gamma"], row["beta_star"], None))
         elif argv[0] == "bands":
@@ -1047,7 +1083,7 @@ def test_refined_cli_values_hold_a_sign_change_in_50_digits(argv, tmp_path):
                         for step in (-ROOT_TOL, ROOT_TOL))
         assert below * above <= 0, (letters, gamma, beta, below, above)
         checked += 1
-    assert checked >= 16
+    return len(rows), checked
 
 
 @pytest.mark.parametrize("m", range(3, 10))

@@ -15,7 +15,7 @@ from deltachain.core import (
     cell_matrix,
     tunnel_matrix,
 )
-from deltachain.errors import DegenerateCell, OutOfBand
+from deltachain.errors import DegenerateCell, OutOfBand, OverflowRisk
 from deltachain.states import (
     _cell_samples,
     bloch_eigensystem,
@@ -294,3 +294,10 @@ def test_cell_parts_are_the_whole_samples_bit_for_bit(word, regime, beta, gamma,
     for got, want in zip(map(np.concatenate, zip(*parts)), wants):
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_coefficients_refuse_a_tunnel_factor_past_float64():
+    # exp(beta*ratio) overflows past beta*ratio = 709.78, where cmath.exp
+    # raises a bare OverflowError; it must reach the caller as the token.
+    with pytest.raises(OverflowRisk, match=r"^wavefunction tunnel factors exp\(kappa\*ratio\) are not finite$"):
+        cell_coefficients(Word("S"), ChainParams(710.0, 1.0), (1.0, -710.0))

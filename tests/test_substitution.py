@@ -118,7 +118,7 @@ def test_word_matrix_overflow_guard():
 
 
 def test_word_matrix_refuses_entries_that_overflow():
-    # Under the exponent guard, yet the letter product of W_15 at strong
+    # beta*length is only 42, yet the letter product of W_15 at strong
     # coupling outgrows float64: it used to return a matrix of NaN.
     with pytest.raises(OverflowRisk, match="transfer-matrix entries are not finite"):
         word_matrix(fibonacci_word(15), ChainParams(0.05, 30.0))
@@ -150,8 +150,10 @@ def test_trace_map_requires_three_rows():
 
 
 def test_trace_map_overflow_guard():
-    # Bound entries grow doubly fast under the recursion at large beta.
-    with pytest.raises(OverflowRisk):
+    # Bound entries grow doubly fast under the recursion at large beta; the
+    # rows that overflow used to come back inf and NaN, and NaN passed the
+    # comparison with the scalar trace map.
+    with pytest.raises(OverflowRisk, match="^transfer-matrix entries are not finite$"):
         trace_map_sequence(ChainParams(30.0, 1.0), 24)
 
 
@@ -207,14 +209,15 @@ def test_trace_map_disagreement_raises_typed_error(monkeypatch):
 
 
 def test_one_exponent_guard_for_products_scans_and_coefficients():
-    # W_10 spans 21 + 34*tau = 76.0 b, so beta = 20 puts beta*length at 1520.
+    # W_10 spans 21 + 34*tau = 76.0 b, so at beta = 20 its Bound entries
+    # grow like exp(1520), past float64: each route refuses the value that
+    # is not finite.
     word, params = fibonacci_word(10), ChainParams(20.0, 1.0)
-    message = r"^beta\*length = 1\.52e\+03 exceeds the exponent guard$"
-    with pytest.raises(OverflowRisk, match=message):
+    with pytest.raises(OverflowRisk, match="^transfer-matrix entries are not finite$"):
         word_matrix(word, params)
-    with pytest.raises(OverflowRisk, match=message):
+    with pytest.raises(OverflowRisk, match="^wavefunction coefficients are not finite at cell 26$"):
         cell_coefficients(word, params, (1.0, -20.0))
-    with pytest.raises(OverflowRisk, match=message):
+    with pytest.raises(OverflowRisk, match=r"^transfer-matrix entries are not finite \(overflow"):
         band_germs(word, 1.0, TAU, (0.05, 20.0))
-    # The Scattering regime has no exponential growth and no guard.
+    # The Scattering regime has no exponential growth: it answers.
     word_matrix(word, ChainParams(20.0, 1.0, TAU, Regime.SCATTERING))
