@@ -62,12 +62,14 @@ from .substitution import Word, fibonacci_word, word_counts
 
 # The RunConfig fields each command reads besides out_path and format.  Its
 # parser declares the flags of these fields and no others.  The JSON
-# envelope's config records command, the _SCAN fields and regime.
-_SCAN = ("word_spec", "gamma", "q", "beta_min", "beta_max", "steps")
+# envelope's config records command, the _SCAN fields and regime.  bands,
+# bound and atlas scan no grid, so they do not read steps.
+_QUERY = ("word_spec", "gamma", "q", "beta_min", "beta_max")
+_SCAN = (*_QUERY, "steps")
 READS = {
-    "bands": (*_SCAN, "regime"),
-    "bound": _SCAN,
-    "atlas": ("q", "beta_min", "beta_max", "steps", "gamma_min", "gamma_max", "gamma_steps"),
+    "bands": (*_QUERY, "regime"),
+    "bound": _QUERY,
+    "atlas": ("q", "beta_min", "beta_max", "gamma_min", "gamma_max", "gamma_steps"),
     "scatter": _SCAN,
     "wave": ("word_spec", "gamma", "q", "regime", "beta", "initial"),
     "dos": ("word_spec", "gamma", "beta_min", "beta_max", "steps"),
@@ -138,7 +140,7 @@ class RunConfig:
             raise ValueError("gamma_min must be <= gamma_max")
         if self.gamma_steps < 1:
             raise ValueError(f"gamma_steps must be >= 1, got {self.gamma_steps}")
-        if 8 * max(4 * self.steps + 1, self.gamma_steps) > sys.maxsize:  # float64 bytes of the largest grid
+        if 8 * max(self.steps + 2, self.gamma_steps) > sys.maxsize:  # float64 bytes of the largest grid
             raise ValueError("steps or gamma_steps asks for a grid larger than numpy can index")
         if self.p_max < 1:
             raise ValueError(f"p_max must be >= 1, got {self.p_max}")

@@ -203,10 +203,22 @@ def _from_real(A, B, C, D):
 
 
 def _mul(X, Y):
-    """Product of two 2x2 matrices given as (a, b, c, d); floats or arrays alike."""
+    """Product of two 2x2 matrices given as (a, b, c, d); floats or arrays alike.
+
+    Each entry is summed in place into its first product, the same rounding
+    as a * e + b * g with one temporary array fewer.
+    """
     a, b, c, d = X
     e, f, g, h = Y
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    A = a * e
+    A += b * g
+    B = a * f
+    B += b * h
+    C = c * e
+    C += d * g
+    D = c * f
+    D += d * h
+    return A, B, C, D
 
 
 def compose(A: TransferMatrix, B: TransferMatrix) -> TransferMatrix:

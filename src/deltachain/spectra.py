@@ -6,25 +6,27 @@ roots of d(beta) = 0, rational Bloch labels and partial bands, the binding
 equation, and a density-of-states estimate for the single cell.
 
 Roots and band edges are counted, so how many lie in range does not
-depend on how the grid falls: by the Sturm oscillation theorem N(lo) -
-N(hi) bound roots (see _node_count), and from the Dirichlet count and x the
-number of band edges below each energy, twice the rotation number (see
-_edge_count).  One fold, _sturm, counts the zeros behind both, in either
-regime; Scattering cells act on (psi, psi'/beta), where strong coupling
-does not cancel.  One isolation rule serves both: the exact count says how
-many an interval holds, _isolate bisects on it until each sits alone, and
-_refine narrows each one's sign change to a bracket at most ROOT_TOL = 1e-10
-wide with Chandrupatla's interpolation step, halving where interpolation is
-unsafe: 3-9 kernel calls per query instead of bisection's 20-23, all
-brackets of a query in lockstep, one call on the vector of their points per
-step.
+depend on a grid: by the Sturm oscillation theorem N(lo) - N(hi) bound
+roots (see _node_count), and from the Dirichlet count and x the number of
+band edges below each energy, twice the rotation number (see _edge_count).
+One fold, _sturm, counts the zeros behind both, in either regime;
+Scattering cells act on (psi, psi'/beta), where strong coupling does not
+cancel.  One isolation rule serves both: the exact count says how many an
+interval holds, and _isolate multisects the window on it, _PIECES equal
+pieces per count call (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+(1967)), until each sits alone.  _refine narrows each one's sign change to
+a bracket at most ROOT_TOL = 1e-10 wide with Chandrupatla's interpolation
+step, halving where interpolation is unsafe, all brackets of a query in
+lockstep, one call on the vector of their points per step.
 
-Each query makes one scan, on the x4 grid of grid_steps, with the
-vectorized kernel of kernel.py, whose samples equal word_matrix's product
-bit for bit.  Each count is a fill of kernel._scan; the edge count reads N
-and x from one chunk's cells.  gamma is broadcast to one value per point
-or bracket, so band germs at many gammas (_germ_rows) share one isolation
-and one refinement; each value is the one a single-gamma query computes.
+No grid is scanned under band_germs and bound_states: a query counts its
+window's ends and first cut, and every later call evaluates only cut points
+and brackets, with the vectorized kernel of kernel.py, whose samples equal
+word_matrix's product bit for bit.  Each count is a fill of kernel._scan;
+the edge count reads N and x from one chunk's cells.  gamma is broadcast to
+one value per point or bracket, so band germs at many gammas (_germ_rows)
+share one isolation and one refinement; each value is the one a
+single-gamma query computes.
 """
 
 import math
@@ -35,12 +37,15 @@ import numpy as np
 
 from .core import CellKind, ChainParams, Regime
 from .errors import GridTooCoarse, OutOfBand
-from .kernel import _scan, _word_scan, _word_value, _x_crossings
+from .kernel import _scan, _word_scan, _word_value
 from .substitution import Word
 
 DEFAULT_BETA_RANGE = (0.05, 6.0)
 DEFAULT_GRID_STEPS = 2000
 ROOT_TOL = 1e-10
+# Equal pieces _isolate cuts an interval into per count call; 32 saved a few
+# more calls, but raised the atlas's peak memory.
+_PIECES = 16
 # |x| <= 1 + BAND_TOL is in band; it absorbs rounding where x only touches +-1.
 BAND_TOL = 1e-12
 
@@ -219,6 +224,10 @@ def _refine(
     otherwise and on the first step.  A step lands at least ROOT_TOL/2
     inside both ends, so a bracket stops at most ROOT_TOL wide and returns
     its midpoint; a point where f is exactly 0 collapses it to that point.
+    Each step also evaluates x's mirror, ROOT_TOL/2 from x on the side of
+    the root that the last step predicts (toward x2 if the last point fell
+    on x1's side, else toward x1): where f changes sign between x and its
+    mirror, they close the bracket, and no call is spent only to close it.
     The brackets move in lockstep, one _word_scan call per step on all
     unconverged ones, and the arithmetic is elementwise, so each bracket
     returns the root a one-bracket loop of the same step returns.
@@ -226,6 +235,7 @@ def _refine(
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
     gamma, target = (np.full(x1.shape, v, dtype=float) for v in (gamma, target))
     x3, f3, t = x2.copy(), f2.copy(), np.full(x1.shape, 0.5)
+    x1_side = np.ones(x1.shape, dtype=bool)  # the last point fell on x1's side of the root
     for _ in range(200):
         x2[f1 == 0.0] = x1[f1 == 0.0]
         x1[f2 == 0.0] = x2[f2 == 0.0]
@@ -235,8 +245,12 @@ def _refine(
         a, b, c, fa, fb, fc = (v[live] for v in (x1, x2, x3, f1, f2, f3))
         tl = 0.5 * ROOT_TOL / np.abs(b - a)
         x = a + np.clip(t[live], tl, 1.0 - tl) * (b - a)
-        f = _word_scan(word, gamma[live], q, x, regime, which) - target[live]
+        m = x + np.where(x1_side[live], tl, -tl) * (b - a)  # x's mirror: toward x2 if x1_side, else x1
+        f, fm = (_word_scan(word, np.tile(gamma[live], 2), q, np.append(x, m), regime, which)
+                 - np.tile(target[live], 2)).reshape(2, -1)
         same = (f > 0.0) == (fa > 0.0)  # x replaces x1, which becomes x3; else x1 becomes x2 and x2 x3
+        close = (same == x1_side[live]) & (np.sign(fm) != np.sign(f))  # the root lies between x and m
+        x1_side[live] = same
         c, fc = np.where(same, a, b), np.where(same, fa, fb)
         b, fb = np.where(same, b, a), np.where(same, fb, fa)
         xi, phi, alpha = (x - b) / (c - b), (f - fb) / (fc - fb), (c - x) / (b - x)
@@ -244,6 +258,7 @@ def _refine(
         g1, g2, g3, al = (v[quad] for v in (f, fb, fc, alpha))
         step = np.full(live.size, 0.5)
         step[quad] = g1 / (g1 - g2) * g3 / (g3 - g2) + al * g1 / (g3 - g1) * g2 / (g3 - g2)
+        b, fb = np.where(close, m, b), np.where(close, fm, fb)
         x1[live], x2[live], x3[live], f1[live], f2[live], f3[live], t[live] = x, b, c, f, fb, fc, step
     return 0.5 * (x1 + x2)
 
@@ -269,30 +284,36 @@ def _refuse(failed: dict, mask, row, lo, hi, what: str) -> None:
         failed.setdefault(int(row[k]), f"{what} on [{float(lo[k])!r}, {float(hi[k])!r}]")
 
 
-def _isolate(count, a, b, na, nb, row, what: str, failed: dict):
-    """Bisect intervals [a, b] on a count(betas, row) that never increases with beta.
+def _isolate(count, lo, hi, row, what: str, failed: dict):
+    """Multisect windows [lo, hi] on a count(betas, row) that never increases with beta.
 
-    [a, b] of query ``row`` holds na - nb roots or edges; those holding more
-    are halved in lockstep, one count call per step, until one is left or
-    they are ROOT_TOL wide.  Returns (lo, hi, n_lo, n_hi, row) of those
-    holding any; an interval whose count rises is dropped and refuses its
-    row (see _refuse).
+    Each round cuts its intervals into _PIECES equal pieces, in lockstep,
+    and counts the cut points of all of them in one call; the first round
+    counts the windows' ends with their cuts.  A piece [a, b] of query
+    ``row`` holds n_a - n_b roots or edges; one holding more is cut again,
+    until one is left or it is ROOT_TOL wide (or _PIECES float64 steps,
+    where those are wider).  The cut is fixed, so an interval is cut the
+    same way whatever else is isolated beside it.  Returns ((a, b, n_a,
+    n_b, row) of the pieces holding any, the count at each lo); a piece
+    whose count rises is dropped and refuses its row (see _refuse).
     """
-    done = []
-    while a.size:
+    cut = np.linspace(lo, hi, _PIECES + 1, axis=-1)
+    n = count(cut.ravel(), np.repeat(row, _PIECES + 1)).reshape(cut.shape)
+    first, done = n[:, 0], []
+    while True:
+        a, b, na, nb = cut[:, :-1].ravel(), cut[:, 1:].ravel(), n[:, :-1].ravel(), n[:, 1:].ravel()
+        row = np.repeat(row, _PIECES)
         drop = na - nb
         _refuse(failed, drop < 0, row, a, b, f"the {what} count rises with beta")
-        split = (drop >= 2) & (b - a > ROOT_TOL)
+        split = (drop >= 2) & (b - a > np.maximum(ROOT_TOL, _PIECES * np.spacing(b)))  # its pieces can narrow
         hold = (drop >= 1) & ~split
         done.append((a[hold], b[hold], na[hold], nb[hold], row[hold]))
         if not split.any():
-            break
+            return tuple(np.concatenate(v) for v in zip(*done)), first
         a, b, na, nb, row = (v[split] for v in (a, b, na, nb, row))
-        mid = 0.5 * (a + b)
-        nm = count(mid, row)
-        pairs = (a, mid), (mid, b), (na, nm), (nm, nb), (row, row)
-        a, b, na, nb, row = (np.concatenate(pair) for pair in pairs)
-    return tuple(np.concatenate(v) for v in zip(*done)) if done else (a, b, na, nb, row)
+        cut = np.linspace(a, b, _PIECES + 1, axis=-1)
+        inner = count(cut[:, 1:-1].ravel(), np.repeat(row, _PIECES - 1)).reshape(-1, _PIECES - 1)
+        n = np.column_stack([na, inner, nb])
 
 
 def band_germs(
@@ -305,13 +326,14 @@ def band_germs(
 ) -> list[BandGerm]:
     """Maximal beta intervals with |x| <= 1, edges counted and refined to ROOT_TOL.
 
-    The edge count (_edge_count) is taken at the window ends and at both
-    ends of every x = +-1 crossing interval of the x4 grid; _isolate splits
-    the pieces between them until each edge sits alone, its kind taken from
-    the count, and _refine narrows x's crossing of it to a bracket at most
-    ROOT_TOL wide, whose midpoint is the edge.  The one builder of BandGerms,
-    it pairs the edges _germ_rows finds at one gamma; its refusal, a
-    GridTooCoarse, names where the count rises or x misses a counted edge.
+    _isolate multisects the window on the edge count (_edge_count) until
+    each edge sits alone, its kind taken from the count, and _refine narrows
+    x's crossing of it to a bracket at most ROOT_TOL wide, whose midpoint is
+    the edge.  No grid is scanned, so the answer does not depend on
+    grid_steps, which is only checked (>= 100).  The one builder of
+    BandGerms, it pairs the edges _germ_rows finds at one gamma; its
+    refusal, a GridTooCoarse, names where the count rises or x misses a
+    counted edge.
     """
     (_, bound, plus, clipped), refused = _germ_rows(word, [gamma], q, beta_range, grid_steps, regime)
     if refused:
@@ -327,37 +349,28 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     One entry per edge, a germ's low edge then its high one, germs by gamma
     index row, then beta: bound is the edge, plus marks x = +1 (else -1) and
     clipped a window end; refused maps a refused gamma's index to its
-    GridTooCoarse.  The count points (window ends and both ends of every
-    crossing interval of _x_crossings) are one sorted table over row * n +
-    index, unique by a neighbour mask.  The edge count, _isolate, one x scan
-    (bracket ends, and window ends for clipped edges) and _refine run once
-    over all gammas' pieces, each with its gamma; the kernel is elementwise,
-    so each edge is bit for bit a query's at its gamma alone.
+    GridTooCoarse.  _isolate from every gamma's window, one x scan (bracket
+    ends, and window ends for clipped edges) and _refine run once over all
+    gammas' pieces, each with its gamma; the kernel is elementwise and the
+    multisection fixed, so each edge is bit for bit a query's at its gamma
+    alone.  grid_steps is only checked.
     """
     gammas = np.asarray(gammas, dtype=float)
     lo, hi = _check_scan_inputs(gammas, q, beta_range, grid_steps)
-    betas = np.linspace(lo, hi, 4 * grid_steps + 1)
-    n, every = betas.size, np.arange(gammas.size)
-    row, index = _x_crossings(word, gammas.tolist(), q, betas, regime)
-    point = np.sort(np.concatenate([row * n + index, row * n + index + 1, every * n, every * n + n - 1]))
-    # unique by hand: np.unique imports numpy.ma, about 8 ms and 1.3 MB in a fresh process
-    row, p = np.divmod(point[np.append(True, point[1:] != point[:-1])], n)
-    c = _edge_count(word, gammas[row], q, betas[p], regime)
-
+    every = np.arange(gammas.size)
+    ends = np.repeat(np.array([lo, hi], dtype=float), every.size)  # every window start, then every end
     # An isolated interval keeps its first edge if its low end is in a gap
     # (even count) and its last if its high end is; edges within ROOT_TOL
     # close every gap among them.  x crosses each edge's kind t (from the
     # count), or at least t*(1 + BAND_TOL), unless the two disagree.
     failed = {}
-    piece = row[1:] == row[:-1]  # consecutive count points of one gamma
-    pieces = (v[piece] for v in (betas[p[:-1]], betas[p[1:]], c[:-1], c[1:], row[:-1]))
-    left, right, ca, cb, r = _isolate(
-        lambda mid, r: _edge_count(word, gammas[r], q, mid, regime), *pieces, "band-edge", failed
+    (left, right, ca, cb, r), c_lo = _isolate(
+        lambda beta, r: _edge_count(word, gammas[r], q, beta, regime),
+        ends[:every.size], ends[every.size:], every, "band-edge", failed,
     )
     gap_lo, gap_hi = ca % 2 == 0, cb % 2 == 0
     a, b, one, r = (np.append(v[gap_lo], v[gap_hi]) for v in (left, right, ca - cb == 1, r))
     t = np.where(np.append(ca[gap_lo], cb[gap_hi] + 1) % 4 <= 1, 1.0, -1.0)
-    ends = np.repeat(betas[[0, -1]], every.size)
     x = _word_scan(word, gammas[np.concatenate([r, r, every, every])], q, np.concatenate([a, b, ends]), regime, "x")
     x_lo, x_hi, x_first, x_last = np.split(x, np.cumsum([r.size, r.size, every.size]))
     target = np.where(np.sign(x_lo - t) * np.sign(x_hi - t) < 0.0, t, t * (1.0 + BAND_TOL))
@@ -377,7 +390,7 @@ def _germ_rows(word: Word, gammas, q: float, beta_range, grid_steps: int, regime
     order = np.lexsort((bound, at))
     at, bound, plus = at[order], bound[order], np.concatenate([x_first, target, x_last])[order] >= 0.0
     pos, start, stop = np.arange(at.size), np.searchsorted(at, at), np.searchsorted(at, at, "right")
-    first = c[p == 0] % 2 == 0  # the window starts in a gap
+    first = c_lo % 2 == 0  # the window starts in a gap
     k = np.flatnonzero((pos + 1 < stop) & ((pos - start) % 2 == first[at]) & kept[at])
     e = np.stack([k, k + 1], axis=1).ravel()  # each germ's low edge, then its high edge
     refused = {i: GridTooCoarse(f"{why} (word {word}, gamma = {float(gammas[i])!r}, {regime.value} regime)")
@@ -395,25 +408,22 @@ def bound_states(
     """Roots of d(beta) in range, counted by _node_count and refined to ROOT_TOL.
 
     Bound regime only: d = 0 is the decaying-boundary-condition equation.
-    The count on the x4 grid puts N(lo) - N(hi) roots in range; _isolate
-    splits the grid intervals until each holds one root, which _refine
-    narrows to a sign change of d at most ROOT_TOL wide and returns its
-    midpoint (from the grid ends for a grid interval).  GridTooCoarse
-    names the first interval where the count rises, two roots stay within
-    ROOT_TOL, or d does not change sign across one root, so a list always
-    holds N(lo) - N(hi) roots.  The count places a root in (lo, hi], so one
-    where d is exactly 0 at an interval's upper end is that end.  The same
-    roots are the S-matrix poles; ``scattering.bound_poles`` is that public
-    alias.
+    The count (_node_count) puts N(lo) - N(hi) roots in range; _isolate
+    multisects the window on it until each piece holds one root, which
+    _refine narrows to a sign change of d at most ROOT_TOL wide and returns
+    its midpoint.  No grid is scanned, so the roots do not depend on
+    grid_steps, which is only checked (>= 100).  GridTooCoarse names the
+    first interval where the count rises, two roots stay within ROOT_TOL,
+    or d does not change sign across one root, so a list always holds
+    N(lo) - N(hi) roots.  The count places a root in (lo, hi], so one where
+    d is exactly 0 at an interval's upper end is that end.  The same roots
+    are the S-matrix poles; ``scattering.bound_poles`` is that public alias.
     """
     lo, hi = _check_scan_inputs(gamma, q, beta_range, grid_steps)
-    fine = np.linspace(lo, hi, 4 * grid_steps + 1)
-    n = _node_count(word, gamma, q, fine)
-
     failed = {}
-    r_lo, r_hi, n_lo, n_hi, row = _isolate(
-        lambda mid, _: _node_count(word, gamma, q, mid),
-        fine[:-1], fine[1:], n[:-1], n[1:], np.zeros(n.size - 1, dtype=np.int64), "bound-state", failed,
+    (r_lo, r_hi, n_lo, n_hi, row), _ = _isolate(
+        lambda beta, _: _node_count(word, gamma, q, beta),
+        np.array([lo], dtype=float), np.array([hi], dtype=float), np.zeros(1, dtype=np.int64), "bound-state", failed,
     )
     _refuse(failed, n_lo - n_hi > 1, row, r_lo, r_hi, f"bound roots closer than {ROOT_TOL:g}")
     if failed:

@@ -554,7 +554,7 @@ def test_main_happy_path(tmp_path, capsys):
 
 
 def test_main_rejects_invalid_config(tmp_path, capsys):
-    code = main(["bands", "--steps", "50", "--out", str(tmp_path / "x.csv")])
+    code = main(["dos", "--steps", "50", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("InvalidConfig:")
 
@@ -678,10 +678,11 @@ def test_run_config_checks_initial_and_the_wave_energy(tmp_path):
 
 
 def test_atlas_tables_each_chunk_once_per_letter(tmp_path, monkeypatch):
-    # The x scan tables each chunk of the x4 grid once per letter, for all
-    # 401 gammas of a cell and regime.  A scan that tabled it once per gamma
-    # would make 401 such calls per cell and regime; unlike wall time, the
-    # count repeats exactly on any host.
+    # Each scan tables its points once per letter, for all 401 gammas of a
+    # cell and regime: the first count tables every gamma's window ends and
+    # first cut (401 x 17 points) in one call, and the atlas makes 57 calls
+    # in all.  A scan that tabled them once per gamma would make 401 calls
+    # per scan; unlike wall time, the count repeats exactly on any host.
     calls = []
     real = kernel._cell_table
 
@@ -692,10 +693,11 @@ def test_atlas_tables_each_chunk_once_per_letter(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "_cell_table", counted)
     config = RunConfig(command="atlas", gamma_steps=401, out_path=str(tmp_path / "atlas.csv"))
     assert run(config) == 0
-    grid = 4 * config.steps + 1
-    assert grid <= kernel._CHUNK + 1  # one chunk
-    scans = [(regime, ratio) for size, regime, ratio in calls if size == grid]
+    first = config.gamma_steps * (spectra._PIECES + 1)
+    assert first <= kernel._CHUNK  # one chunk
+    scans = [(regime, ratio) for size, regime, ratio in calls if size == first]
     assert sorted(scans, key=repr) == sorted(((r, ratio) for r in Regime for ratio in (1.0, TAU)), key=repr)
+    assert len(calls) <= 60
 
 
 def test_dos_without_a_germ_surfaces_token(tmp_path, capsys):
@@ -817,9 +819,10 @@ def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code
         (10**30, 2, "InvalidConfig: steps or gamma_steps asks for a grid larger than numpy can index"),
     ],
 )
-@pytest.mark.parametrize("command", ["bands", "bound", "scatter", "dos", "binding", "atlas"])
+@pytest.mark.parametrize("command", ["scatter", "dos", "binding", "atlas"])
 def test_absurd_grid_sizes_exit_with_token_and_no_file(command, size, code, token, tmp_path, capsys):
     # Each used to end in numpy's _ArrayMemoryError or ValueError traceback.
+    # bands and bound scan no grid and refuse --steps (IGNORED below).
     out = tmp_path / "x.csv"
     flag = "--gamma-steps" if command == "atlas" else "--steps"
     assert main([command, flag, str(size), "--out", str(out)]) == code
@@ -829,10 +832,12 @@ def test_absurd_grid_sizes_exit_with_token_and_no_file(command, size, code, toke
 
 # The flags each command would ignore, and so refuses: --regime everywhere
 # but in bands and wave, and each flag of a field the command does not read.
+# bands, bound and atlas scan no grid, so they refuse --steps.
 IGNORED = {
-    "bound": ["--regime"],
+    "bands": ["--steps"],
+    "bound": ["--regime", "--steps"],
     "scatter": ["--regime"],
-    "atlas": ["--regime", "--word", "--gamma"],
+    "atlas": ["--regime", "--word", "--gamma", "--steps"],
     "wave": ["--beta-min", "--beta-max", "--steps"],
     "dos": ["--regime", "--q"],
     "binding": ["--regime", "--q"],
@@ -1051,13 +1056,13 @@ def test_scatter_keeps_its_heap_pages(tmp_path):
 
 
 _FLOAT_FLAG_RUNS = {  # one command per float flag; -1e-3 is invalid for q, beta_min, beta_max and beta
-    "gamma": ["bands", "--word", "S", "--steps", "100"],
-    "q": ["bands", "--steps", "100"],
-    "beta_min": ["bands", "--steps", "100"],
-    "beta_max": ["bands", "--steps", "100"],
+    "gamma": ["bands", "--word", "S"],
+    "q": ["bands"],
+    "beta_min": ["bands"],
+    "beta_max": ["bands"],
     "beta": ["wave", "--regime", "scattering"],
-    "gamma_min": ["atlas", "--gamma-steps", "3", "--steps", "100"],
-    "gamma_max": ["atlas", "--gamma-steps", "3", "--steps", "100"],
+    "gamma_min": ["atlas", "--gamma-steps", "3"],
+    "gamma_max": ["atlas", "--gamma-steps", "3"],
 }
 
 
@@ -1083,7 +1088,7 @@ def test_float_flags_take_a_negative_number_in_exponent_notation(field, tmp_path
 
 def test_a_negative_gamma_in_exponent_notation_from_the_shell(tmp_path):
     # The same through sys.argv.
-    argv = ["bands", "--word", "S", "--steps", "100"]
+    argv = ["bands", "--word", "S"]
     proc = _run_module(*argv, "--gamma", "-1e-3", "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 0 and proc.stderr == ""
     assert main([*argv, "--gamma=-1e-3", "--out", str(tmp_path / "y.csv")]) == 0

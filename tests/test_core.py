@@ -17,6 +17,7 @@ from deltachain.core import (
     ChainParams,
     Regime,
     TransferMatrix,
+    _mul,
     cell_matrix,
     commutator,
     commutator_invariant,
@@ -272,3 +273,32 @@ def test_params_reject_non_finite_values():
             ChainParams(1.0, bad)
         with pytest.raises(ValueError, match="finite|positive"):
             ChainParams(1.0, 1.0, q=bad)
+
+
+def _entries(kind: str, values: np.ndarray):
+    """The 4 entries of a matrix from a (4, n) array, as operands of `kind`."""
+    if kind == "float":
+        return tuple(float(v[0]) for v in values)
+    if kind == "complex":
+        return tuple(complex(v[0], v[1]) for v in values)
+    if kind == "object":
+        return tuple(np.array(v.tolist(), dtype=object) for v in values)
+    return tuple(v.copy() for v in values)
+
+
+@pytest.mark.parametrize("left, right", [("float", "float"), ("complex", "complex"), ("array", "array"),
+                                         ("object", "object"), ("float", "array")])
+def test_mul_sums_in_place_bit_for_bit(left, right):
+    # _mul sums each entry into its first product in place.  Each entry must
+    # be a * e + b * g's as one expression, bit for bit, for floats and
+    # arrays alike, and the factors must be left as they were.
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2, 4, 257)) * 10.0 ** rng.integers(-100, 100, (2, 4, 257))
+    X, Y = _entries(left, values[0]), _entries(right, values[1])
+    before = [repr(np.asarray(v).tolist()) for v in (*X, *Y)]
+    a, b, c, d = X
+    e, f, g, h = Y
+    want = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    got = _mul(X, Y)
+    assert [repr(np.asarray(v).tolist()) for v in got] == [repr(np.asarray(v).tolist()) for v in want]
+    assert [repr(np.asarray(v).tolist()) for v in (*X, *Y)] == before

@@ -46,20 +46,20 @@ import pytest
 from deltachain.cli import COMMANDS, main
 
 GOLDEN = {
-    ("bands", "csv"): "47c945838aa51c281b5a6c0283b6b64ebb30364c6d6f2321fa057663016c5e45",
-    ("bands", "json"): "8e3adc58170e07177861ad36ec32b73191d1597281e57fe0ea63cbdba5d4c9ee",
-    ("bound", "csv"): "484b19d5195ea1127158f14ea822c759641242f2463a33d5e902ff056841f701",
-    ("bound", "json"): "c6374dcf5bdb28b5c80a298267df835045960910c50eaf6d347d26fcf2b78bcf",
-    ("atlas", "csv"): "c4184f900b30638c0565aafa65ff41d193123a9db64ebd5a1c33fa69e4959e18",
-    ("atlas", "json"): "51d2921d4322331ff39c46b342cf39108d5ce8e23287337d68a9affca898ccf1",
+    ("bands", "csv"): "d8100ec66b185c06bd8d48281098ad6898d36d25bc9b77774ed17cb588cc281e",
+    ("bands", "json"): "aa2cc8db6a0318137ea1216b14354a776059ce934774c789ff2da71fd0515468",
+    ("bound", "csv"): "5eebc9644abe6edfb3d917e3af0146f643f32a0016a8f885a7143cda23a1362a",
+    ("bound", "json"): "593a01e575ece6e3fe9eee82283e8c4baee461fdbeb4d4b03e3471c02c6f66d8",
+    ("atlas", "csv"): "73cfc28275889144b9667fdc46d5687f221eb7da027d7d5e54a05b9d5f8b367f",
+    ("atlas", "json"): "324d87d9dabdf657eb485bd0be5096143f415d69f74f546738c87cc1dd9ab8eb",
     ("scatter", "csv"): "5eedadd894989345a22a9d9b4c5f9382350c57aa066e8d2fe68f4c5bb7963cae",
     ("scatter", "json"): "1d9c0a1270f8d73a9852ee045ff2be78ce483fa046b25c17d9a0c0c0ec1fbf84",
     ("wave", "csv"): "c9138960c899767acbb0145bc54acb28c3722f7da3cac8bd4aa7515f0dba3d02",
     ("wave", "json"): "adc8cd8bc3350ee8182a8650132cce289dde42a0f31549c232823edd04ae71d6",
-    ("dos", "csv"): "31542df3bd9da523fc8c6180de784c3714d49a1888f4415cda88921486acc931",
-    ("dos", "json"): "a1fc695daf27689e9e4b2f7b78fe4b4c0d3d3184b8d72a4fc87dbc3d5da64ab0",
-    ("binding", "csv"): "3b80ba2013cb18a9ac84ebabde51b6f7363f98a44eabe37fbcae5fbd79723c24",
-    ("binding", "json"): "1721ac0f39e5b4b21966f6330090cc924ba95d6b15fd5ef11233ed73e3ce2f57",
+    ("dos", "csv"): "30e9ebd0936b7497d571f86354a1de27e63a8deb2657b0e0d6443960e0e0ac3d",
+    ("dos", "json"): "6c1112227b98e42f57f4e61ad9b5e332d7dcdba9324d3b1cfceab22628e566f1",
+    ("binding", "csv"): "8e51cbde48b3abb4e5fa46ac6cbf68f54bcc57a6bc82a5f5872fc8fb2a814e22",
+    ("binding", "json"): "1c5a769ccab61887291738cdabe891d0817702c443093886ebbbc83112c0d5af",
     ("fib-info", "csv"): "7bcb068aac3dc4faf4b6de7b019eaeecf5e23d793b96713e0dbf249a903a7c8d",
     ("fib-info", "json"): "237c1d58c04de923215bcf31dd3312e9cf9777d07e9fdc9dc0101566453cd9d7",
     ("commute", "csv"): "60a2d7270521b80a0a04a748a5c9f740ba3513e7d686adf7c7db657b01dc5801",
@@ -67,25 +67,25 @@ GOLDEN = {
 }
 
 BANDS_GOLDEN = {
-    "--word fib:m=5 --gamma 10 --steps 32000": "20482661447b6f4fd80a8821096ea6d843052b656fa9abf4c3def5b3991ca36e",
-    "--regime scattering --word fib:m=5": "aec5c1a4ed50609d2c6a400c534ccd8bbd5b3af99adf615e66de1ae7f2fe305e",
-    "--word SLLSL --gamma 3": "8b42a288b1f16cd89249ab9be532ba36e2cdfab17d49eb624833cb57accb199e",
-    "--word S^3 --q 1": "1f634ee5dd811f1863ec7f788641c51e9bd8b287d6ccbb60fff0c4cfe7272770",
-    "--word fib:m=6 --gamma 10 --steps 128000": "d9514587bd3bfcbcd8249594efa52331d5bf1654d226d24d90858879408a795e",
-    "--regime scattering --word fib:m=12 --gamma 4": "9d17e5b72e07f7b063006fdc6481b31e10f170d709859b179351644a9f99d040",
-    "--regime scattering --word fib:m=12 --gamma 4 --format json": "9cd160125d736cdd65e2e1b3d2c62077c7029a79998e8a6d35264a8baf1ade58",
-    "--regime scattering --word fib:m=15 --gamma 4": "be1c8881e23b0a66606be12e92b238af32e8b8f96f0fc70541e0af3f4505ebe2",
+    "--word fib:m=5 --gamma 10": "c94e7e7d98e43318645a099c6e3af4c1e34802b35060441d506cae1bbd40655e",
+    "--regime scattering --word fib:m=5": "daa1e5a1e554825ff64ce4fba21c101d29107ebc2eba699db2b25b5f917a1b14",
+    "--word SLLSL --gamma 3": "e45bf6ec67b686af8a6ce1826d49e0d2bafc5e1a8285d109530b9e9f4901e49d",
+    "--word S^3 --q 1": "df30a283b876ec7ead30e881dbdbb374f2b6f79d757a8861f5a243773bb7da0d",
+    "--word fib:m=6 --gamma 10": "fd2205f6a524ef930d8ff06aa0d654fd502b1a917d2662fee6e8c8ca10e41887",
+    "--regime scattering --word fib:m=12 --gamma 4": "5bc867add118bdf69378d9ae94bee624cc8d5b7e0d1451e16396f6f69f34797c",
+    "--regime scattering --word fib:m=12 --gamma 4 --format json": "18c1de5752ed46eb93d002405a7bd82634c69d344ce0f9863b60192101c4aada",
+    "--regime scattering --word fib:m=15 --gamma 4": "fe06f6ecd0964cd224ef395b247dd7adc3bcd3da924c68425815978a33484f77",
 }
 
 BOUND_GOLDEN = {
-    "--word fib:m=6 --gamma 10": "556f58d00932f11e96e7a6d3ae8bc3adf101c1d6510a749ddd54a1d97aee57c1",
-    "--word fib:m=9 --gamma 10": "27cbb2eab4ebb2fc5febb46b4590058d83eb160c48199e1c53c73143df367574",
+    "--word fib:m=6 --gamma 10": "6dc3cac65d9892260f499c3786afd85e5f5ff39b6f57a7b780ca4fb74480b22e",
+    "--word fib:m=9 --gamma 10": "9838ca904cc247676e31e60540fde747af1931d35788ab2694b0a2d45996fb13",
 }
 
 ATLAS_GOLDEN = {
-    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "6fb0acbc11362690c9efc93f160d21b314c21626c8d23571b7a7371c519d1d6a",
-    "--q 1 --gamma-steps 9": "70c722ad92ad3d8401d7d1eaa65ec93f15d6c8bc09622855777f7f85b9d58449",
-    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "2f4fea1c00a94f703a94a8451040b288fc743c06a6740d9fd33696226c9021cd",
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001": "e930469d12cae3cce7988195b8c763a81a9125943cdad679fc24ec2c74033812",
+    "--q 1 --gamma-steps 9": "6f9c5910355e1794ce9389df1831e76563e5928b125cd888015aa00d9ac7a84b",
+    "--gamma-steps 401 --gamma-min -6.00001 --gamma-max 6.00001 --format json": "7285564a3949421364581e464a2821f83aa5753ee176fca9723dcf49e81ca734",
 }
 
 SCATTER_GOLDEN = {

@@ -16,7 +16,7 @@ from deltachain.cli import main
 from deltachain.core import (TAU, CellKind, ChainParams, Regime, TransferMatrix, _fold, _from_real, _mul,
                              _real_cell, cell_matrix, compose)
 from deltachain.errors import GridTooCoarse, OutOfBand, OverflowRisk
-from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_grid, _word_scan, _x_crossings
+from deltachain.kernel import _CHUNK, _cell_entries, _cell_table, _cells, _word_grid, _word_scan
 from deltachain.spectra import (
     BAND_TOL,
     ROOT_TOL,
@@ -178,6 +178,61 @@ def test_grid_too_coarse_raises():
     for m in (5, 6):
         _assert_converged_germs(m, 2000)
         _assert_converged_census(m, 2000)
+
+
+@pytest.mark.parametrize(
+    "m, gamma, regime", [(5, 10.0, Regime.BOUND), (9, 10.0, Regime.BOUND), (12, 4.0, Regime.SCATTERING)]
+)
+def test_answers_do_not_depend_on_grid_steps(m, gamma, regime):
+    # band_germs and bound_states count at their window ends and multisect
+    # from there; grid_steps is only checked, so every edge and root is the
+    # same float at any step count.
+    word = fibonacci_word(m)
+
+    def answers(steps):
+        germs = [(g.beta_lo.hex(), g.beta_hi.hex(), g.edge_kind_lo, g.edge_kind_hi, g.clipped_lo, g.clipped_hi)
+                 for g in band_germs(word, gamma, TAU, (0.05, 6.0), steps, regime)]
+        if regime is Regime.SCATTERING:
+            return germs, []
+        return germs, [s.beta_star.hex() for s in bound_states(word, gamma, TAU, (0.05, 6.0), steps)]
+
+    base = answers(100)
+    assert len(base[0]) >= fibonacci_number(m) and base == answers(2000) == answers(32000)
+
+
+def test_isolation_stops_where_float64_cannot_cut_finer():
+    # Near beta = 1e7 a float64 step is 1.9e-9, wider than ROOT_TOL, so a
+    # piece holding the two coinciding edges of a closed gap of S^2 could
+    # not be cut below ROOT_TOL; isolation cut it forever.  It stops at 16
+    # steps, where the gap counts as closed.  The open gaps of S, 1e-4 wide
+    # and ending at 3183099 pi and 3183100 pi, are still found.
+    germs = band_germs(Word("SS"), 1000.0, 1.0, (1e7, 1e7 + 4.0), regime=Regime.SCATTERING)
+    gaps = [(a.beta_hi, b.beta_lo) for a, b in zip(germs, germs[1:])]
+    assert len(germs) == 3 and germs[0].clipped_lo and germs[-1].clipped_hi
+    for (lo, hi), k in zip(gaps, (3183099, 3183100)):
+        assert abs(hi - k * math.pi) < 1e-8 and 0.9e-4 < hi - lo < 1.1e-4
+
+
+def test_isolation_cuts_a_window_alike_in_any_batch():
+    # The number of pieces is fixed, not a share of the batch: a gamma's
+    # window isolated beside 400 others gets the pieces, and the counts at
+    # their ends, that it gets alone.
+    word, gammas = fibonacci_word(5), np.linspace(-6.0, 12.0, 401)
+
+    def isolate(rows):
+        failed = {}
+        (a, b, na, nb, row), first = spectra._isolate(
+            lambda beta, r: _edge_count(word, gammas[r], TAU, beta, Regime.BOUND),
+            np.full(rows.size, 0.05), np.full(rows.size, 6.0), rows, "band-edge", failed,
+        )
+        assert not failed
+        return sorted(zip(row.tolist(), a.tolist(), b.tolist(), na.tolist(), nb.tolist())), first.tolist()
+
+    batch, first = isolate(np.arange(gammas.size))
+    assert len(batch) > 2 * gammas.size
+    for k in (0, 150, 333, 400):
+        alone, first_alone = isolate(np.array([k]))
+        assert [p for p in batch if p[0] == k] == alone and [first[k]] == first_alone, k
 
 
 def test_gauge_is_repetition_invariant():
@@ -345,15 +400,16 @@ def test_bound_scan_is_bitwise_the_complex_scan(gamma):
 
 @pytest.mark.parametrize("steps", [2000 * 4**k for k in range(6)])
 def test_base_grid_is_every_fourth_fine_sample(steps):
-    # A scan of n steps samples the x4 grid, which holds the n-step grid
-    # sample for sample, so raising grid_steps x4 only splits brackets
-    # (2,000 to 2,048,000 steps).
+    # Each x4 refinement of a grid holds the coarser grid sample for sample
+    # (2,000 to 2,048,000 steps, the census ladder), so a scan's samples at
+    # a coarse step count reappear at every finer one (next test).
     for lo, hi in ((0.05, 6.0), (0.05, 2.0), (1.3, 4.7)):
         fine = np.linspace(lo, hi, 4 * steps + 1)
         assert np.array_equal(fine[::4], np.linspace(lo, hi, steps + 1)), (lo, hi)
 
 
 def test_base_scan_equals_fine_scan_subsample():
+    # A point's value does not depend on the points scanned beside it.
     word = fibonacci_word(6)
     base = np.linspace(0.05, 6.0, 2001)
     fine = np.linspace(0.05, 6.0, 8001)
@@ -450,90 +506,26 @@ def test_scattering_scan_is_bitwise_the_scalar_route(gamma):
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("letters", ["S", "L", "SLS"])
 def test_tabled_scan_is_the_per_gamma_scan(letters, regime):
-    # The batched crossing scan, screened for one cell, finds each gamma's
-    # crossings of x = +-1 where a per-gamma scan does.  The grid spans three
-    # chunks, and the first gamma's first germ edge falls between samples
-    # _CHUNK - 1 and _CHUNK, on the seam point that one-cell chunks share.
-    word, gammas = Word(letters), [4.0, 0.0, -2.5, 11.0, -0.0, -6.0]
-    edge = band_germs(word, gammas[0], TAU, (0.05, 6.0), 2000, regime)[0].beta_hi
-    betas = 0.05 + (edge - 0.05) / (_CHUNK - 0.5) * np.arange(2 * _CHUNK + 777)
-    row, index = _x_crossings(word, gammas, TAU, betas, regime)
-    assert _CHUNK - 1 in index[row == 0].tolist()
-    for k, gamma in enumerate(gammas):
-        x = _word_scan(word, gamma, TAU, betas, regime, "x")
-        sides = [np.sign(x - t) for t in (1.0, -1.0)]
-        want = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
-        assert sorted(index[row == k].tolist()) == want, gamma
-
-
-def _per_gamma_crossings(word, gammas, q, betas, regime):
-    """Per gamma, a per-gamma scan's sorted crossings of x = +-1."""
-    rows = []
-    for gamma in gammas:
-        x = _word_scan(word, gamma, q, betas, regime, "x")
-        sides = [np.sign(x - t) for t in (1.0, -1.0)]
-        cross = sorted(i for s in sides for i in np.flatnonzero(s[1:] * s[:-1] < 0.0).tolist())
-        rows.append(cross)
-    return rows
-
-
-def _tabled_crossings(word, gammas, q, betas, regime):
-    row, index = _x_crossings(word, gammas, q, betas, regime)
-    return [sorted(index[row == k].tolist()) for k in range(len(gammas))]
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    letter=st.sampled_from(["S", "L"]),
-    regime=st.sampled_from(Regime),
-    q=st.one_of(st.just(1.0), st.floats(0.3, 2.5)),
-    lo=st.one_of(st.just(1e-300), st.just(1e-17), st.floats(0.01, 3.0)),
-    span=st.floats(0.5, 20.0),
-    size=st.integers(401, 2 * _CHUNK + 500),
-    gammas=st.lists(
-        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-12.0, 12.0), st.floats(-1e6, 1e6)), min_size=1, max_size=6
-    ),
-)
-def test_screened_cell_scan_is_the_per_gamma_scan(letter, regime, q, lo, span, size, gammas):
-    # x of one cell is evaluated only where the screen lets it cross +-1;
-    # the crossings must be the per-gamma scan's, for unsorted and repeated
-    # gammas, over windows from beta = 1e-300 up.
-    word, gammas, betas = Word(letter), gammas + gammas[:2], np.linspace(lo, lo + span, size)
-    assert _tabled_crossings(word, gammas, q, betas, regime) == _per_gamma_crossings(word, gammas, q, betas, regime)
-
-
-@pytest.mark.parametrize(
-    "letter, q, regime, lo, hi",
-    [
-        ("S", 1.0, Regime.SCATTERING, 3.0, 3.3),  # beta*ratio = pi: the slope S changes sign
-        ("S", 1.0, Regime.SCATTERING, 6.2, 6.4),  # 2 pi
-        ("L", TAU, Regime.SCATTERING, 2 * math.pi / TAU - 0.05, 2 * math.pi / TAU + 0.05),
-        ("S", 1.0, Regime.BOUND, 1e-17, 1.5),  # lam == inv == 1.0 at the first beta: S = 0
-        ("L", 0.3, Regime.BOUND, 1e-300, 0.7),
-    ],
-)
-def test_screened_cell_scan_where_the_slope_changes_sign_or_vanishes(letter, q, regime, lo, hi):
-    # Where the two slopes of a pair differ in sign or one is 0, every
-    # gamma is a candidate: near beta*ratio = k*pi x crosses +-1 there at
-    # every large |gamma|, and S = 0 must not be divided by.
-    word, betas = Word(letter), np.linspace(lo, hi, 4001)
-    gammas = [1e6, -50.0, 0.0, -0.0, 7.0, -3.5, 7.0, 1e3, -1e6]
-    table = _cell_table(betas, regime, CellKind(letter).ratio(q))
-    slope = np.sign(table[1] - table[0] if regime is Regime.BOUND else -table[1])
-    flips = np.flatnonzero(slope[1:] * slope[:-1] <= 0.0)
-    assert flips.size
-    want = _per_gamma_crossings(word, gammas, q, betas, regime)
-    assert _tabled_crossings(word, gammas, q, betas, regime) == want
-    if regime is Regime.SCATTERING:  # the flip pair crosses at the largest |gamma|
-        assert set(flips.tolist()) & set(want[0]) and set(flips.tolist()) & set(want[-1])
+    # _germ_rows hands the kernel one gamma per point, all gammas in one
+    # call whose cell tables they share.  Each point must get, bit for bit,
+    # the x and edge count of a scan at its gamma alone, over three chunks.
+    word, gammas = Word(letters), np.array([4.0, 0.0, -2.5, 11.0, -0.0, -6.0])
+    betas = np.linspace(0.05, 6.0, 2 * _CHUNK + 777)
+    row = np.random.default_rng(7).integers(gammas.size, size=betas.size)
+    x = _word_scan(word, gammas[row], TAU, betas, regime, "x")
+    count = _edge_count(word, gammas[row], TAU, betas, regime)
+    for k, gamma in enumerate(gammas.tolist()):
+        at = row == k
+        alone = _word_scan(word, gamma, TAU, betas, regime, "x")[at]
+        assert np.array_equal(x[at].view(np.int64), alone.view(np.int64)), gamma
+        assert np.array_equal(count[at], _edge_count(word, gamma, TAU, betas, regime)[at]), gamma
 
 
 def test_germ_rows_memory_stays_bounded_by_the_chunk():
-    # 25 gammas on 40,001 points (5 chunks): the per-gamma scan peaked at
-    # about 2.8 MB of traced memory, and the chunked scan does too.  A table
-    # of the whole grid would add about 2.6 MB, and a gammas x grid array 8 MB.
-    # One cell at 401 gammas takes the screened scan, whose per-chunk arrays
-    # and candidate lists must stay within the same bound.
+    # The x scan of a 40,001-point grid for 25 gammas peaked at about 2.6 MB
+    # of traced memory, and a gammas x grid array would take 8 MB.  The
+    # window-end isolation takes about 0.2 MB there, and 1.3 MB for one cell
+    # at 401 gammas, whose cut points and brackets grow with the gammas.
     for word, count in ((Word("SL"), 25), (Word("S"), 401)):
         tracemalloc.start()
         try:
@@ -569,9 +561,13 @@ def test_strong_single_cell_has_no_germ_in_range(gamma):
     assert band_germs(Word("S"), gamma, 1.0) == []
 
 
-def _one_bracket_refine(fn, lo, hi, flo, fhi, steps=None):
-    """_refine's Chandrupatla step on one bracket in Python floats, its oracle; appends each step's t to steps."""
-    x1, x2, f1, f2, t = lo, hi, flo, fhi, 0.5
+def _one_bracket_refine(fn, lo, hi, flo, fhi, steps=None, closes=None):
+    """_refine's Chandrupatla step on one bracket in Python floats, its oracle.
+
+    Appends each step's t to steps, and 1 to closes for each bracket that
+    x's mirror closes.
+    """
+    x1, x2, f1, f2, t, x1_side = lo, hi, flo, fhi, 0.5, True
     for _ in range(200):
         if f1 == 0.0:
             x2 = x1
@@ -581,10 +577,14 @@ def _one_bracket_refine(fn, lo, hi, flo, fhi, steps=None):
             break
         tl = 0.5 * ROOT_TOL / abs(x2 - x1)
         x = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
-        f = fn(x)
+        m = x + (tl if x1_side else -tl) * (x2 - x1)
+        f, fm = fn(x), fn(m)
         if steps is not None:
             steps.append(t)
-        if (f > 0.0) == (f1 > 0.0):
+        same = (f > 0.0) == (f1 > 0.0)
+        close = same == x1_side and np.sign(fm) != np.sign(f)
+        x1_side = same
+        if same:
             x3, f3 = x1, f1
         else:
             x3, f3, x2, f2 = x2, f2, x1, f1
@@ -594,6 +594,10 @@ def _one_bracket_refine(fn, lo, hi, flo, fhi, steps=None):
             t = f1 / (f1 - f2) * f3 / (f3 - f2) + alpha * f1 / (f3 - f1) * f2 / (f3 - f2)
         else:
             t = 0.5
+        if close:
+            x2, f2 = m, fm
+            if closes is not None:
+                closes.append(1)
     return 0.5 * (x1 + x2)
 
 
@@ -606,7 +610,7 @@ def _holds_a_sign_change(fn, root):
 @pytest.mark.parametrize("regime", [Regime.BOUND, Regime.SCATTERING])
 def test_lockstep_refine_is_bitwise_the_one_bracket_loop(regime):
     # Atlas batching rests on this: each bracket's root does not depend on
-    # the brackets refined beside it.
+    # the brackets refined beside it, whether a step's mirror closes it or not.
     word, gamma = Word("SL"), 4.0
 
     def value(beta):
@@ -631,8 +635,11 @@ def test_lockstep_refine_is_bitwise_the_one_bracket_loop(regime):
 
     got = _refine(word, gamma, TAU, regime, "x", lo, hi, flo, fhi, target)
     fns = [lambda b, t=t: value(b) - t for t in target.tolist()]
-    want = [_one_bracket_refine(fn, *v) for fn, *v in zip(fns, lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())]
+    closes = []
+    want = [_one_bracket_refine(fn, *v, closes=closes)
+            for fn, *v in zip(fns, lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert closes  # a mirror closes most of these brackets
     assert all(_holds_a_sign_change(fn, r) for fn, r in zip(fns[:-1], got.tolist()))
     assert got[-3] == 1.3 + 0.5 * (1.9 - 1.3) and got[-2] == 1.9 and got[-1] == lo[-1] + 0.25 * ROOT_TOL
     assert _refine(word, gamma, TAU, regime, "x", [], [], [], []).shape == (0,)
@@ -677,7 +684,10 @@ def test_refine_halves_where_interpolation_is_unsafe():
 def test_refinement_takes_few_kernel_scans(monkeypatch, tmp_path):
     # A scan is one walk of kernel._chunks (one per 8,192 points).  Halving
     # each x4 grid bracket down to ROOT_TOL took 20-23 scans per _refine
-    # call, 230 scans for the census's eight queries and 176 for the atlas.
+    # call, 230 scans for the census's eight queries and 176 for the atlas;
+    # Chandrupatla's step on the grid took 93, 277 for W_7..W_11 and 100.
+    # Multisection from the window ends, with each step's mirror, took 80,
+    # 140 and 55, at most 9 per _refine call.
     walks, per_call = [0], []
     chunks, refine = kernel._chunks, spectra._refine
 
@@ -693,14 +703,16 @@ def test_refinement_takes_few_kernel_scans(monkeypatch, tmp_path):
 
     monkeypatch.setattr(kernel, "_chunks", counted_chunks)
     monkeypatch.setattr(spectra, "_refine", counted_refine)
-    for m in range(3, 7):
-        assert len(band_germs(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
-        assert len(bound_states(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
-    assert walks[0] <= 95 and len(per_call) == 8 and max(per_call) <= 10, (walks, per_call)
+    for orders, most in ((range(3, 7), 82), (range(7, 12), 145)):
+        walks[0], per_call[:] = 0, []
+        for m in orders:
+            assert len(band_germs(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
+            assert len(bound_states(fibonacci_word(m), 10.0, TAU, (0.05, 6.0), 2000)) == fibonacci_number(m)
+        assert walks[0] <= most and len(per_call) == 2 * len(orders) and max(per_call) <= 10, (walks, per_call)
     walks[0], per_call[:] = 0, []
     assert main(["atlas", "--gamma-steps", "401", "--gamma-min", "-6.00001", "--gamma-max", "6.00001",
                  "--out", str(tmp_path / "atlas.csv")]) == 0
-    assert walks[0] <= 105 and len(per_call) == 4 and max(per_call) <= 10, (walks, per_call)
+    assert walks[0] <= 60 and len(per_call) == 4 and max(per_call) <= 10, (walks, per_call)
 
 
 def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
@@ -722,19 +734,20 @@ def test_spectra_scans_never_take_the_scalar_route(monkeypatch):
 
 
 # sha256 (first 16 hex digits) of partial_band_census(n, 4.0) for n = 1..10,
-# every float as float.hex, recorded with _refine's Chandrupatla step on the
-# grid kernel; the bisection before it gave boundaries at most 6.1e-11 away.
+# every float as float.hex, recorded with the germ isolated by multisection
+# from the window ends and _refine's mirrored Chandrupatla step; the grid
+# and plain Chandrupatla step before them gave boundaries at most 5.0e-11 away.
 _CENSUS_DIGESTS = {
-    1: "12a9b6c25a3be286",
-    2: "f932ca9d5e333cd2",
-    3: "d3f2ee2f6370a41f",
-    4: "0bded610691ee092",
-    5: "86ab31cf29ff7ed5",
-    6: "c764fd9a8e05771a",
-    7: "3dcf9d72e40d0b38",
-    8: "2662815db70ab4ec",
-    9: "a09961c3bfcf83be",
-    10: "761bed43a495e163",
+    1: "afc6f710e855397f",
+    2: "799bfe885626000c",
+    3: "552d0738500d5056",
+    4: "126fb6a97515eeae",
+    5: "81fd7f0670f963fa",
+    6: "41dcc2782e749abd",
+    7: "68f759fb90cc5d91",
+    8: "6cd5c29f98c62a0b",
+    9: "57e9d0ea5bfb4dda",
+    10: "e00ce2a870408793",
 }
 
 
@@ -983,11 +996,11 @@ def test_energy_gauge_reads_in_band_as_the_edge_count_does():
 
 def test_bound_states_refuse_what_they_cannot_isolate(monkeypatch):
     # Each refusal names the interval; a count is injected for each case.
-    # The fine grid of 100 steps on (0.05, 6] brackets 1.0 by [0.987125, 1.002].
+    # The first cut of the window (0.05, 6] brackets 1.0 by [0.79375, 1.165625].
     cases = [
         (2, 0, r"^bound roots closer than 1e-10 on \[0\.99999999"),
-        (0, 1, r"^the bound-state count rises with beta on \[0\.987125"),
-        (1, 0, r"^no sign change of d at one bound root on \[0\.987125"),
+        (0, 1, r"^the bound-state count rises with beta on \[0\.79375"),
+        (1, 0, r"^no sign change of d at one bound root on \[0\.79375"),
     ]
     for below, above, message in cases:
         def count(word, gamma, q, betas, below=below, above=above):
@@ -1029,7 +1042,7 @@ def _exact_x(letters, gamma, q, beta, regime=Regime.BOUND, which="x"):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bands", "--word", "fib:m=6", "--gamma", "10", "--steps", "128000"],
+        ["bands", "--word", "fib:m=6", "--gamma", "10"],
         ["atlas"],
         ["bound", "--word", "fib:m=9", "--gamma", "10"],
     ],
@@ -1165,11 +1178,14 @@ def test_an_edge_within_band_tol_of_one_is_refined_at_the_threshold():
     [("LLLS", 10.7249439689283, 2.360193034827261), ("SLSLL", 11.724874753701918, 2.230168571257204)],
 )
 def test_edge_kinds_follow_x_outside_every_germ(letters, gamma, q):
-    # A germ narrower than ROOT_TOL has both edges in one bracket and
-    # refines them to the same beta; its lower edge still takes the kind of
-    # x below it.  In 50 digits x just outside each edge has its kind's sign.
+    # Each word has a germ narrower than ROOT_TOL.  SLSLL's edges share one
+    # isolated piece and refine to the same beta; multisection cuts LLLS's
+    # apart, 8.7e-11 from each other.  Either way the lower edge takes the
+    # kind of x below it: in 50 digits x just outside each edge has its
+    # kind's sign.
     germs = band_germs(Word(letters), gamma, q)
-    assert any(g.beta_lo == g.beta_hi for g in germs)
+    assert any(g.beta_hi - g.beta_lo < ROOT_TOL for g in germs)
+    assert any(g.beta_lo == g.beta_hi for g in germs) == (letters == "SLSLL")
     for g in germs:
         below = _exact_x(letters, gamma, q, g.beta_lo - 1e-9)
         above = _exact_x(letters, gamma, q, g.beta_hi + 1e-9)
@@ -1186,11 +1202,11 @@ def test_free_cells_have_one_germ():
 
 
 def test_band_germs_refuse_what_they_cannot_isolate(monkeypatch):
-    # A repulsive cell has x > 1 throughout, so the scan shows no crossing
-    # and the window (0.05, 6] is one piece; counts are injected around 1.0.
+    # A repulsive cell has x > 1 throughout; counts are injected around 1.0,
+    # which the first cut of the window (0.05, 6] puts in [0.79375, 1.165625].
     cases = [
-        (0, 1, r"^the band-edge count rises with beta on \[0\.05, 6\.0\]"),
-        (1, 0, r"^x does not cross \+-1 at a counted edge on \[0\.05, 6\.0\]"),
+        (0, 1, r"^the band-edge count rises with beta on \[0\.79375\d*, 1\.165625\d*\]"),
+        (1, 0, r"^x does not cross \+-1 at a counted edge on \[0\.79375\d*, 1\.165625\d*\]"),
     ]
     for below, above, message in cases:
         def count(word, gamma, q, betas, regime, below=below, above=above):
