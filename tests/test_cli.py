@@ -822,11 +822,21 @@ def test_out_of_range_orders_and_energies_exit_with_token_and_no_file(argv, code
 @pytest.mark.parametrize("command", ["scatter", "dos", "binding", "atlas"])
 def test_absurd_grid_sizes_exit_with_token_and_no_file(command, size, code, token, tmp_path, capsys):
     # Each used to end in numpy's _ArrayMemoryError or ValueError traceback.
-    # bands and bound scan no grid and refuse --steps (IGNORED below).
     out = tmp_path / "x.csv"
     flag = "--gamma-steps" if command == "atlas" else "--steps"
     assert main([command, flag, str(size), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(token)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [pytest.param(10**17, id="1e17"), pytest.param(10**30, id="1e30")])
+@pytest.mark.parametrize("command", ["bands", "bound"])
+def test_absurd_steps_are_refused_where_no_grid_is_scanned(command, size, tmp_path, capsys):
+    # bands and bound scan no grid, so they refuse --steps whatever its size:
+    # neither the allocator's MemoryError nor the intp bound is reached.
+    out = tmp_path / "x.csv"
+    assert main([command, "--steps", str(size), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"InvalidConfig: --steps does not apply to {command}")
     assert not out.exists()
 
 
